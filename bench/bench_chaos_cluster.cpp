@@ -26,6 +26,9 @@
 //      with --net_fault_scenario=net_storm so chaos also lands on the
 //      router<->replica legs and the router's own client writes.
 //
+// The replica and router roles, tick oracle, audit, tick runner and
+// process fleet are shared with bench_cluster (cluster_harness.hpp).
+//
 // Gates, per transport: exactness (0 lost, 0 duplicated, 0 bit-divergent
 // accepted frames, results > 0 — at-least-once wire, exactly-once effect),
 // chaos actually fired, the client reconnected at least once, the restarted
@@ -35,432 +38,23 @@
 // Writes BENCH_chaos_cluster.json: per-transport verify counts, per-
 // scenario injected-fault counts, failover timings (recovery latency),
 // client resilience counters and the final router stats JSON.
-#include <unistd.h>
-
-#include <chrono>
-#include <csignal>
-#include <fstream>
+#include <algorithm>
 #include <iostream>
-#include <optional>
 #include <sstream>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/client.hpp"
-#include "cluster/proc.hpp"
-#include "cluster/replica_server.hpp"
-#include "cluster/resilient_client.hpp"
-#include "cluster/router.hpp"
-#include "common.hpp"
+#include "cluster_harness.hpp"
 #include "fault/net_chaos.hpp"
 #include "fault/net_plan.hpp"
-#include "net/assembler.hpp"
-#include "net/hub.hpp"
-#include "net/packet.hpp"
-#include "serve/backend.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace {
 
 using namespace reads;
-using Clock = std::chrono::steady_clock;
-
-double elapsed_s(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-double elapsed_ms(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-// ---- shared frame pipeline (identical to bench_cluster's oracle path) ----
-
-tensor::Tensor decode_frame(std::span<const std::uint32_t> readings,
-                            const train::Standardizer& standardizer) {
-  tensor::Tensor raw({readings.size(), 1});
-  auto dst = raw.flat();
-  for (std::size_t i = 0; i < readings.size(); ++i) {
-    dst[i] = static_cast<float>(net::decode_reading(readings[i]));
-  }
-  return standardizer.transform(raw);
-}
-
-// ---- replica role --------------------------------------------------------
-
-cluster::ReplicaServer* g_server = nullptr;
-extern "C" void on_replica_sigterm(int) {
-  if (g_server != nullptr) g_server->request_stop();
-}
-
-int replica_main(util::Cli& cli) {
-  const std::string listen =
-      cli.get_string("replica_listen", "tcp:127.0.0.1:0");
-  const double deadline_ms = cli.get_double("deadline_ms", 3.0);
-  cli.check_unknown();
-
-  const bench::DeployedUnet unet;
-  const auto firmware = unet.deployed_firmware();
-
-  serve::GatewayConfig gcfg;
-  gcfg.queue_capacity = 64;
-  gcfg.max_batch = 4;
-  gcfg.deadline_ms = deadline_ms;
-  gcfg.sharding = serve::ShardPolicy::kByStream;
-  std::vector<std::unique_ptr<serve::Backend>> backends;
-  backends.push_back(std::make_unique<serve::QuantizedBackend>(firmware));
-
-  cluster::ReplicaServerConfig rcfg;
-  rcfg.listen = cluster::Endpoint::parse(listen);
-  rcfg.gateway = gcfg;
-  const train::Standardizer& standardizer = unet.bundle.standardizer;
-  cluster::ReplicaServer server(
-      rcfg, std::move(backends),
-      [&standardizer](std::span<const std::uint32_t> readings,
-                      tensor::Tensor& out) {
-        out = decode_frame(readings, standardizer);
-      });
-  g_server = &server;
-  std::signal(SIGTERM, on_replica_sigterm);
-  std::cout << "LISTENING " << server.bound().str() << "\n" << std::flush;
-  server.run();
-  return 0;
-}
-
-// ---- router role ---------------------------------------------------------
-// The router lives in its own process so the orchestrator can SIGKILL it;
-// --journal makes the incarnation survivable, --net_fault_scenario turns
-// this process's own sockets hostile (fault/net_chaos.hpp).
-
-cluster::Router* g_router = nullptr;
-extern "C" void on_router_sigterm(int) {
-  if (g_router != nullptr) g_router->request_stop();
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start < s.size()) {
-    const auto comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    if (comma > start) out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-int router_main(util::Cli& cli) {
-  const std::string listen = cli.get_string("listen", "tcp:127.0.0.1:0");
-  const std::string replicas = cli.get_string("replicas", "");
-  const std::string journal = cli.get_string("journal", "");
-  const double deadline_ms = cli.get_double("deadline_ms", 3.0);
-  const std::string scenario = cli.get_string("net_fault_scenario", "");
-  const auto net_seed =
-      static_cast<std::uint64_t>(cli.get_int("net_fault_seed", 7));
-  const auto net_ops =
-      static_cast<std::uint64_t>(cli.get_int("net_fault_ops", 300));
-  const auto net_sites =
-      static_cast<std::size_t>(cli.get_int("net_fault_sites", 6));
-  cli.check_unknown();
-
-  std::optional<fault::NetInjector> injector;
-  std::optional<fault::NetChaosGuard> guard;
-  if (!scenario.empty()) {
-    fault::NetScenarioParams np;
-    np.seed = net_seed;
-    np.ops = net_ops;
-    np.sites = net_sites;
-    injector.emplace(fault::NetPlan::scenario(scenario, np), net_seed);
-    guard.emplace(*injector);
-  }
-
-  cluster::RouterConfig cfg;
-  cfg.listen = cluster::Endpoint::parse(listen);
-  cfg.replicas = split_csv(replicas);
-  cfg.hard_deadline_ms = deadline_ms;
-  cfg.journal_path = journal;
-  cfg.reconnect_attempts = 50;
-  cfg.reconnect_backoff_initial_ms = 20.0;
-  cfg.reconnect_backoff_max_ms = 200.0;
-  cfg.stall_timeout_ms = 1500.0;
-  try {
-    cluster::Router router(cfg);
-    g_router = &router;
-    std::signal(SIGTERM, on_router_sigterm);
-    std::cout << "LISTENING " << router.bound().str() << "\n" << std::flush;
-    router.run();
-  } catch (const std::exception& e) {
-    std::cout << "FAILED " << e.what() << "\n" << std::flush;
-    return 1;
-  }
-  return 0;
-}
-
-// ---- orchestrator: tick material + exactness ledger ----------------------
-
-struct TickSet {
-  std::size_t monitors = 0;
-  std::size_t hubs = 0;
-  std::vector<std::pair<std::uint16_t, std::uint16_t>> layout;
-  std::vector<std::vector<std::uint32_t>> enc;
-  std::vector<tensor::Tensor> oracle;
-
-  std::size_t frame_of(std::uint64_t stream, std::uint32_t seq) const {
-    return static_cast<std::size_t>(stream * 131 + std::uint64_t{seq} * 7) %
-           enc.size();
-  }
-
-  std::vector<net::BlmPacket> packets_for(std::uint64_t stream,
-                                          std::uint32_t seq) const {
-    const auto& counts = enc[frame_of(stream, seq)];
-    std::vector<net::BlmPacket> packets(hubs);
-    for (std::size_t h = 0; h < hubs; ++h) {
-      auto& p = packets[h];
-      p.hub_id = static_cast<std::uint8_t>(h);
-      p.sequence = seq;
-      p.first_monitor = layout[h].first;
-      p.readings.assign(counts.begin() + layout[h].first,
-                        counts.begin() + layout[h].first + layout[h].second);
-      net::seal_packet(p);
-    }
-    return packets;
-  }
-};
-
-TickSet build_ticks(const hls::QuantizedModel& direct,
-                    const train::Standardizer& standardizer,
-                    std::size_t n_frames, std::uint64_t seed) {
-  TickSet ts;
-  net::AssemblerParams ap;
-  ts.monitors = ap.monitors;
-  ts.hubs = ap.hubs;
-  ts.layout = net::hub_layout(ap.monitors, ap.hubs);
-  util::Xoshiro256 rng(util::derive_seed(seed, 42));
-  ts.enc.resize(n_frames);
-  ts.oracle.reserve(n_frames);
-  for (std::size_t f = 0; f < n_frames; ++f) {
-    auto& counts = ts.enc[f];
-    counts.resize(ts.monitors);
-    for (std::size_t m = 0; m < ts.monitors; ++m) {
-      counts[m] = net::encode_reading(105000.0 + 15000.0 * rng.uniform());
-    }
-    ts.oracle.push_back(direct.forward(decode_frame(counts, standardizer)));
-  }
-  return ts;
-}
-
-struct TickState {
-  std::size_t frame = 0;
-  bool terminal = false;
-};
-
-struct Audit {
-  std::unordered_map<std::uint64_t, TickState> ledger;  ///< by req_id
-  std::size_t submitted = 0;
-  std::size_t results = 0;
-  std::size_t sheds = 0;
-  std::size_t duplicated = 0;
-  std::size_t mismatched = 0;
-  std::size_t terminal = 0;
-
-  std::size_t pending() const { return submitted - terminal; }
-  std::size_t lost() const { return pending(); }
-  bool exact() const {
-    return lost() == 0 && duplicated == 0 && mismatched == 0 && results > 0;
-  }
-};
-
-void note_message(Audit& a, const TickSet& ts, const cluster::Message& msg) {
-  std::uint64_t id = 0;
-  bool is_result = false;
-  cluster::Result res;
-  if (msg.type == cluster::MsgType::kResult) {
-    res = cluster::decode_result(msg.payload);
-    id = res.id;
-    is_result = true;
-  } else if (msg.type == cluster::MsgType::kShed) {
-    id = cluster::decode_shed(msg.payload).id;
-  } else {
-    return;
-  }
-  auto it = a.ledger.find(id);
-  if (it == a.ledger.end() || it->second.terminal) {
-    ++a.duplicated;
-    return;
-  }
-  it->second.terminal = true;
-  ++a.terminal;
-  if (!is_result) {
-    ++a.sheds;
-    return;
-  }
-  ++a.results;
-  const auto& want = ts.oracle[it->second.frame];
-  bool match =
-      res.dims.size() == want.rank() && res.data.size() == want.numel();
-  if (match) {
-    for (std::size_t d = 0; d < res.dims.size(); ++d) {
-      match = match && res.dims[d] == want.dim(d);
-    }
-    const auto flat = want.flat();
-    for (std::size_t i = 0; match && i < flat.size(); ++i) {
-      match = res.data[i] == flat[i];  // bitwise: both sides are floats
-    }
-  }
-  if (!match) ++a.mismatched;
-}
-
-void drain(cluster::ResilientClient& client, Audit& a, const TickSet& ts,
-           double wait_ms) {
-  double budget = wait_ms;
-  while (auto msg = client.poll(budget)) {
-    budget = 0.0;
-    note_message(a, ts, *msg);
-  }
-}
-
-void submit_tick(cluster::ResilientClient& client, Audit& a,
-                 const TickSet& ts, std::uint64_t stream, std::uint32_t seq) {
-  cluster::Submit s;
-  s.stream = stream;
-  s.req_id = (stream << 32) | seq;
-  s.slo = static_cast<std::uint8_t>(stream % 4 == 0 ? 0 : 1);
-  s.packets = ts.packets_for(stream, seq);
-  a.ledger.emplace(s.req_id, TickState{ts.frame_of(stream, seq), false});
-  ++a.submitted;
-  // submit() refuses only on a full unacked window; poll until it opens.
-  while (!client.submit(s)) drain(client, a, ts, 20.0);
-}
-
-void run_rounds(cluster::ResilientClient& client, Audit& a, const TickSet& ts,
-                std::size_t streams, std::uint32_t& seq, std::size_t rounds) {
-  for (std::size_t r = 0; r < rounds; ++r, ++seq) {
-    for (std::uint64_t st = 0; st < streams; ++st) {
-      submit_tick(client, a, ts, st, seq);
-    }
-    drain(client, a, ts, 1.0);
-    while (a.pending() > streams * 4) drain(client, a, ts, 20.0);
-  }
-}
-
-/// Drain until nothing is pending (fault-free wire assumed).
-bool drain_all(cluster::ResilientClient& client, Audit& a, const TickSet& ts,
-               double timeout_s) {
-  const auto t0 = Clock::now();
-  while (a.pending() > 0 && elapsed_s(t0) < timeout_s) {
-    drain(client, a, ts, 100.0);
-  }
-  return a.pending() == 0;
-}
-
-// ---- orchestrator: process fleet -----------------------------------------
-
-std::uint64_t scan_counter(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return 0;
-  std::size_t p = pos + key.size() + 3;
-  while (p < json.size() && json[p] == ' ') ++p;
-  std::uint64_t v = 0;
-  while (p < json.size() && json[p] >= '0' && json[p] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(json[p] - '0');
-    ++p;
-  }
-  return v;
-}
-
-struct Fleet {
-  std::vector<cluster::ChildProcess> replicas;
-  std::vector<std::string> endpoints;
-  std::string transport;
-  std::size_t spawned = 0;
-
-  std::string next_listen_spec() {
-    if (transport == "uds") {
-      return "uds:/tmp/reads-chaos-" + std::to_string(::getpid()) + "-r" +
-             std::to_string(spawned) + ".sock";
-    }
-    return "tcp:127.0.0.1:0";
-  }
-
-  std::string spawn_replica(double deadline_ms) {
-    const std::string listen = next_listen_spec();
-    ++spawned;
-    auto child = cluster::spawn(
-        {"/proc/self/exe", "--role=replica", "--replica_listen=" + listen,
-         "--deadline_ms=" + std::to_string(deadline_ms)});
-    const auto t0 = Clock::now();
-    std::string ep;
-    while (elapsed_s(t0) < 120.0) {
-      const std::string line = child.read_line(120000.0);
-      if (line.rfind("LISTENING ", 0) == 0) {
-        ep = line.substr(10);
-        break;
-      }
-      if (line.empty() && !child.running()) break;
-    }
-    if (ep.empty()) return {};
-    replicas.push_back(std::move(child));
-    endpoints.push_back(ep);
-    return ep;
-  }
-};
-
-/// The router child, respawnable on a fixed endpoint with a shared journal.
-struct RouterProc {
-  std::optional<cluster::ChildProcess> child;
-  std::string endpoint;  ///< resolved after first spawn; reused verbatim
-  std::string journal;
-  double deadline_ms = 3.0;
-
-  bool spawn(const std::string& listen_spec,
-             const std::vector<std::string>& replica_eps,
-             const std::string& net_scenario, std::uint64_t net_seed,
-             std::uint64_t net_ops, std::size_t net_sites) {
-    std::string reps;
-    for (std::size_t i = 0; i < replica_eps.size(); ++i) {
-      if (i > 0) reps += ",";
-      reps += replica_eps[i];
-    }
-    std::vector<std::string> argv = {
-        "/proc/self/exe",      "--role=router",
-        "--listen=" + listen_spec, "--replicas=" + reps,
-        "--journal=" + journal,
-        "--deadline_ms=" + std::to_string(deadline_ms)};
-    if (!net_scenario.empty()) {
-      argv.push_back("--net_fault_scenario=" + net_scenario);
-      argv.push_back("--net_fault_seed=" + std::to_string(net_seed));
-      argv.push_back("--net_fault_ops=" + std::to_string(net_ops));
-      argv.push_back("--net_fault_sites=" + std::to_string(net_sites));
-    }
-    child.emplace(cluster::spawn(argv));
-    const auto t0 = Clock::now();
-    std::string ep;
-    while (elapsed_s(t0) < 30.0) {
-      const std::string line = child->read_line(30000.0);
-      if (line.rfind("LISTENING ", 0) == 0) {
-        ep = line.substr(10);
-        break;
-      }
-      if (line.rfind("FAILED ", 0) == 0 || (line.empty() && !child->running()))
-        break;
-    }
-    if (ep.empty()) return false;
-    endpoint = ep;
-    return true;
-  }
-
-  void kill_hard() {
-    if (child) child->kill_hard();
-  }
-
-  bool terminate(double timeout_ms) {
-    return !child || child->terminate(timeout_ms);
-  }
-};
+using bench::Clock;
+using bench::elapsed_s;
 
 // ---- orchestrator: one transport run -------------------------------------
 
@@ -475,7 +69,7 @@ struct RunOutcome {
   std::string transport;
   std::string endpoint;
   double wall_s = 0.0;
-  Audit audit;
+  bench::Audit audit;
   std::vector<ScenarioStat> scenarios;
   std::uint64_t chaos_injected = 0;  ///< sweep total, orchestrator side
   std::uint64_t client_reconnects = 0;
@@ -489,27 +83,28 @@ struct RunOutcome {
   std::uint64_t malformed_disconnects = 0;
   std::uint64_t redispatched = 0;
   std::uint64_t crashes = 0;
+  std::string stats_error;  ///< first unreadable router stats reply
   bool storm_ran = false;
   bool children_clean = true;
   std::string router_stats;
 
   bool all_scenarios_fired() const {
-    for (const auto& s : scenarios) {
-      if (s.injected == 0) return false;
-    }
-    return !scenarios.empty();
+    return !scenarios.empty() &&
+           std::all_of(scenarios.begin(), scenarios.end(),
+                       [](const ScenarioStat& s) { return s.injected > 0; });
   }
-
+  bool recovered() const {
+    return stats_error.empty() && journal_recovered_nodes >= 1 &&
+           post_restart_results > 0;
+  }
   bool pass() const {
     return audit.exact() && all_scenarios_fired() && client_reconnects > 0 &&
-           post_restart_results > 0 && journal_recovered_nodes >= 1 &&
-           children_clean;
+           recovered() && children_clean;
   }
 };
 
 struct RunParams {
   std::string transport;
-  std::size_t replica_procs = 2;
   std::size_t streams = 4;
   std::size_t rounds_scenario = 6;
   std::size_t rounds_kill = 8;
@@ -519,64 +114,53 @@ struct RunParams {
 };
 
 /// Router counters reset with each incarnation; scrape and accumulate at
-/// the end of every incarnation so the run total is complete.
-void accumulate_stats(RunOutcome& out, const std::string& js) {
-  out.dedup_hits += scan_counter(js, "dedup_hits");
-  out.inflight_rebinds += scan_counter(js, "inflight_rebinds");
-  out.malformed_disconnects += scan_counter(js, "malformed_disconnects");
-  out.redispatched += scan_counter(js, "redispatched_jobs");
-  out.crashes += scan_counter(js, "replica_crashes");
+/// the end of every incarnation so the run total is complete. The first
+/// unreadable reply fails the recovery gate.
+void accumulate_stats(RunOutcome& out, const std::string& js,
+                      bool journal = false) {
+  std::string err = bench::add_counters(
+      js, {{"dedup_hits", &out.dedup_hits},
+           {"inflight_rebinds", &out.inflight_rebinds},
+           {"malformed_disconnects", &out.malformed_disconnects},
+           {"redispatched_jobs", &out.redispatched},
+           {"replica_crashes", &out.crashes}});
+  if (err.empty() && journal) {
+    err = bench::add_counters(
+        js, {{"journal_recovered_nodes", &out.journal_recovered_nodes},
+             {"journal_recovered_replies", &out.journal_recovered_replies}});
+  }
+  if (out.stats_error.empty()) out.stats_error = err;
 }
 
-cluster::ResilientClientConfig client_config(std::uint64_t seed) {
-  cluster::ResilientClientConfig ccfg;
-  ccfg.connect_timeout_ms = 500.0;
-  ccfg.backoff_initial_ms = 5.0;
-  ccfg.backoff_max_ms = 100.0;
-  ccfg.jitter_seed = seed;
-  ccfg.max_unacked = 64;  // below the router's dedup_window (256)
-  return ccfg;
+/// Reconnects of one phase client; its first connect is not a reconnect.
+std::uint64_t reconnects(const cluster::ResilientClient& client) {
+  return client.reconnects() > 0 ? client.reconnects() - 1 : 0;
 }
 
-RunOutcome run_transport(const RunParams& rp, const TickSet& ts) {
+void add_client_counts(RunOutcome& out, cluster::ResilientClient& client) {
+  out.client_reconnects += reconnects(client);
+  out.client_resubmissions += client.resubmissions();
+}
+
+RunOutcome run_transport(const RunParams& rp, const bench::TickSet& ts) {
   RunOutcome out;
   out.transport = rp.transport;
   const auto t0 = Clock::now();
+  const std::string tag = "[" + rp.transport + "] ";
 
-  Fleet fleet;
-  fleet.transport = rp.transport;
-  std::cout << "[" << rp.transport << "] spawning " << rp.replica_procs
-            << " replica processes...\n";
-  for (std::size_t i = 0; i < rp.replica_procs; ++i) {
-    if (fleet.spawn_replica(rp.deadline_ms).empty()) {
-      std::cout << "[" << rp.transport << "] replica " << i
-                << " failed to start\n";
-      out.children_clean = false;
-      return out;
-    }
-  }
-
-  RouterProc router;
-  router.journal = "/tmp/reads-chaos-" + std::to_string(::getpid()) + "-" +
-                   rp.transport + ".journal";
-  ::unlink(router.journal.c_str());
-  router.deadline_ms = rp.deadline_ms;
-  const std::string listen_spec =
-      rp.transport == "uds" ? "uds:/tmp/reads-chaos-" +
-                                  std::to_string(::getpid()) + "-router.sock"
-                            : "tcp:127.0.0.1:0";
-  if (!router.spawn(listen_spec, fleet.endpoints, "", 0, 0, 0)) {
-    std::cout << "[" << rp.transport << "] router failed to start\n";
+  bench::Fleet fleet(rp.transport, rp.deadline_ms);
+  if (!fleet.spawn_replicas(2) || !fleet.spawn_router()) {
+    std::cout << tag << "cluster failed to start\n";
     out.children_clean = false;
     return out;
   }
-  out.endpoint = router.endpoint;
-  std::uint32_t seq = 0;
+  out.endpoint = fleet.router_endpoint;
+  bench::TickRunner runner(ts, out.audit, rp.streams);
 
   // Phase 1: wire-chaos sweep, one fresh injector + client per scenario so
   // site numbering (= connection open order) restarts at 0 every time and
   // the campaign stays deterministic.
-  std::cout << "[" << rp.transport << "] phase 1: wire-chaos sweep\n";
+  std::cout << tag << "phase 1: wire-chaos sweep\n";
   for (const char* name :
        {"torn", "short_write", "eagain", "corrupt", "refuse", "stall"}) {
     fault::NetScenarioParams np;
@@ -586,169 +170,123 @@ RunOutcome run_transport(const RunParams& rp, const TickSet& ts) {
     np.ops = rp.rounds_scenario * rp.streams;
     np.sites = 4;
     fault::NetInjector injector(fault::NetPlan::scenario(name, np), np.seed);
-    cluster::ResilientClient client(router.endpoint,
-                                    client_config(np.seed));
+    auto& client = runner.connect(out.endpoint, np.seed);
     {
       fault::NetChaosGuard guard(injector);
-      run_rounds(client, out.audit, ts, rp.streams, seq, rp.rounds_scenario);
+      runner.rounds(rp.rounds_scenario);
     }
     // Tap removed: the tail drains over a clean wire.
-    drain_all(client, out.audit, ts, 60.0);
-    ScenarioStat st;
-    st.name = name;
-    st.injected = injector.injected_total();
-    st.reconnects = client.reconnects() > 0 ? client.reconnects() - 1 : 0;
-    st.resubmissions = client.resubmissions();
+    runner.drain_all(60.0);
+    const ScenarioStat st{name, injector.injected_total(), reconnects(client),
+                          client.resubmissions()};
     out.chaos_injected += st.injected;
-    out.client_reconnects += st.reconnects;
-    out.client_resubmissions += st.resubmissions;
+    add_client_counts(out, client);
     out.scenarios.push_back(st);
     std::cout << "  " << name << ": " << st.injected << " faults injected, "
               << st.reconnects << " reconnects, " << st.resubmissions
-              << " resubmissions, pending " << out.audit.pending() << "\n";
+              << " resubmissions, pending " << out.audit.lost() << "\n";
   }
 
   // Phase 2: replica SIGKILL mid-traffic; redispatch must stay invisible.
-  std::cout << "[" << rp.transport << "] phase 2: replica SIGKILL\n";
-  {
-    cluster::ResilientClient client(router.endpoint, client_config(rp.seed));
-    run_rounds(client, out.audit, ts, rp.streams, seq, 2);
-    fleet.replicas.back().kill_hard();
-    run_rounds(client, out.audit, ts, rp.streams, seq, rp.rounds_kill);
-    drain_all(client, out.audit, ts, 60.0);
-  }
-  {  // First incarnation's counters, before the SIGKILL wipes them.
-    cluster::ClusterClient admin(router.endpoint, cluster::Role::kAdmin);
-    accumulate_stats(out, admin.stats(10000.0));
-  }
+  std::cout << tag << "phase 2: replica SIGKILL\n";
+  runner.connect(out.endpoint, rp.seed);
+  runner.rounds(2);
+  fleet.replicas.back().kill_hard();
+  runner.rounds(rp.rounds_kill);
+  runner.drain_all(60.0);
+  // First incarnation's counters, before the SIGKILL wipes them.
+  accumulate_stats(out, bench::stats_of(out.endpoint));
 
   // Phase 3: router SIGKILL + restart on the same endpoint + journal. One
   // round is submitted and deliberately NOT drained first, so the kill
   // lands with ticks in flight — the restart serves answered ones from the
   // recovered dedup window and re-executes the rest on resubmission.
-  std::cout << "[" << rp.transport << "] phase 3: router SIGKILL + restart\n";
+  std::cout << tag << "phase 3: router SIGKILL + restart\n";
   {
-    cluster::ResilientClient client(router.endpoint, client_config(rp.seed));
-    run_rounds(client, out.audit, ts, rp.streams, seq, 2);
-    for (std::uint64_t st = 0; st < rp.streams; ++st) {
-      submit_tick(client, out.audit, ts, st, seq);
-    }
-    ++seq;
-    router.kill_hard();
+    auto& client = runner.connect(out.endpoint, rp.seed);
+    runner.rounds(2);
+    runner.submit_round();
+    fleet.router->kill_hard();
     const auto kill_t = Clock::now();
-    if (!router.spawn(router.endpoint, fleet.endpoints, "", 0, 0, 0)) {
-      std::cout << "[" << rp.transport << "] router failed to RESTART\n";
+    if (!fleet.spawn_router()) {
+      std::cout << tag << "router failed to RESTART\n";
       out.children_clean = false;
       return out;
     }
     const std::size_t before = out.audit.results;
     while (out.audit.results == before && elapsed_s(kill_t) < 60.0) {
-      drain(client, out.audit, ts, 50.0);
+      runner.drain(50.0);
     }
-    out.recovery_ms = elapsed_ms(kill_t);
-    run_rounds(client, out.audit, ts, rp.streams, seq, rp.rounds_kill);
-    drain_all(client, out.audit, ts, 60.0);
+    out.recovery_ms = elapsed_s(kill_t) * 1e3;
+    runner.rounds(rp.rounds_kill);
+    runner.drain_all(60.0);
     out.post_restart_results = out.audit.results - before;
-    out.client_reconnects +=
-        client.reconnects() > 1 ? client.reconnects() - 1 : 0;
-    out.client_resubmissions += client.resubmissions();
+    add_client_counts(out, client);
   }
-
-  {  // Journal recovery + incarnation counters of the restarted router.
-    cluster::ClusterClient admin(router.endpoint, cluster::Role::kAdmin);
-    const std::string js = admin.stats(10000.0);
-    out.journal_recovered_nodes = scan_counter(js, "journal_recovered_nodes");
-    out.journal_recovered_replies =
-        scan_counter(js, "journal_recovered_replies");
-    accumulate_stats(out, js);
-  }
+  // Journal recovery + incarnation counters of the restarted router.
+  accumulate_stats(out, bench::stats_of(out.endpoint), /*journal=*/true);
 
   // Phase 4: cycle the router once more with net_storm on ITS side of the
   // wire, so chaos also lands on the router<->replica legs.
-  std::cout << "[" << rp.transport << "] phase 4: router-side net_storm\n";
-  {
-    if (!router.terminate(10000.0)) out.children_clean = false;
-    const std::uint64_t storm_ops = rp.rounds_storm * rp.streams * 2;
-    if (!router.spawn(router.endpoint, fleet.endpoints, "net_storm",
-                      util::derive_seed(rp.seed, 0x570), storm_ops, 6)) {
-      std::cout << "[" << rp.transport << "] router failed storm restart\n";
-      out.children_clean = false;
-      return out;
-    }
-    out.storm_ran = true;
-    cluster::ResilientClient client(router.endpoint, client_config(rp.seed));
-    run_rounds(client, out.audit, ts, rp.streams, seq, rp.rounds_storm);
-    drain_all(client, out.audit, ts, 60.0);
-    out.client_reconnects += client.reconnects() > 1
-                                 ? client.reconnects() - 1
-                                 : 0;
-    out.client_resubmissions += client.resubmissions();
+  std::cout << tag << "phase 4: router-side net_storm\n";
+  if (!fleet.router->terminate(10000.0)) out.children_clean = false;
+  const std::uint64_t storm_ops = rp.rounds_storm * rp.streams * 2;
+  if (!fleet.spawn_router(
+          {"--net_fault_scenario=net_storm",
+           "--net_fault_seed=" +
+               std::to_string(util::derive_seed(rp.seed, 0x570)),
+           "--net_fault_ops=" + std::to_string(storm_ops),
+           "--net_fault_sites=6"})) {
+    std::cout << tag << "router failed storm restart\n";
+    out.children_clean = false;
+    return out;
   }
+  out.storm_ran = true;
+  auto& storm_client = runner.connect(out.endpoint, rp.seed);
+  runner.rounds(rp.rounds_storm);
+  runner.drain_all(60.0);
+  add_client_counts(out, storm_client);
 
   // Final stats + graceful teardown.
-  {
-    cluster::ClusterClient admin(router.endpoint, cluster::Role::kAdmin);
-    out.router_stats = admin.stats(10000.0);
-    accumulate_stats(out, out.router_stats);
-    admin.shutdown_router();
-  }
-  if (!router.terminate(15000.0)) out.children_clean = false;
-  // The killed replica cannot terminate cleanly; count only survivors.
-  for (std::size_t i = 0; i + 1 < fleet.replicas.size(); ++i) {
-    if (!fleet.replicas[i].terminate(10000.0)) out.children_clean = false;
-  }
-  fleet.replicas.back().kill_hard();
-  if (rp.transport == "uds") {
-    for (const auto& ep : fleet.endpoints) {
-      if (ep.rfind("uds:", 0) == 0) ::unlink(ep.c_str() + 4);
-    }
-    if (out.endpoint.rfind("uds:", 0) == 0) {
-      ::unlink(out.endpoint.c_str() + 4);
-    }
-  }
-  ::unlink(router.journal.c_str());
+  out.router_stats = bench::stats_of(out.endpoint);
+  accumulate_stats(out, out.router_stats);
+  cluster::ClusterClient(out.endpoint, cluster::Role::kAdmin).shutdown_router();
+  if (!fleet.shutdown()) out.children_clean = false;
   out.wall_s = elapsed_s(t0);
   return out;
 }
 
-std::string gate_str(bool pass) { return pass ? "\"pass\"" : "\"fail\""; }
-
 void print_outcome(const RunOutcome& o) {
-  const auto& a = o.audit;
-  std::cout << "[" << o.transport << "] " << a.submitted << " ticks: "
-            << a.results << " results, " << a.sheds << " sheds, " << a.lost()
-            << " lost, " << a.duplicated << " duplicated, " << a.mismatched
-            << " divergent\n"
-            << "[" << o.transport << "] chaos: " << o.chaos_injected
+  const std::string tag = "[" + o.transport + "] ";
+  std::cout << tag << o.audit.summary() << "\n"
+            << tag << "chaos: " << o.chaos_injected
             << " faults injected client-side, " << o.client_reconnects
             << " reconnects, " << o.client_resubmissions << " resubmissions, "
             << o.dedup_hits << " dedup hits, " << o.inflight_rebinds
             << " in-flight rebinds, " << o.malformed_disconnects
             << " malformed disconnects\n"
-            << "[" << o.transport << "] failover: " << o.crashes
-            << " replica crashes, " << o.redispatched
-            << " jobs redispatched, router recovery "
+            << tag << "failover: " << o.crashes << " replica crashes, "
+            << o.redispatched << " jobs redispatched, router recovery "
             << static_cast<int>(o.recovery_ms) << " ms ("
             << o.journal_recovered_nodes << " nodes, "
             << o.journal_recovered_replies << " replies from journal), "
-            << o.post_restart_results << " post-restart results\n"
-            << "[" << o.transport << "] gates: exactness "
-            << (a.exact() ? "pass" : "FAIL") << ", chaos-fired "
+            << o.post_restart_results << " post-restart results\n";
+  if (!o.stats_error.empty()) {
+    std::cout << tag << "router stats: " << o.stats_error << "\n";
+  }
+  std::cout << tag << "gates: exactness "
+            << (o.audit.exact() ? "pass" : "FAIL") << ", chaos-fired "
             << (o.all_scenarios_fired() ? "pass" : "FAIL") << ", reconnected "
             << (o.client_reconnects > 0 ? "pass" : "FAIL") << ", recovery "
-            << (o.journal_recovered_nodes >= 1 && o.post_restart_results > 0
-                    ? "pass"
-                    : "FAIL")
-            << ", shutdown " << (o.children_clean ? "pass" : "FAIL") << "\n";
+            << (o.recovered() ? "pass" : "FAIL") << ", shutdown "
+            << (o.children_clean ? "pass" : "FAIL") << "\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const std::string role = cli.get_string("role", "bench");
-  if (role == "replica") return replica_main(cli);
-  if (role == "router") return router_main(cli);
+  if (const auto rc = bench::run_role(cli)) return *rc;
 
   if (cli.get_bool("help", false)) {
     std::cout
@@ -767,8 +305,7 @@ int main(int argc, char** argv) {
   auto flags = bench::StandardFlags::parse(cli);
   const bool quick = cli.get_bool("quick", false);
   const double deadline_ms = cli.get_double("deadline_ms", 3.0);
-  const auto streams =
-      static_cast<std::size_t>(cli.get_int("streams", 4));
+  const auto streams = static_cast<std::size_t>(cli.get_int("streams", 4));
   const std::string out_path =
       cli.get_string("out", "BENCH_chaos_cluster.json");
   cli.check_unknown();
@@ -781,13 +318,10 @@ int main(int argc, char** argv) {
 
   // Warm the model cache + build the oracle before spawning children.
   const bench::DeployedUnet unet;
-  const auto firmware = unet.deployed_firmware();
-  const hls::QuantizedModel direct(firmware);
-  const auto ticks =
-      build_ticks(direct, unet.bundle.standardizer, 16, flags.seed);
+  const hls::QuantizedModel direct(unet.deployed_firmware());
+  const bench::TickSet ticks(direct, unet.bundle.standardizer, flags.seed);
 
   RunParams rp;
-  rp.replica_procs = 2;
   rp.streams = streams;
   rp.rounds_scenario = quick ? 6 : 14;
   rp.rounds_kill = quick ? 8 : 16;
@@ -795,16 +329,9 @@ int main(int argc, char** argv) {
   rp.deadline_ms = deadline_ms;
   rp.seed = flags.seed;
 
-  std::vector<std::string> transports;
-  if (flags.transport == "both") {
-    transports = {"tcp", "uds"};
-  } else {
-    transports = {flags.transport};
-  }
-
   std::vector<RunOutcome> runs;
   bool ok = true;
-  for (const auto& t : transports) {
+  for (const auto& t : bench::transports(flags)) {
     rp.transport = t;
     runs.push_back(run_transport(rp, ticks));
     print_outcome(runs.back());
@@ -822,14 +349,10 @@ int main(int argc, char** argv) {
        << "  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     auto& o = runs[i];
-    const auto& a = o.audit;
     json << "    {\"transport\": \"" << o.transport << "\", \"endpoint\": \""
          << o.endpoint << "\", \"wall_s\": " << util::json_double(o.wall_s)
          << ",\n"
-         << "     \"verify\": {\"submitted\": " << a.submitted
-         << ", \"results\": " << a.results << ", \"sheds\": " << a.sheds
-         << ", \"lost\": " << a.lost() << ", \"duplicated\": " << a.duplicated
-         << ", \"mismatched\": " << a.mismatched << "},\n"
+         << "     \"verify\": " << o.audit.json() << ",\n"
          << "     \"scenarios\": [";
     for (std::size_t s = 0; s < o.scenarios.size(); ++s) {
       const auto& sc = o.scenarios[s];
@@ -854,20 +377,15 @@ int main(int argc, char** argv) {
          << ", \"journal_recovered_replies\": "
          << o.journal_recovered_replies << ", \"storm_ran\": "
          << (o.storm_ran ? "true" : "false") << "},\n"
-         << "     \"gates\": {\"exactness\": " << gate_str(a.exact())
-         << ", \"chaos_fired\": " << gate_str(o.all_scenarios_fired())
-         << ", \"reconnected\": " << gate_str(o.client_reconnects > 0)
-         << ", \"recovery\": "
-         << gate_str(o.journal_recovered_nodes >= 1 &&
-                     o.post_restart_results > 0)
-         << ", \"shutdown\": " << gate_str(o.children_clean) << "},\n"
+         << "     \"gates\": {\"exactness\": " << bench::gate(o.audit.exact())
+         << ", \"chaos_fired\": " << bench::gate(o.all_scenarios_fired())
+         << ", \"reconnected\": " << bench::gate(o.client_reconnects > 0)
+         << ", \"recovery\": " << bench::gate(o.recovered())
+         << ", \"shutdown\": " << bench::gate(o.children_clean) << "},\n"
          << "     \"router_stats\": "
          << (o.router_stats.empty() ? "null" : o.router_stats) << "}"
          << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   json << "  ]\n}";
-  std::ofstream(out_path) << json.str() << "\n";
-  std::cout << "wrote " << out_path << "\n";
-  std::cout << "overall: " << (ok ? "PASS" : "FAIL") << "\n";
-  return ok ? 0 : 1;
+  return bench::finish(out_path, json.str(), ok);
 }

@@ -1,4 +1,4 @@
-// Multi-process cluster exactness bench: a router process front-ending N
+// Multi-process cluster exactness bench: a router front-ending N
 // replica-server child processes (real fork/exec, real sockets) under
 // client load, with live resharding and graceful shutdown, audited
 // bit-for-bit against single-process direct inference.
@@ -10,7 +10,7 @@
 //
 // Each transport run spawns real replica processes (this binary re-executed
 // with --role=replica), routes client ticks (seven raw hub packets each)
-// through the cluster, and gates on:
+// through an in-process router, and gates on:
 //   (a) exactness: every submitted tick gets exactly one terminal reply
 //       (result or shed) and every result's output is bit-identical to
 //       direct single-process inference on the same frame — zero lost,
@@ -26,32 +26,22 @@
 // Full (non --quick) runs also crash-inject: one replica child is
 // SIGKILLed mid-traffic and gate (a) must still hold through the
 // redispatch (bit-identical re-execution makes the crash invisible).
+// The replica role, tick oracle, audit, tick runner and process fleet are
+// shared with bench_chaos_cluster (cluster_harness.hpp).
 //
 // Writes BENCH_cluster.json: per-transport verify counts, router stats
 // (cluster counters + admission metrics), and the N replica-process
 // MetricsSnapshots merged into one cluster-wide snapshot via
 // serve::MetricsSnapshot::merge (exact merged percentiles from retained
 // samples).
-#include <unistd.h>
-
-#include <chrono>
-#include <csignal>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/client.hpp"
-#include "cluster/proc.hpp"
-#include "cluster/replica_server.hpp"
 #include "cluster/router.hpp"
-#include "common.hpp"
-#include "net/assembler.hpp"
-#include "net/hub.hpp"
-#include "net/packet.hpp"
-#include "serve/backend.hpp"
+#include "cluster_harness.hpp"
 #include "serve/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -59,308 +49,20 @@
 namespace {
 
 using namespace reads;
-using Clock = std::chrono::steady_clock;
-
-double elapsed_s(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-// ---- shared frame pipeline ----------------------------------------------
-// The replica process and the oracle MUST run the same decode: counts ->
-// raw floats -> standardize. Bit-identity of the whole cluster path reduces
-// to this function being the one used on both sides.
-tensor::Tensor decode_frame(std::span<const std::uint32_t> readings,
-                            const train::Standardizer& standardizer) {
-  tensor::Tensor raw({readings.size(), 1});
-  auto dst = raw.flat();
-  for (std::size_t i = 0; i < readings.size(); ++i) {
-    dst[i] = static_cast<float>(net::decode_reading(readings[i]));
-  }
-  return standardizer.transform(raw);
-}
-
-// ---- replica role --------------------------------------------------------
-
-cluster::ReplicaServer* g_server = nullptr;
-extern "C" void on_sigterm(int) {
-  if (g_server != nullptr) g_server->request_stop();
-}
-
-int replica_main(util::Cli& cli) {
-  const std::string listen =
-      cli.get_string("replica_listen", "tcp:127.0.0.1:0");
-  const double deadline_ms = cli.get_double("deadline_ms", 3.0);
-  const auto queue_capacity =
-      static_cast<std::size_t>(cli.get_int("queue_capacity", 64));
-  const auto max_batch =
-      static_cast<std::size_t>(cli.get_int("max_batch", 4));
-  cli.check_unknown();
-
-  // Deployed 16-bit U-Net from the shared on-disk model cache (the
-  // orchestrator warms it before spawning, so every process loads the same
-  // bytes -> bit-identical firmware across replicas).
-  const bench::DeployedUnet unet;
-  const auto firmware = unet.deployed_firmware();
-
-  serve::GatewayConfig gcfg;
-  gcfg.queue_capacity = queue_capacity;
-  gcfg.max_batch = max_batch;
-  gcfg.deadline_ms = deadline_ms;
-  gcfg.sharding = serve::ShardPolicy::kByStream;
-  std::vector<std::unique_ptr<serve::Backend>> backends;
-  backends.push_back(std::make_unique<serve::QuantizedBackend>(firmware));
-
-  cluster::ReplicaServerConfig rcfg;
-  rcfg.listen = cluster::Endpoint::parse(listen);
-  rcfg.gateway = gcfg;
-  const train::Standardizer& standardizer = unet.bundle.standardizer;
-  cluster::ReplicaServer server(
-      rcfg, std::move(backends),
-      [&standardizer](std::span<const std::uint32_t> readings,
-                      tensor::Tensor& out) {
-        out = decode_frame(readings, standardizer);
-      });
-  g_server = &server;
-  std::signal(SIGTERM, on_sigterm);
-  std::cout << "LISTENING " << server.bound().str() << "\n" << std::flush;
-  server.run();
-  return 0;
-}
-
-// ---- orchestrator: tick material ----------------------------------------
-
-struct TickSet {
-  std::size_t monitors = 0;
-  std::size_t hubs = 0;
-  std::vector<std::pair<std::uint16_t, std::uint16_t>> layout;
-  std::vector<std::vector<std::uint32_t>> enc;  ///< [frame][monitor] counts
-  std::vector<tensor::Tensor> oracle;           ///< direct-inference outputs
-
-  std::size_t frame_of(std::uint64_t stream, std::uint32_t seq) const {
-    return static_cast<std::size_t>(stream * 131 +
-                                    std::uint64_t{seq} * 7) %
-           enc.size();
-  }
-
-  /// The seven raw hub packets of one tick.
-  std::vector<net::BlmPacket> packets_for(std::uint64_t stream,
-                                          std::uint32_t seq) const {
-    const auto& counts = enc[frame_of(stream, seq)];
-    std::vector<net::BlmPacket> packets(hubs);
-    for (std::size_t h = 0; h < hubs; ++h) {
-      auto& p = packets[h];
-      p.hub_id = static_cast<std::uint8_t>(h);
-      p.sequence = seq;
-      p.first_monitor = layout[h].first;
-      p.readings.assign(
-          counts.begin() + layout[h].first,
-          counts.begin() + layout[h].first + layout[h].second);
-      net::seal_packet(p);
-    }
-    return packets;
-  }
-};
-
-TickSet build_ticks(const hls::QuantizedModel& direct,
-                    const train::Standardizer& standardizer,
-                    std::size_t n_frames, std::uint64_t seed) {
-  TickSet ts;
-  net::AssemblerParams ap;  // facility defaults: 260 monitors, 7 hubs
-  ts.monitors = ap.monitors;
-  ts.hubs = ap.hubs;
-  ts.layout = net::hub_layout(ap.monitors, ap.hubs);
-  util::Xoshiro256 rng(util::derive_seed(seed, 42));
-  ts.enc.resize(n_frames);
-  ts.oracle.reserve(n_frames);
-  for (std::size_t f = 0; f < n_frames; ++f) {
-    auto& counts = ts.enc[f];
-    counts.resize(ts.monitors);
-    for (std::size_t m = 0; m < ts.monitors; ++m) {
-      // Paper-plausible BLM magnitudes (105k-120k); at count scale 16 this
-      // range round-trips encode/decode/float exactly, which is what makes
-      // the whole re-sealed cluster path bit-exact.
-      counts[m] = net::encode_reading(105000.0 + 15000.0 * rng.uniform());
-    }
-    ts.oracle.push_back(direct.forward(decode_frame(counts, standardizer)));
-  }
-  return ts;
-}
-
-// ---- orchestrator: client audit -----------------------------------------
-
-struct TickState {
-  std::size_t frame = 0;
-  bool terminal = false;
-  bool accepted = false;
-};
-
-struct Audit {
-  std::unordered_map<std::uint64_t, TickState> ledger;  ///< by req_id
-  std::size_t submitted = 0;
-  std::size_t results = 0;
-  std::size_t sheds = 0;
-  std::size_t duplicated = 0;
-  std::size_t mismatched = 0;
-  std::size_t terminal = 0;
-
-  std::size_t pending() const { return submitted - terminal; }
-  std::size_t lost() const { return pending(); }
-  bool exact() const {
-    return lost() == 0 && duplicated == 0 && mismatched == 0 && results > 0;
-  }
-};
-
-void note_message(Audit& a, const TickSet& ts, const cluster::Message& msg) {
-  std::uint64_t id = 0;
-  bool is_result = false;
-  cluster::Result res;
-  if (msg.type == cluster::MsgType::kResult) {
-    res = cluster::decode_result(msg.payload);
-    id = res.id;
-    is_result = true;
-  } else if (msg.type == cluster::MsgType::kShed) {
-    id = cluster::decode_shed(msg.payload).id;
-  } else {
-    return;  // hello echoes etc.
-  }
-  auto it = a.ledger.find(id);
-  if (it == a.ledger.end() || it->second.terminal) {
-    ++a.duplicated;
-    return;
-  }
-  it->second.terminal = true;
-  ++a.terminal;
-  if (!is_result) {
-    ++a.sheds;
-    return;
-  }
-  it->second.accepted = true;
-  ++a.results;
-  const auto& want = ts.oracle[it->second.frame];
-  bool match = res.dims.size() == want.rank() &&
-               res.data.size() == want.numel();
-  if (match) {
-    for (std::size_t d = 0; d < res.dims.size(); ++d) {
-      match = match && res.dims[d] == want.dim(d);
-    }
-    const auto flat = want.flat();
-    for (std::size_t i = 0; match && i < flat.size(); ++i) {
-      match = res.data[i] == flat[i];  // bitwise: both sides are floats
-    }
-  }
-  if (!match) ++a.mismatched;
-}
-
-/// Drain whatever the router has answered; the first poll may wait
-/// `wait_ms`, the rest are non-blocking.
-void drain(cluster::ClusterClient& client, Audit& a, const TickSet& ts,
-           double wait_ms) {
-  double budget = wait_ms;
-  while (auto msg = client.poll(budget)) {
-    budget = 0.0;
-    note_message(a, ts, *msg);
-  }
-}
-
-bool submit_tick(cluster::ClusterClient& client, Audit& a, const TickSet& ts,
-                 std::uint64_t stream, std::uint32_t seq) {
-  cluster::Submit s;
-  s.stream = stream;
-  s.req_id = (stream << 32) | seq;
-  s.slo = static_cast<std::uint8_t>(stream % 4 == 0 ? 0 : 1);  // 1-in-4 hard-RT
-  s.packets = ts.packets_for(stream, seq);
-  a.ledger.emplace(s.req_id, TickState{ts.frame_of(stream, seq), false, false});
-  ++a.submitted;
-  return client.submit(s);
-}
-
-/// `rounds` ticks per stream with a bounded in-flight window (closed-loop:
-/// the audit is about exactness, not offered load).
-void run_rounds(cluster::ClusterClient& client, Audit& a, const TickSet& ts,
-                std::size_t streams, std::uint32_t& seq, std::size_t rounds) {
-  for (std::size_t r = 0; r < rounds; ++r, ++seq) {
-    for (std::uint64_t st = 0; st < streams; ++st) {
-      submit_tick(client, a, ts, st, seq);
-    }
-    drain(client, a, ts, 1.0);
-    while (a.pending() > streams * 4) drain(client, a, ts, 20.0);
-  }
-}
-
-// ---- orchestrator: cluster lifecycle ------------------------------------
-
-struct Fleet {
-  std::vector<cluster::ChildProcess> children;
-  std::vector<std::string> endpoints;
-  std::string transport;
-  std::string uds_dir = "/tmp";
-  std::size_t spawned = 0;
-
-  std::string next_listen_spec() {
-    if (transport == "uds") {
-      return "uds:" + uds_dir + "/reads-cluster-" +
-             std::to_string(::getpid()) + "-r" + std::to_string(spawned) +
-             ".sock";
-    }
-    return "tcp:127.0.0.1:0";
-  }
-
-  /// Spawn one replica child and wait for its LISTENING handshake.
-  /// Returns the resolved endpoint ("" on failure).
-  std::string spawn_replica(double deadline_ms) {
-    const std::string listen = next_listen_spec();
-    ++spawned;
-    auto child = cluster::spawn(
-        {"/proc/self/exe", "--role=replica", "--replica_listen=" + listen,
-         "--deadline_ms=" + std::to_string(deadline_ms)});
-    // The model cache is warm, but firmware compilation still takes a
-    // moment; skip any stray startup chatter until the handshake line.
-    const auto t0 = Clock::now();
-    std::string ep;
-    while (elapsed_s(t0) < 120.0) {
-      const std::string line = child.read_line(120000.0);
-      if (line.rfind("LISTENING ", 0) == 0) {
-        ep = line.substr(10);
-        break;
-      }
-      if (line.empty() && !child.running()) break;
-    }
-    if (ep.empty()) return {};
-    children.push_back(std::move(child));
-    endpoints.push_back(ep);
-    return ep;
-  }
-
-  void shutdown_all(bool& clean) {
-    for (auto& c : children) {
-      if (!c.terminate(10000.0)) clean = false;
-    }
-  }
-};
-
-std::uint64_t scan_counter(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return 0;
-  std::size_t p = pos + key.size() + 3;
-  while (p < json.size() && json[p] == ' ') ++p;
-  std::uint64_t v = 0;
-  while (p < json.size() && json[p] >= '0' && json[p] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(json[p] - '0');
-    ++p;
-  }
-  return v;
-}
+using bench::Clock;
+using bench::elapsed_s;
 
 struct RunOutcome {
   std::string transport;
   std::string endpoint;
   double wall_s = 0.0;
-  Audit audit;
+  bench::Audit audit;
   std::uint64_t added_node = 0;
   bool remove_ok = false;
   std::uint64_t resharded = 0;
   std::uint64_t redispatched = 0;
   std::uint64_t crashes = 0;
+  std::string stats_error;  ///< router counters unreadable
   bool children_clean = true;
   bool crash_phase = false;
   bool scaling_applicable = false;
@@ -370,15 +72,15 @@ struct RunOutcome {
   serve::MetricsSnapshot merged;
   std::size_t replica_snapshots = 0;
 
-  bool exactness() const { return audit.exact(); }
   bool resharding() const {
-    return added_node != 0 && remove_ok && resharded >= 1;
+    return stats_error.empty() && added_node != 0 && remove_ok &&
+           resharded >= 1;
   }
   bool scaling_pass() const {
     return !scaling_applicable || goodput_fps >= scaling_bound_fps;
   }
   bool pass() const {
-    return exactness() && resharding() && children_clean && scaling_pass();
+    return audit.exact() && resharding() && children_clean && scaling_pass();
   }
 };
 
@@ -397,31 +99,21 @@ struct RunParams {
   std::uint64_t seed = 7;
 };
 
-RunOutcome run_transport(const RunParams& rp, const TickSet& ts) {
+RunOutcome run_transport(const RunParams& rp, const bench::TickSet& ts) {
   RunOutcome out;
   out.transport = rp.transport;
   const auto t0 = Clock::now();
 
-  Fleet fleet;
-  fleet.transport = rp.transport;
-  std::cout << "[" << rp.transport << "] spawning " << rp.replica_procs
-            << " replica processes...\n";
-  for (std::size_t i = 0; i < rp.replica_procs; ++i) {
-    if (fleet.spawn_replica(rp.deadline_ms).empty()) {
-      std::cout << "[" << rp.transport << "] replica " << i
-                << " failed to start\n";
-      out.children_clean = false;
-      return out;
-    }
+  bench::Fleet fleet(rp.transport, rp.deadline_ms, rp.listen);
+  if (!fleet.spawn_replicas(rp.replica_procs)) {
+    out.children_clean = false;
+    return out;
   }
 
+  // The router stays in-process on the default RouterConfig; only the
+  // chaos bench needs a router child it can SIGKILL.
   cluster::RouterConfig cfg;
-  cfg.listen = cluster::Endpoint::parse(
-      !rp.listen.empty() ? rp.listen
-      : rp.transport == "uds"
-          ? "uds:/tmp/reads-cluster-" + std::to_string(::getpid()) +
-                "-router.sock"
-          : "tcp:127.0.0.1:0");
+  cfg.listen = cluster::Endpoint::parse(fleet.router_listen());
   cfg.replicas = fleet.endpoints;
   cfg.hard_deadline_ms = rp.deadline_ms;
   cluster::Router router(cfg);
@@ -429,30 +121,31 @@ RunOutcome run_transport(const RunParams& rp, const TickSet& ts) {
   std::thread router_thread([&router] { router.run(); });
 
   {
-    cluster::ClusterClient client(out.endpoint);
-    std::uint32_t seq = 0;
+    bench::TickRunner runner(ts, out.audit, rp.streams);
+    runner.connect(out.endpoint, rp.seed);
 
     // Phase 1: steady traffic across the initial fleet.
-    run_rounds(client, out.audit, ts, rp.streams, seq, rp.rounds_steady);
+    runner.rounds(rp.rounds_steady);
 
     // Phase 2: live resharding under traffic — grow the fleet by one
     // process, then drain node 1 out while the client keeps submitting.
-    const std::string grown = fleet.spawn_replica(rp.deadline_ms);
+    const std::string grown = fleet.spawn_replica();
     if (!grown.empty()) out.added_node = router.add_replica(grown);
     std::thread remover(
         [&router, &out] { out.remove_ok = router.remove_replica(1); });
-    run_rounds(client, out.audit, ts, rp.streams, seq, rp.rounds_reshard);
+    runner.rounds(rp.rounds_reshard);
     remover.join();
 
     // Phase 3 (full mode): crash a replica process mid-traffic; the
     // redispatch must stay invisible to the exactness audit.
-    if (rp.rounds_crash > 0 && fleet.children.size() > 2) {
+    if (rp.rounds_crash > 0 && fleet.replicas.size() > 2) {
       out.crash_phase = true;
-      fleet.children[1].kill_hard();
-      run_rounds(client, out.audit, ts, rp.streams, seq, rp.rounds_crash);
+      fleet.replicas[1].kill_hard();
+      runner.rounds(rp.rounds_crash);
     }
 
-    // Phase 4 (capable hosts): open-loop load for the scaling gate.
+    // Phase 4 (capable hosts): open-loop load for the scaling gate; replies
+    // are audited whenever the client's unacked window fills.
     if (rp.scaling_applicable) {
       out.scaling_applicable = true;
       out.scaling_bound_fps = 3.0 * rp.capacity_fps;
@@ -466,36 +159,27 @@ RunOutcome run_transport(const RunParams& rp, const TickSet& ts) {
         next += std::chrono::duration_cast<Clock::duration>(
             std::chrono::duration<double>(rng.exponential(target_fps)));
         std::this_thread::sleep_until(next);
-        submit_tick(client, out.audit, ts, rng.uniform_int(rp.streams), seq);
-        drain(client, out.audit, ts, 0.0);
-        ++seq;
+        runner.submit(rng.uniform_int(rp.streams), runner.seq++);
       }
-      const auto d0 = Clock::now();
-      while (out.audit.pending() > 0 && elapsed_s(d0) < 60.0) {
-        drain(client, out.audit, ts, 50.0);
-      }
-      out.goodput_fps = static_cast<double>(out.audit.results - before) /
-                        elapsed_s(s0);
+      runner.drain_all(60.0);
+      out.goodput_fps =
+          static_cast<double>(out.audit.results - before) / elapsed_s(s0);
     }
 
     // Drain every pending tick to a terminal reply.
-    const auto d1 = Clock::now();
-    while (out.audit.pending() > 0 && elapsed_s(d1) < 120.0) {
-      drain(client, out.audit, ts, 100.0);
-      if (!client.connected()) break;
-    }
+    runner.drain_all(120.0);
 
     // Stats: router view + every surviving replica process's own
     // MetricsSnapshot, merged into one cluster-wide snapshot.
     out.router_stats = router.stats_json();
-    out.resharded = scan_counter(out.router_stats, "resharded_streams");
-    out.redispatched = scan_counter(out.router_stats, "redispatched_jobs");
-    out.crashes = scan_counter(out.router_stats, "replica_crashes");
+    out.stats_error = bench::add_counters(
+        out.router_stats, {{"resharded_streams", &out.resharded},
+                           {"redispatched_jobs", &out.redispatched},
+                           {"replica_crashes", &out.crashes}});
     for (std::size_t i = 0; i < fleet.endpoints.size(); ++i) {
-      if (!fleet.children[i].running()) continue;
+      if (!fleet.replicas[i].running()) continue;
       try {
-        cluster::ClusterClient sc(fleet.endpoints[i], cluster::Role::kAdmin);
-        const std::string js = sc.stats(10000.0);
+        const std::string js = bench::stats_of(fleet.endpoints[i]);
         if (js.empty()) continue;
         out.merged.merge(serve::MetricsSnapshot::from_json(js));
         ++out.replica_snapshots;
@@ -508,36 +192,27 @@ RunOutcome run_transport(const RunParams& rp, const TickSet& ts) {
   // Graceful shutdown: router close-then-drain, then SIGTERM each child.
   router.request_stop();
   router_thread.join();
-  fleet.shutdown_all(out.children_clean);
-  if (rp.transport == "uds") {
-    for (const auto& ep : fleet.endpoints) {
-      if (ep.rfind("uds:", 0) == 0) ::unlink(ep.c_str() + 4);
-    }
-    ::unlink(cfg.listen.path.c_str());
-  }
+  out.children_clean = fleet.shutdown();
   out.wall_s = elapsed_s(t0);
   return out;
 }
 
-std::string gate_str(bool pass) { return pass ? "\"pass\"" : "\"fail\""; }
-
 void print_outcome(const RunOutcome& o) {
-  const auto& a = o.audit;
-  std::cout << "[" << o.transport << "] " << a.submitted << " ticks: "
-            << a.results << " results, " << a.sheds << " sheds, " << a.lost()
-            << " lost, " << a.duplicated << " duplicated, " << a.mismatched
-            << " divergent\n"
-            << "[" << o.transport << "] reshard: added node " << o.added_node
+  const std::string tag = "[" + o.transport + "] ";
+  std::cout << tag << o.audit.summary() << "\n"
+            << tag << "reshard: added node " << o.added_node
             << ", removed node 1 (" << (o.remove_ok ? "drained" : "FAILED")
             << "), " << o.resharded << " streams moved, " << o.redispatched
-            << " jobs redispatched, " << o.crashes << " crashes\n"
-            << "[" << o.transport << "] gates: exactness "
-            << (o.exactness() ? "pass" : "FAIL") << ", resharding "
+            << " jobs redispatched, " << o.crashes << " crashes\n";
+  if (!o.stats_error.empty()) {
+    std::cout << tag << "router stats: " << o.stats_error << "\n";
+  }
+  std::cout << tag << "gates: exactness "
+            << (o.audit.exact() ? "pass" : "FAIL") << ", resharding "
             << (o.resharding() ? "pass" : "FAIL") << ", shutdown "
             << (o.children_clean ? "pass" : "FAIL") << ", scaling "
-            << (o.scaling_applicable
-                    ? (o.scaling_pass() ? "pass" : "FAIL")
-                    : "skipped")
+            << (o.scaling_applicable ? (o.scaling_pass() ? "pass" : "FAIL")
+                                     : "skipped")
             << "\n";
 }
 
@@ -545,8 +220,7 @@ void print_outcome(const RunOutcome& o) {
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const std::string role = cli.get_string("role", "bench");
-  if (role == "replica") return replica_main(cli);
+  if (const auto rc = bench::run_role(cli)) return *rc;
 
   if (cli.get_bool("help", false)) {
     std::cout
@@ -557,7 +231,8 @@ int main(int argc, char** argv) {
            "  --deadline_ms=D      hard-real-time SLO budget (default 3)\n"
            "  --quick              small fleet + short phases (CI mode)\n"
            "  --out=PATH           JSON artifact (BENCH_cluster.json)\n"
-           "  --role=replica       internal: run as a replica server\n";
+           "  --role=replica       internal: run as a replica server\n"
+           "  --role=router        internal: run as a router process\n";
     return 0;
   }
 
@@ -583,16 +258,14 @@ int main(int argc, char** argv) {
   // Warm the model cache and build the oracle BEFORE spawning anything, so
   // the children only ever load cached weights (same bytes everywhere).
   const bench::DeployedUnet unet;
-  const auto firmware = unet.deployed_firmware();
-  const hls::QuantizedModel direct(firmware);
-  const auto ticks =
-      build_ticks(direct, unet.bundle.standardizer, 16, flags.seed);
+  const hls::QuantizedModel direct(unet.deployed_firmware());
+  const bench::TickSet ticks(direct, unet.bundle.standardizer, flags.seed);
 
   // Single-replica capacity: the scaling gate's yardstick.
   std::size_t warm = 0;
   const auto cap0 = Clock::now();
-  tensor::Tensor probe =
-      decode_frame(ticks.enc[0], unet.bundle.standardizer);
+  const tensor::Tensor probe =
+      bench::decode_frame(ticks.enc[0], unet.bundle.standardizer);
   while (elapsed_s(cap0) < 0.3) {
     (void)direct.forward(probe);
     ++warm;
@@ -618,16 +291,9 @@ int main(int argc, char** argv) {
   rp.scaling_applicable = scaling_applicable;
   rp.seed = flags.seed;
 
-  std::vector<std::string> transports;
-  if (flags.transport == "both") {
-    transports = {"tcp", "uds"};
-  } else {
-    transports = {flags.transport};
-  }
-
   std::vector<RunOutcome> runs;
   bool ok = true;
-  for (const auto& t : transports) {
+  for (const auto& t : bench::transports(flags)) {
     rp.transport = t;
     runs.push_back(run_transport(rp, ticks));
     print_outcome(runs.back());
@@ -649,14 +315,10 @@ int main(int argc, char** argv) {
        << "  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     auto& o = runs[i];
-    const auto& a = o.audit;
     json << "    {\"transport\": \"" << o.transport << "\", \"endpoint\": \""
          << o.endpoint << "\", \"wall_s\": " << util::json_double(o.wall_s)
          << ",\n"
-         << "     \"verify\": {\"submitted\": " << a.submitted
-         << ", \"results\": " << a.results << ", \"sheds\": " << a.sheds
-         << ", \"lost\": " << a.lost() << ", \"duplicated\": " << a.duplicated
-         << ", \"mismatched\": " << a.mismatched << "},\n"
+         << "     \"verify\": " << o.audit.json() << ",\n"
          << "     \"reshard\": {\"added_node\": " << o.added_node
          << ", \"removed_node\": 1, \"remove_ok\": "
          << (o.remove_ok ? "true" : "false")
@@ -664,25 +326,24 @@ int main(int argc, char** argv) {
          << ", \"redispatched_jobs\": " << o.redispatched
          << ", \"replica_crashes\": " << o.crashes << ", \"crash_phase\": "
          << (o.crash_phase ? "true" : "false") << "},\n"
-         << "     \"gates\": {\"exactness\": " << gate_str(o.exactness())
-         << ", \"resharding\": " << gate_str(o.resharding())
-         << ", \"shutdown\": " << gate_str(o.children_clean)
+         << "     \"gates\": {\"exactness\": " << bench::gate(o.audit.exact())
+         << ", \"resharding\": " << bench::gate(o.resharding())
+         << ", \"shutdown\": " << bench::gate(o.children_clean)
          << ", \"scaling\": "
-         << (o.scaling_applicable ? gate_str(o.scaling_pass()) : "\"skipped\"")
+         << (o.scaling_applicable ? bench::gate(o.scaling_pass())
+                                  : "\"skipped\"")
          << "},\n"
          << "     \"scaling\": {\"applicable\": "
          << (o.scaling_applicable ? "true" : "false")
          << ", \"goodput_fps\": " << util::json_double(o.goodput_fps)
          << ", \"bound_fps\": " << util::json_double(o.scaling_bound_fps)
          << "},\n"
-         << "     \"router_stats\": " << o.router_stats << ",\n"
+         << "     \"router_stats\": "
+         << (o.router_stats.empty() ? "null" : o.router_stats) << ",\n"
          << "     \"replica_snapshots\": " << o.replica_snapshots << ",\n"
          << "     \"replicas_merged\": " << o.merged.to_json(o.wall_s)
          << "}" << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   json << "  ]\n}";
-  std::ofstream(out_path) << json.str() << "\n";
-  std::cout << "wrote " << out_path << "\n";
-  std::cout << "overall: " << (ok ? "PASS" : "FAIL") << "\n";
-  return ok ? 0 : 1;
+  return bench::finish(out_path, json.str(), ok);
 }

@@ -32,20 +32,15 @@ namespace reads::bench {
 /// `--fault_scenario`/`--fault_seed` let any bench replay a specific chaos
 /// schedule (fault/plan.hpp) deterministically; the default is no faults,
 /// and `--fault_seed=0` reuses `--seed` so one number reproduces the whole
-/// run, faults included. `--net_fault_scenario`/`--net_fault_seed` are the
-/// socket-level counterpart (fault/net_plan.hpp): any process in a
-/// multi-process bench can be told to torment its own wire. The cluster
-/// trio (`--listen`, `--replica_procs`, `--transport`) configures the
-/// multi-process benches; single-process benches parse and ignore them so
-/// flag spellings stay uniform.
+/// run, faults included. The cluster trio (`--listen`, `--replica_procs`,
+/// `--transport`) configures the multi-process benches; single-process
+/// benches parse and ignore them so flag spellings stay uniform.
 struct StandardFlags {
   std::size_t threads = 0;
   double duration_s = 2.0;
   std::uint64_t seed = 7;
   std::string fault_scenario;  ///< empty = fault-free
   std::uint64_t fault_seed = 0;
-  std::string net_fault_scenario;  ///< empty = clean sockets
-  std::uint64_t net_fault_seed = 0;
   /// Seeds a blm::DriftSchedule where a bench drives a drifting machine;
   /// 0 reuses --seed so one number reproduces the run, drift included.
   std::uint64_t drift_seed = 0;
@@ -73,10 +68,6 @@ struct StandardFlags {
     f.fault_scenario = cli.get_string("fault_scenario", "");
     f.fault_seed = static_cast<std::uint64_t>(cli.get_int("fault_seed", 0));
     if (f.fault_seed == 0) f.fault_seed = f.seed;
-    f.net_fault_scenario = cli.get_string("net_fault_scenario", "");
-    f.net_fault_seed =
-        static_cast<std::uint64_t>(cli.get_int("net_fault_seed", 0));
-    if (f.net_fault_seed == 0) f.net_fault_seed = f.seed;
     f.drift_seed = static_cast<std::uint64_t>(cli.get_int("drift_seed", 0));
     if (f.drift_seed == 0) f.drift_seed = f.seed;
     f.shadow_fraction = cli.get_double("shadow_fraction", 0.25);
@@ -98,6 +89,11 @@ struct StandardFlags {
         f.transport != "both") {
       throw std::invalid_argument("--transport must be tcp, uds or both");
     }
+    // One --listen endpoint cannot serve both transports, nor the other one.
+    if (!f.listen.empty() && f.listen.rfind(f.transport + ":", 0) != 0) {
+      throw std::invalid_argument(
+          "--listen needs --transport set to its own scheme");
+    }
     return f;
   }
 
@@ -110,13 +106,12 @@ struct StandardFlags {
         "  --seed=N             master seed (load, frames, schedules)\n"
         "  --fault_scenario=S   chaos schedule name (empty = fault-free)\n"
         "  --fault_seed=N       chaos seed (0 = reuse --seed)\n"
-        "  --net_fault_scenario=S  socket chaos schedule (empty = clean)\n"
-        "  --net_fault_seed=N   socket chaos seed (0 = reuse --seed)\n"
         "  --drift_seed=N       drift schedule seed (0 = reuse --seed)\n"
         "  --shadow_fraction=F  shadow-rollout mirror fraction (0, 1]\n"
         "cluster flags (multi-process benches):\n"
         "  --listen=EP          router endpoint, tcp:host:port or\n"
-        "                       uds:/path.sock (empty = auto per transport)\n"
+        "                       uds:/path.sock (empty = auto per transport;\n"
+        "                       needs --transport=tcp or uds to match)\n"
         "  --replica_procs=N    replica server processes (0 = default)\n"
         "  --transport=T        tcp | uds | both (default both)\n"
         "autotune flags (bench_autotune):\n"

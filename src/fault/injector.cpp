@@ -12,17 +12,6 @@ namespace reads::fault {
 Injector::Injector(Plan plan, std::uint64_t seed, std::size_t replicas)
     : plan_(std::move(plan)), seed_(seed), ops_(replicas) {}
 
-std::uint64_t Injector::mix(FaultKind kind, std::size_t site,
-                            std::uint64_t tick) const noexcept {
-  // Stateless decision stream: one SplitMix64 step over a seed derived from
-  // every coordinate. Same (seed, kind, site, tick) -> same bits, on any
-  // thread, in any order.
-  util::SplitMix64 sm(util::derive_seed(
-      seed_, (static_cast<std::uint64_t>(kind) << 56) ^
-                 (static_cast<std::uint64_t>(site) << 40) ^ tick));
-  return sm.next();
-}
-
 void Injector::apply(std::uint32_t sequence,
                      std::vector<net::Delivery>& deliveries) {
   const std::uint64_t tick = sequence;
@@ -58,7 +47,8 @@ void Injector::apply(std::uint32_t sequence,
     }
     if (plan_.active(FaultKind::kPacketMalform, hub, tick)) {
       // Hub firmware bug: coherent checksum over a nonsense header.
-      const std::uint64_t bits = mix(FaultKind::kPacketMalform, hub, tick);
+      const std::uint64_t bits =
+          decision_bits(seed_, FaultKind::kPacketMalform, hub, tick);
       switch (bits % 3) {
         case 0: d.packet.first_monitor = static_cast<std::uint16_t>(bits >> 8);
                 break;
@@ -74,7 +64,8 @@ void Injector::apply(std::uint32_t sequence,
     if (plan_.active(FaultKind::kPacketCorrupt, hub, tick)) {
       // Bit flip in flight, after the hub sealed the CRC: pick a bit from
       // the decision hash and leave the stale CRC in place.
-      const std::uint64_t bits = mix(FaultKind::kPacketCorrupt, hub, tick);
+      const std::uint64_t bits =
+          decision_bits(seed_, FaultKind::kPacketCorrupt, hub, tick);
       auto& word =
           d.packet.readings[(bits >> 8) % d.packet.readings.size()];
       word ^= 1u << (bits % 32);
@@ -90,7 +81,8 @@ void Injector::apply(std::uint32_t sequence,
   if (plan_.active(FaultKind::kPacketReorder, 0, tick)) {
     // Deterministic Fisher-Yates from the decision hash; assembly must be
     // order-independent, so this only exercises that property.
-    util::Xoshiro256 rng(mix(FaultKind::kPacketReorder, 0, tick));
+    util::Xoshiro256 rng(
+        decision_bits(seed_, FaultKind::kPacketReorder, 0, tick));
     for (std::size_t i = deliveries.size(); i > 1; --i) {
       std::swap(deliveries[i - 1],
                 deliveries[static_cast<std::size_t>(rng.uniform_int(i))]);

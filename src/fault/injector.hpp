@@ -57,8 +57,6 @@ class Injector {
   std::uint64_t injected_total() const noexcept;
 
  private:
-  std::uint64_t mix(FaultKind kind, std::size_t site,
-                    std::uint64_t tick) const noexcept;
   void count(FaultKind kind) noexcept {
     injected_[static_cast<std::size_t>(kind)].fetch_add(
         1, std::memory_order_relaxed);

@@ -9,16 +9,6 @@ namespace reads::fault {
 NetInjector::NetInjector(NetPlan plan, std::uint64_t seed)
     : plan_(std::move(plan)), seed_(seed) {}
 
-std::uint64_t NetInjector::mix(NetFaultKind kind, std::size_t site,
-                               std::uint64_t axis) const noexcept {
-  // Stateless decision stream: one SplitMix64 step over a seed derived
-  // from every coordinate (the fault::Injector discipline).
-  util::SplitMix64 sm(util::derive_seed(
-      seed_, (static_cast<std::uint64_t>(kind) << 56) ^
-                 (static_cast<std::uint64_t>(site) << 40) ^ axis));
-  return sm.next();
-}
-
 void NetInjector::on_open(int fd, bool outbound) {
   (void)outbound;
   std::lock_guard lock(mutex_);
@@ -59,7 +49,8 @@ std::ptrdiff_t NetInjector::gate_write(int fd, std::size_t len) {
       // on the peer's reader, the nastiest place a reset can land.
       st.reset_armed = true;
       return static_cast<std::ptrdiff_t>(
-          1 + mix(NetFaultKind::kConnReset, site, op) % (len / 2 + 1));
+          1 + decision_bits(seed_, NetFaultKind::kConnReset, site, op) %
+                  (len / 2 + 1));
     }
     st.reset_armed = false;
     count(NetFaultKind::kConnReset);
@@ -70,15 +61,17 @@ std::ptrdiff_t NetInjector::gate_write(int fd, std::size_t len) {
     return 0;
   }
   if (plan_.active(NetFaultKind::kEagainStorm, site, op) &&
-      (mix(NetFaultKind::kEagainStorm, site, op) & 1) != 0) {
+      (decision_bits(seed_, NetFaultKind::kEagainStorm, site, op) & 1) !=
+          0) {
     count(NetFaultKind::kEagainStorm);
     return 0;
   }
   if (plan_.active(NetFaultKind::kShortWrite, site, op)) {
     count(NetFaultKind::kShortWrite);
-    return static_cast<std::ptrdiff_t>(std::min(
-        len, 1 + static_cast<std::size_t>(
-                     mix(NetFaultKind::kShortWrite, site, op) % 7)));
+    const auto bits =
+        decision_bits(seed_, NetFaultKind::kShortWrite, site, op);
+    return static_cast<std::ptrdiff_t>(
+        std::min(len, 1 + static_cast<std::size_t>(bits % 7)));
   }
   return static_cast<std::ptrdiff_t>(len);
 }
@@ -97,7 +90,8 @@ void NetInjector::mangle_write(int fd, std::uint8_t* data, std::size_t len) {
   if (!plan_.active(NetFaultKind::kByteCorrupt, st.site, st.write_ops - 1)) {
     return;
   }
-  const std::uint64_t h = mix(NetFaultKind::kByteCorrupt, st.site, base);
+  const std::uint64_t h =
+      decision_bits(seed_, NetFaultKind::kByteCorrupt, st.site, base);
   if ((h & 3) != 0) return;
   data[(h >> 8) % len] ^= static_cast<std::uint8_t>(1u << ((h >> 32) & 7));
   count(NetFaultKind::kByteCorrupt);
@@ -115,7 +109,9 @@ bool NetInjector::gate_read(int fd) {
     return false;
   }
   if (plan_.active(NetFaultKind::kEagainStorm, st.site, op) &&
-      (mix(NetFaultKind::kEagainStorm, st.site, op ^ 0x9E37u) & 1) != 0) {
+      (decision_bits(seed_, NetFaultKind::kEagainStorm, st.site,
+                     op ^ 0x9E37u) &
+       1) != 0) {
     count(NetFaultKind::kEagainStorm);
     return false;
   }
@@ -134,7 +130,8 @@ void NetInjector::mangle_read(int fd, std::uint8_t* data, std::size_t len) {
     return;
   }
   const std::uint64_t h =
-      mix(NetFaultKind::kByteCorrupt, st.site, base ^ 0xC0FFEEull);
+      decision_bits(seed_, NetFaultKind::kByteCorrupt, st.site,
+                    base ^ 0xC0FFEEull);
   if ((h & 3) != 1) return;  // decorrelated from the write-side flips
   data[(h >> 8) % len] ^= static_cast<std::uint8_t>(1u << ((h >> 32) & 7));
   count(NetFaultKind::kByteCorrupt);

@@ -73,8 +73,6 @@ class NetInjector final : public cluster::IoTap {
     std::uint64_t attempts = 0;
   };
 
-  std::uint64_t mix(NetFaultKind kind, std::size_t site,
-                    std::uint64_t axis) const noexcept;
   void count(NetFaultKind kind) noexcept {
     injected_[static_cast<std::size_t>(kind)].fetch_add(
         1, std::memory_order_relaxed);

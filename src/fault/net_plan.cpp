@@ -19,19 +19,6 @@ std::string_view to_string(NetFaultKind kind) noexcept {
   return "?";
 }
 
-bool NetPlan::active(NetFaultKind kind, std::size_t site,
-                     std::uint64_t op) const noexcept {
-  for (const auto& e : events_) {
-    if (e.kind == kind && e.site == site && e.covers(op)) return true;
-  }
-  return false;
-}
-
-bool NetPlan::any(NetFaultKind kind) const noexcept {
-  return std::any_of(events_.begin(), events_.end(),
-                     [&](const NetFaultEvent& e) { return e.kind == kind; });
-}
-
 namespace {
 
 /// Place `count` windows of `duration` ops per site inside the middle band
@@ -41,17 +28,9 @@ namespace {
 void place_windows(NetPlan& plan, NetFaultKind kind, util::Xoshiro256& rng,
                    const NetScenarioParams& p, std::size_t count,
                    std::uint64_t duration) {
-  const std::uint64_t lo = p.ops / 10;
-  const std::uint64_t hi = (8 * p.ops) / 10;
-  const std::uint64_t span = hi > lo + duration ? hi - lo - duration : 1;
   for (std::size_t site = 0; site < p.sites; ++site) {
     for (std::size_t i = 0; i < count; ++i) {
-      NetFaultEvent e;
-      e.kind = kind;
-      e.site = site;
-      e.start_op = lo + rng.uniform_int(span);
-      e.duration_ops = duration;
-      plan.add(e);
+      plan.add({kind, site, band_start(rng, p.ops, duration), duration});
     }
   }
 }

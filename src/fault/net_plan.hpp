@@ -22,6 +22,8 @@
 #include <string_view>
 #include <vector>
 
+#include "fault/schedule.hpp"
+
 namespace reads::fault {
 
 enum class NetFaultKind : std::uint8_t {
@@ -35,20 +37,10 @@ enum class NetFaultKind : std::uint8_t {
 
 std::string_view to_string(NetFaultKind kind) noexcept;
 
-struct NetFaultEvent {
-  NetFaultKind kind = NetFaultKind::kShortWrite;
-  /// Connection index in process-local open order (see header comment).
-  std::size_t site = 0;
-  /// First per-site I/O op affected (for kConnectRefuse: connect attempt
-  /// index against the site's endpoint).
-  std::uint64_t start_op = 0;
-  /// Window length; every op in [start, start + duration) is affected.
-  std::uint64_t duration_ops = 1;
-
-  bool covers(std::uint64_t op) const noexcept {
-    return op >= start_op && op < start_op + duration_ops;
-  }
-};
+/// Site: connection index in process-local open order (see header
+/// comment). Window axis: the site's I/O op counter (for kConnectRefuse,
+/// the connect attempt index against the site's endpoint).
+using NetFaultEvent = Window<NetFaultKind>;
 
 /// Knobs for NetPlan::scenario so one factory serves harnesses of any size.
 struct NetScenarioParams {
@@ -62,24 +54,8 @@ struct NetScenarioParams {
   std::size_t sites = 2;
 };
 
-class NetPlan {
+class NetPlan : public Schedule<NetFaultKind> {
  public:
-  NetPlan() = default;
-
-  void add(NetFaultEvent event) { events_.push_back(event); }
-
-  /// Is `kind` active at `site` on per-site op `op`?
-  bool active(NetFaultKind kind, std::size_t site,
-              std::uint64_t op) const noexcept;
-
-  /// Does the plan contain any event of `kind` at all?
-  bool any(NetFaultKind kind) const noexcept;
-
-  bool empty() const noexcept { return events_.empty(); }
-  const std::vector<NetFaultEvent>& events() const noexcept {
-    return events_;
-  }
-
   /// Named, seeded campaigns. Names: net_none, torn, short_write, eagain,
   /// corrupt, refuse, stall, net_storm (everything at once). Throws
   /// std::invalid_argument on an unknown name.
@@ -88,9 +64,6 @@ class NetPlan {
 
   /// The names scenario() accepts, in campaign order.
   static const std::vector<std::string>& scenario_names();
-
- private:
-  std::vector<NetFaultEvent> events_;
 };
 
 }  // namespace reads::fault

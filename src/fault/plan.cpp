@@ -23,48 +23,27 @@ std::string_view to_string(FaultKind kind) noexcept {
   return "?";
 }
 
-bool Plan::active(FaultKind kind, std::size_t site,
-                  std::uint64_t tick) const noexcept {
-  for (const auto& e : events_) {
-    if (e.kind == kind && e.site == site && e.covers(tick)) return true;
-  }
-  return false;
-}
-
-bool Plan::any(FaultKind kind) const noexcept {
-  return std::any_of(events_.begin(), events_.end(),
-                     [&](const FaultEvent& e) { return e.kind == kind; });
-}
-
 std::uint64_t Plan::last_fault_tick() const noexcept {
   std::uint64_t last = 0;
-  for (const auto& e : events_) {
-    last = std::max(last, e.start_tick + e.duration_ticks - 1);
+  for (const auto& e : events()) {
+    last = std::max(last, e.start + e.duration - 1);
   }
   return last;
 }
 
 namespace {
 
-/// Place `count` windows of `duration` ticks inside the campaign's middle
-/// band [ticks/10, 8*ticks/10) so every scenario leaves a clean warm-up
-/// before the first fault and a clean recovery tail after the last one —
-/// the bench's bit-identity gates need both.
+/// Place `count` windows of `duration` ticks in the middle band at random
+/// sites: the bench's bit-identity gates need the clean warm-up and
+/// recovery tail band_start leaves.
 void place_windows(Plan& plan, FaultKind kind, util::Xoshiro256& rng,
                    const ScenarioParams& p, std::size_t count,
                    std::uint64_t duration, std::size_t sites) {
-  const std::uint64_t lo = p.ticks / 10;
-  const std::uint64_t hi = (8 * p.ticks) / 10;
-  const std::uint64_t span = hi > lo + duration ? hi - lo - duration : 1;
   for (std::size_t i = 0; i < count; ++i) {
-    FaultEvent e;
-    e.kind = kind;
-    e.site = sites > 0 ? static_cast<std::size_t>(
-                             rng.uniform_int(static_cast<std::uint64_t>(sites)))
-                       : 0;
-    e.start_tick = lo + rng.uniform_int(span);
-    e.duration_ticks = duration;
-    plan.add(e);
+    const auto site = sites > 0 ? static_cast<std::size_t>(rng.uniform_int(
+                                      static_cast<std::uint64_t>(sites)))
+                                : 0;
+    plan.add({kind, site, band_start(rng, p.ticks, duration), duration});
   }
 }
 
@@ -103,12 +82,7 @@ void build(Plan& plan, std::string_view name, const ScenarioParams& p,
     const std::uint64_t span = std::max<std::uint64_t>(1, hi - lo);
     for (std::size_t r = 0; r < p.replicas; ++r) {
       for (int i = 0; i < 2; ++i) {
-        FaultEvent e;
-        e.kind = FaultKind::kReplicaCrash;
-        e.site = r;
-        e.start_tick = lo + rng.uniform_int(span);
-        e.duration_ticks = 4;
-        plan.add(e);
+        plan.add({FaultKind::kReplicaCrash, r, lo + rng.uniform_int(span), 4});
       }
     }
   } else {

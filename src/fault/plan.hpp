@@ -7,14 +7,17 @@
 // is replayable bit-for-bit from (scenario, seed) alone — the property that
 // makes a chaos failure debuggable instead of anecdotal.
 //
-// The plan is pure data; the Injector (injector.hpp) is what turns an
-// active event into corrupted packets, wedged IPs, or throwing backends.
+// The plan is pure data (windows over fault/schedule.hpp's shared core);
+// the Injector (injector.hpp) is what turns an active event into corrupted
+// packets, wedged IPs, or throwing backends.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "fault/schedule.hpp"
 
 namespace reads::fault {
 
@@ -33,20 +36,10 @@ enum class FaultKind : std::uint8_t {
 
 std::string_view to_string(FaultKind kind) noexcept;
 
-struct FaultEvent {
-  FaultKind kind = FaultKind::kPacketCorrupt;
-  /// Hub index for packet/reading faults, replica index for crashes, 0 for
-  /// the NN IP (there is one).
-  std::size_t site = 0;
-  /// First tick (or, for kReplicaCrash, first per-site backend op) affected.
-  std::uint64_t start_tick = 0;
-  /// Window length; every tick in [start, start + duration) is affected.
-  std::uint64_t duration_ticks = 1;
-
-  bool covers(std::uint64_t tick) const noexcept {
-    return tick >= start_tick && tick < start_tick + duration_ticks;
-  }
-};
+/// Site: hub index for packet/reading faults, replica index for crashes, 0
+/// for the NN IP (there is one). Window axis: the tick (for kReplicaCrash,
+/// the replica's own backend-op counter).
+using FaultEvent = Window<FaultKind>;
 
 /// Knobs for Plan::scenario so one factory serves benches of any size.
 struct ScenarioParams {
@@ -56,22 +49,8 @@ struct ScenarioParams {
   std::size_t replicas = 4;
 };
 
-class Plan {
+class Plan : public Schedule<FaultKind> {
  public:
-  Plan() = default;
-
-  void add(FaultEvent event) { events_.push_back(event); }
-
-  /// Is `kind` active at `site` on `tick`?
-  bool active(FaultKind kind, std::size_t site,
-              std::uint64_t tick) const noexcept;
-
-  /// Does the plan contain any event of `kind` at all?
-  bool any(FaultKind kind) const noexcept;
-
-  bool empty() const noexcept { return events_.empty(); }
-  const std::vector<FaultEvent>& events() const noexcept { return events_; }
-
   /// Last tick any event covers (0 for an empty plan): the bench's recovery
   /// gates start measuring after this.
   std::uint64_t last_fault_tick() const noexcept;
@@ -84,9 +63,6 @@ class Plan {
 
   /// The names scenario() accepts, in campaign order.
   static const std::vector<std::string>& scenario_names();
-
- private:
-  std::vector<FaultEvent> events_;
 };
 
 }  // namespace reads::fault

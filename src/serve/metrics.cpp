@@ -1,9 +1,6 @@
 #include "serve/metrics.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -36,83 +33,6 @@ void fold_hist(util::Histogram& into, const util::Histogram& from) {
   into.merge(from);  // layout mismatch of populated histograms throws here
 }
 
-[[noreturn]] void bad_json(const std::string& what) {
-  throw std::invalid_argument("metrics JSON: " + what);
-}
-
-/// Position just past `"key":` (and any whitespace), searching from `from`.
-std::size_t key_pos(const std::string& text, const std::string& key,
-                    std::size_t from = 0) {
-  const std::string needle = "\"" + key + "\"";
-  const auto k = text.find(needle, from);
-  if (k == std::string::npos) bad_json("missing key '" + key + "'");
-  auto p = text.find(':', k + needle.size());
-  if (p == std::string::npos) bad_json("key '" + key + "' has no value");
-  ++p;
-  while (p < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[p]))) {
-    ++p;
-  }
-  return p;
-}
-
-double scan_double(const std::string& text, const std::string& key) {
-  const auto p = key_pos(text, key);
-  const char* start = text.c_str() + p;
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) bad_json("key '" + key + "' is not a number");
-  return v;
-}
-
-std::size_t scan_count(const std::string& text, const std::string& key) {
-  const double v = scan_double(text, key);
-  if (v < 0.0 || v != std::floor(v)) {
-    bad_json("key '" + key + "' is not a count");
-  }
-  return static_cast<std::size_t>(v);
-}
-
-/// Balanced `open`..`close` substring starting at `p`. None of the emitted
-/// values contain brackets inside strings, so bracket counting suffices.
-std::string balanced(const std::string& text, std::size_t p, char open,
-                     char close) {
-  if (p >= text.size() || text[p] != open) {
-    bad_json(std::string("expected '") + open + "'");
-  }
-  std::size_t depth = 0;
-  for (std::size_t q = p; q < text.size(); ++q) {
-    if (text[q] == open) ++depth;
-    if (text[q] == close && --depth == 0) {
-      return text.substr(p, q - p + 1);
-    }
-  }
-  bad_json(std::string("unbalanced '") + open + "'");
-}
-
-std::vector<double> scan_double_array(const std::string& text,
-                                      const std::string& key) {
-  auto p = key_pos(text, key);
-  if (text[p] != '[') bad_json("key '" + key + "' is not an array");
-  ++p;
-  std::vector<double> out;
-  for (;;) {
-    while (p < text.size() &&
-           (std::isspace(static_cast<unsigned char>(text[p])) ||
-            text[p] == ',')) {
-      ++p;
-    }
-    if (p >= text.size()) bad_json("unterminated array");
-    if (text[p] == ']') break;
-    const char* start = text.c_str() + p;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) bad_json("bad array element");
-    out.push_back(v);
-    p += static_cast<std::size_t>(end - start);
-  }
-  return out;
-}
 }  // namespace
 
 Metrics::Metrics(std::size_t replicas, double deadline_ms)
@@ -284,40 +204,39 @@ std::string MetricsSnapshot::to_json(double wall_s, bool include_samples) {
 }
 
 MetricsSnapshot MetricsSnapshot::from_json(const std::string& json) {
+  const util::JsonScan scan(json, "metrics");
   MetricsSnapshot s;
-  s.arrived = scan_count(json, "arrived");
-  s.admitted = scan_count(json, "admitted");
-  s.completed = scan_count(json, "completed");
-  s.deadline_misses = scan_count(json, "deadline_misses");
-  s.shed_predicted_late = scan_count(json, "predicted_late");
-  s.shed_queue_full = scan_count(json, "queue_full");
-  s.shed_shutdown = scan_count(json, "shutdown");
-  s.backend_faults = scan_count(json, "backend_faults");
-  s.quarantines = scan_count(json, "quarantines");
-  s.restarts = scan_count(json, "restarts");
-  s.redispatched = scan_count(json, "redispatched");
+  s.arrived = scan.count("arrived");
+  s.admitted = scan.count("admitted");
+  s.completed = scan.count("completed");
+  s.deadline_misses = scan.count("deadline_misses");
+  s.shed_predicted_late = scan.count("predicted_late");
+  s.shed_queue_full = scan.count("queue_full");
+  s.shed_shutdown = scan.count("shutdown");
+  s.backend_faults = scan.count("backend_faults");
+  s.quarantines = scan.count("quarantines");
+  s.restarts = scan.count("restarts");
+  s.redispatched = scan.count("redispatched");
   s.queue_ms = util::Histogram::from_json(
-      balanced(json, key_pos(json, "queue_hist"), '{', '}'));
-  s.e2e_ms = util::Histogram::from_json(
-      balanced(json, key_pos(json, "e2e_hist"), '{', '}'));
-  const std::string arr =
-      balanced(json, key_pos(json, "replicas"), '[', ']');
-  std::size_t pos = 1;
-  while (true) {
-    const auto b = arr.find('{', pos);
-    if (b == std::string::npos) break;
-    const std::string obj = balanced(arr, b, '{', '}');
+      scan.enclosed(scan.value_pos("queue_hist")));
+  s.e2e_ms =
+      util::Histogram::from_json(scan.enclosed(scan.value_pos("e2e_hist")));
+  const std::string arr = scan.enclosed(scan.value_pos("replicas"));
+  const util::JsonScan rows(arr, "metrics");
+  for (auto b = arr.find('{'); b != std::string::npos; b = arr.find('{', b)) {
+    const std::string obj = rows.enclosed(b);
+    const util::JsonScan row(obj, "metrics");
     ReplicaSnapshot r;
-    r.frames = scan_count(obj, "frames");
-    r.batches = scan_count(obj, "batches");
-    r.busy_ms = scan_double(obj, "busy_ms");
-    r.max_batch = scan_count(obj, "max_batch");
-    r.faults = scan_count(obj, "faults");
+    r.frames = row.count("frames");
+    r.batches = row.count("batches");
+    r.busy_ms = row.number("busy_ms");
+    r.max_batch = row.count("max_batch");
+    r.faults = row.count("faults");
     s.replicas.push_back(r);
-    pos = b + obj.size();
+    b += obj.size();
   }
-  if (json.find("\"e2e_values\"") != std::string::npos) {
-    const auto vs = scan_double_array(json, "e2e_values");
+  if (scan.has("e2e_values")) {
+    const auto vs = scan.numbers("e2e_values");
     s.e2e_samples.reserve(vs.size());
     for (double v : vs) s.e2e_samples.add(v);
   }

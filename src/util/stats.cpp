@@ -196,89 +196,97 @@ std::string Histogram::to_json() const {
 
 namespace {
 
-/// Minimal scanning parser for the flat objects this module emits. Finds
-/// `"key":` and parses the value after it; not a general JSON library.
-struct JsonScan {
-  const std::string& text;
-
-  std::size_t value_pos(const std::string& key) const {
-    const std::string needle = "\"" + key + "\"";
-    const auto k = text.find(needle);
-    if (k == std::string::npos) {
-      throw std::invalid_argument("stats JSON: missing key '" + key + "'");
-    }
-    auto p = text.find(':', k + needle.size());
-    if (p == std::string::npos) {
-      throw std::invalid_argument("stats JSON: key '" + key + "' has no value");
-    }
-    ++p;
-    while (p < text.size() && std::isspace(static_cast<unsigned char>(text[p]))) {
-      ++p;
-    }
-    return p;
-  }
-
-  double number(const std::string& key) const {
-    const auto p = value_pos(key);
-    const char* start = text.c_str() + p;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) {
-      throw std::invalid_argument("stats JSON: key '" + key +
-                                  "' is not a number");
-    }
-    return v;
-  }
-
-  std::size_t count(const std::string& key) const {
-    const double v = number(key);
-    if (v < 0.0 || v != std::floor(v)) {
-      throw std::invalid_argument("stats JSON: key '" + key +
-                                  "' is not a count");
-    }
-    return static_cast<std::size_t>(v);
-  }
-
-  std::vector<std::size_t> count_array(const std::string& key) const {
-    auto p = value_pos(key);
-    if (text[p] != '[') {
-      throw std::invalid_argument("stats JSON: key '" + key +
-                                  "' is not an array");
-    }
-    ++p;
-    std::vector<std::size_t> out;
-    for (;;) {
-      while (p < text.size() &&
-             (std::isspace(static_cast<unsigned char>(text[p])) ||
-              text[p] == ',')) {
-        ++p;
-      }
-      if (p >= text.size()) {
-        throw std::invalid_argument("stats JSON: unterminated array");
-      }
-      if (text[p] == ']') break;
-      const char* start = text.c_str() + p;
-      char* end = nullptr;
-      const double v = std::strtod(start, &end);
-      if (end == start || v < 0.0 || v != std::floor(v)) {
-        throw std::invalid_argument("stats JSON: bad array element");
-      }
-      out.push_back(static_cast<std::size_t>(v));
-      p += static_cast<std::size_t>(end - start);
-    }
-    return out;
-  }
-};
+bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)); }
 
 }  // namespace
 
+std::size_t JsonScan::find(const std::string& key,
+                           std::size_t from) const noexcept {
+  const std::string needle = "\"" + key + "\"";
+  for (auto k = text_.find(needle, from); k != std::string::npos;
+       k = text_.find(needle, k + 1)) {
+    auto p = k + needle.size();
+    while (p < text_.size() && is_space(text_[p])) ++p;
+    if (p >= text_.size() || text_[p] != ':') continue;  // a string value
+    ++p;
+    while (p < text_.size() && is_space(text_[p])) ++p;
+    return p;
+  }
+  return std::string::npos;
+}
+
+void JsonScan::fail(const std::string& msg) const {
+  throw std::invalid_argument(what_ + " JSON: " + msg);
+}
+
+std::size_t JsonScan::value_pos(const std::string& key,
+                                std::size_t from) const {
+  const auto p = find(key, from);
+  if (p == std::string::npos) fail("missing key '" + key + "'");
+  return p;
+}
+
+double JsonScan::number(const std::string& key, std::size_t from) const {
+  const char* start = text_.c_str() + value_pos(key, from);
+  char* end = nullptr;
+  const double v = std::strtod(start, &end);
+  if (end == start) fail("key '" + key + "' is not a number");
+  return v;
+}
+
+std::uint64_t JsonScan::as_count(double v, const std::string& key) const {
+  if (v < 0.0 || v != std::floor(v)) fail("key '" + key + "' is not a count");
+  return static_cast<std::uint64_t>(v);
+}
+
+std::uint64_t JsonScan::count(const std::string& key, std::size_t from) const {
+  return as_count(number(key, from), key);
+}
+
+std::vector<double> JsonScan::numbers(const std::string& key) const {
+  auto p = value_pos(key);
+  if (text_[p] != '[') fail("key '" + key + "' is not an array");
+  ++p;
+  std::vector<double> out;
+  for (;;) {
+    while (p < text_.size() && (is_space(text_[p]) || text_[p] == ',')) ++p;
+    if (p >= text_.size()) fail("unterminated array");
+    if (text_[p] == ']') return out;
+    const char* start = text_.c_str() + p;
+    char* end = nullptr;
+    out.push_back(std::strtod(start, &end));
+    if (end == start) fail("bad array element");
+    p += static_cast<std::size_t>(end - start);
+  }
+}
+
+std::vector<std::uint64_t> JsonScan::counts(const std::string& key) const {
+  std::vector<std::uint64_t> out;
+  for (double v : numbers(key)) out.push_back(as_count(v, key));
+  return out;
+}
+
+std::string JsonScan::enclosed(std::size_t pos) const {
+  const char open = pos < text_.size() ? text_[pos] : '\0';
+  if (open != '{' && open != '[') fail("expected '{' or '['");
+  const char close = open == '{' ? '}' : ']';
+  std::size_t depth = 0;
+  for (std::size_t q = pos; q < text_.size(); ++q) {
+    if (text_[q] == open) ++depth;
+    if (text_[q] == close && --depth == 0) {
+      return text_.substr(pos, q - pos + 1);
+    }
+  }
+  fail(std::string("unbalanced '") + open + "'");
+}
+
 Histogram Histogram::from_json(const std::string& json) {
-  const JsonScan scan{json};
+  const JsonScan scan(json, "stats");
   const double lo = scan.number("lo");
   const double hi = scan.number("hi");
-  const auto bins = scan.count_array("bins");
+  const auto bins = scan.counts("bins");
   Histogram h(lo, hi, bins.size());  // validates hi > lo, bins > 0
-  h.bins_ = bins;
+  h.bins_.assign(bins.begin(), bins.end());
   h.underflow_ = scan.count("underflow");
   h.overflow_ = scan.count("overflow");
   h.total_ = scan.count("total");

@@ -134,4 +134,39 @@ class Histogram {
 /// and re-emitting a parsed snapshot reproduces the original text.
 std::string json_double(double v);
 
+/// The one parser for the flat JSON this codebase emits (histogram, metrics
+/// and router stats snapshots): finds the first `"key":` at or after `from`
+/// and parses the value after it. Not a general JSON library — a key is
+/// matched wherever it appears, so scan a sub-object by passing its offset
+/// or its enclosed() text. Every failure (missing key, malformed value)
+/// throws std::invalid_argument prefixed "<what> JSON: ".
+class JsonScan {
+ public:
+  JsonScan(const std::string& text, std::string what)
+      : text_(text), what_(std::move(what)) {}
+  JsonScan(std::string&&, std::string) = delete;  // would dangle
+
+  bool has(const std::string& key, std::size_t from = 0) const noexcept {
+    return find(key, from) != std::string::npos;
+  }
+  /// Offset of the value after `"key":`, whitespace skipped.
+  std::size_t value_pos(const std::string& key, std::size_t from = 0) const;
+  double number(const std::string& key, std::size_t from = 0) const;
+  /// A non-negative integral number.
+  std::uint64_t count(const std::string& key, std::size_t from = 0) const;
+  std::vector<double> numbers(const std::string& key) const;
+  std::vector<std::uint64_t> counts(const std::string& key) const;
+  /// The balanced `{...}` or `[...]` value starting at offset `pos` (the
+  /// emitters put no brackets inside strings, so counting suffices).
+  std::string enclosed(std::size_t pos) const;
+
+ private:
+  std::size_t find(const std::string& key, std::size_t from) const noexcept;
+  std::uint64_t as_count(double v, const std::string& key) const;
+  [[noreturn]] void fail(const std::string& msg) const;
+
+  const std::string& text_;
+  std::string what_;
+};
+
 }  // namespace reads::util

@@ -37,6 +37,7 @@
 #include "serve/backend.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -503,16 +504,7 @@ void drain_all(cluster::ClusterClient& client, Ledger& led,
 }
 
 std::uint64_t scan_counter(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return 0;
-  std::size_t p = pos + key.size() + 3;
-  while (p < json.size() && json[p] == ' ') ++p;
-  std::uint64_t v = 0;
-  while (p < json.size() && json[p] >= '0' && json[p] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(json[p] - '0');
-    ++p;
-  }
-  return v;
+  return util::JsonScan(json, "stats").count(key);
 }
 
 // ---- ReplicaServer wire contract ----------------------------------------

@@ -39,31 +39,18 @@ using tensor::Tensor;
 
 // ------------------------------------------------------------------ Plan
 
-bool same_events(const Plan& a, const Plan& b) {
-  if (a.events().size() != b.events().size()) return false;
-  for (std::size_t i = 0; i < a.events().size(); ++i) {
-    const auto& x = a.events()[i];
-    const auto& y = b.events()[i];
-    if (x.kind != y.kind || x.site != y.site || x.start_tick != y.start_tick ||
-        x.duration_ticks != y.duration_ticks) {
-      return false;
-    }
-  }
-  return true;
-}
-
 TEST(FaultPlan, ScenarioIsDeterministicInSeedAndName) {
   const fault::ScenarioParams p{.seed = 42, .ticks = 600};
   for (const auto& name : Plan::scenario_names()) {
-    EXPECT_TRUE(
-        same_events(Plan::scenario(name, p), Plan::scenario(name, p)))
+    EXPECT_EQ(Plan::scenario(name, p).events(),
+              Plan::scenario(name, p).events())
         << name;
   }
   // A different seed must move the storm's windows (replayability means the
   // seed is the only thing that does).
   const fault::ScenarioParams q{.seed = 43, .ticks = 600};
-  EXPECT_FALSE(
-      same_events(Plan::scenario("storm", p), Plan::scenario("storm", q)));
+  EXPECT_NE(Plan::scenario("storm", p).events(),
+            Plan::scenario("storm", q).events());
 }
 
 TEST(FaultPlan, ScenariosLeaveWarmupAndRecoveryTails) {
@@ -77,7 +64,7 @@ TEST(FaultPlan, ScenariosLeaveWarmupAndRecoveryTails) {
     EXPECT_FALSE(plan.empty()) << name;
     EXPECT_LT(plan.last_fault_tick(), p.ticks) << name;
     for (const auto& e : plan.events()) {
-      EXPECT_GE(e.start_tick, p.ticks / 10) << name;  // clean warm-up
+      EXPECT_GE(e.start, p.ticks / 10) << name;  // clean warm-up
     }
   }
 }
@@ -96,6 +83,26 @@ TEST(FaultPlan, CrashScenarioCoversEveryReplica) {
 
 TEST(FaultPlan, UnknownScenarioThrows) {
   EXPECT_THROW(Plan::scenario("gremlins", {}), std::invalid_argument);
+}
+
+// Exact placements and decision bits, recorded from the engines before they
+// shared fault/schedule.hpp: a refactor that moves one window or one bit
+// changes every replayed campaign, so it must fail here.
+TEST(FaultPlan, SeededScenariosAndDecisionBitsArePinned) {
+  const std::vector<FaultEvent> outage = {
+      {FaultKind::kHubOutage, 6, 164, 100}, {FaultKind::kHubOutage, 6, 388, 2}};
+  EXPECT_EQ(Plan::scenario("outage", {.seed = 11}).events(), outage);
+  using fault::NetFaultKind;
+  const std::vector<fault::NetFaultEvent> torn = {
+      {NetFaultKind::kConnReset, 0, 120, 2},
+      {NetFaultKind::kConnReset, 0, 212, 2},
+      {NetFaultKind::kConnReset, 1, 68, 2},
+      {NetFaultKind::kConnReset, 1, 146, 2}};
+  EXPECT_EQ(fault::NetPlan::scenario("torn", {.seed = 11}).events(), torn);
+  EXPECT_EQ(fault::decision_bits(7, NetFaultKind::kByteCorrupt, 2, 42),
+            14530693341289907470ull);
+  EXPECT_EQ(fault::decision_bits(11, FaultKind::kPacketCorrupt, 0, 0),
+            2434511260189532301ull);
 }
 
 TEST(FaultPlan, ActiveMatchesKindSiteAndWindow) {
@@ -498,33 +505,20 @@ TEST(FaultPipeline, WatchdogRetryIsBitIdenticalAndWedgeFallsBackDegraded) {
 
 // --------------------------------------------------------------- NetPlan
 
-bool same_net_events(const fault::NetPlan& a, const fault::NetPlan& b) {
-  if (a.events().size() != b.events().size()) return false;
-  for (std::size_t i = 0; i < a.events().size(); ++i) {
-    const auto& x = a.events()[i];
-    const auto& y = b.events()[i];
-    if (x.kind != y.kind || x.site != y.site || x.start_op != y.start_op ||
-        x.duration_ops != y.duration_ops) {
-      return false;
-    }
-  }
-  return true;
-}
-
 TEST(NetPlan, ScenarioIsDeterministicInSeedAndName) {
   fault::NetScenarioParams p;
   p.seed = 99;
   p.ops = 200;
   p.sites = 3;
   for (const auto& name : fault::NetPlan::scenario_names()) {
-    EXPECT_TRUE(same_net_events(fault::NetPlan::scenario(name, p),
-                                fault::NetPlan::scenario(name, p)))
+    EXPECT_EQ(fault::NetPlan::scenario(name, p).events(),
+              fault::NetPlan::scenario(name, p).events())
         << name;
   }
   auto p2 = p;
   p2.seed = 100;
-  EXPECT_FALSE(same_net_events(fault::NetPlan::scenario("torn", p),
-                               fault::NetPlan::scenario("torn", p2)));
+  EXPECT_NE(fault::NetPlan::scenario("torn", p).events(),
+            fault::NetPlan::scenario("torn", p2).events());
 }
 
 TEST(NetPlan, WindowsStayInsideTheMiddleBand) {
@@ -540,8 +534,8 @@ TEST(NetPlan, WindowsStayInsideTheMiddleBand) {
     const auto plan = fault::NetPlan::scenario(name, p);
     EXPECT_FALSE(plan.empty()) << name;
     for (const auto& e : plan.events()) {
-      EXPECT_GE(e.start_op, p.ops / 10) << name;
-      EXPECT_LE(e.start_op + e.duration_ops, (8 * p.ops) / 10 + 1) << name;
+      EXPECT_GE(e.start, p.ops / 10) << name;
+      EXPECT_LE(e.start + e.duration, (8 * p.ops) / 10 + 1) << name;
       EXPECT_LT(e.site, p.sites) << name;
     }
   }

@@ -200,6 +200,31 @@ TEST(Histogram, FromJsonRejectsMalformed) {
                std::invalid_argument);
 }
 
+TEST(JsonScan, MissingKeyAndNonCountsThrow) {
+  const std::string js = "{\"a\": 1.5, \"b\": -2, \"c\": 3}";
+  const JsonScan scan(js, "test");
+  EXPECT_FALSE(scan.has("d"));
+  EXPECT_THROW(scan.count("d"), std::invalid_argument);
+  EXPECT_THROW(scan.count("a"), std::invalid_argument);  // fractional
+  EXPECT_THROW(scan.count("b"), std::invalid_argument);  // negative
+  EXPECT_DOUBLE_EQ(scan.number("a"), 1.5);
+  EXPECT_EQ(scan.count("c"), 3u);
+}
+
+TEST(JsonScan, LooksUpFromAnOffsetAndMatchesWholeKeys) {
+  const std::string js =
+      "{\"x\": {\"n\": 1}, \"y\": {\"n\": 2}, \"name\": \"redispatched\", "
+      "\"redispatched_jobs\": 5, \"redispatched\": 7}";
+  const JsonScan scan(js, "test");
+  EXPECT_EQ(scan.count("n"), 1u);
+  EXPECT_EQ(scan.count("n", js.find("\"y\"")), 2u);
+  EXPECT_EQ(scan.enclosed(scan.value_pos("y")), "{\"n\": 2}");
+  // Neither a longer key nor a string value is the key itself.
+  EXPECT_EQ(scan.count("redispatched"), 7u);
+  const std::string jobs_only = "{\"redispatched_jobs\": 5}";
+  EXPECT_FALSE(JsonScan(jobs_only, "test").has("redispatched"));
+}
+
 TEST(Percentiles, SummaryJsonNearestRankAndEmpty) {
   Percentiles p;
   for (int i = 1; i <= 1000; ++i) p.add(static_cast<double>(i));

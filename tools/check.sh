@@ -49,23 +49,27 @@ echo "== serving gates (exactness / overload / zero-allocation frames) =="
 (cd build && ./bench/bench_serve --replicas=1 --out=BENCH_serve.json)
 
 echo "== cluster gates (multi-process exactness / live resharding) =="
-# Router + replica child processes over both TCP and Unix-domain sockets;
-# exits non-zero on a lost/duplicated/bit-divergent accepted frame or a
-# reshard that fails to drain exactly-once. The >= 3x goodput scaling gate
-# self-skips (recorded in the artifact) on hosts with < 4 hardware threads
-# or < 4 replica processes, so the phase degrades gracefully on small CI
-# runners instead of failing.
-(cd build && ./bench/bench_cluster --quick --out=BENCH_cluster.json)
+# An in-process router + replica child processes over both TCP and
+# Unix-domain sockets; exits non-zero on a lost/duplicated/bit-divergent
+# accepted frame or a reshard that fails to drain exactly-once. The >= 3x
+# goodput scaling gate self-skips (recorded in the artifact) on hosts with
+# < 4 hardware threads or < 4 replica processes. json.tool then fails the
+# phase on a malformed artifact, which the exit code alone would not catch.
+(cd build && ./bench/bench_cluster --quick --out=BENCH_cluster.json \
+  && python3 -m json.tool BENCH_cluster.json >/dev/null)
 
 echo "== chaos-cluster gates (network faults / failover / exactly-once) =="
-# The same multi-process tier with a hostile wire and dying processes: every
-# socket-fault scenario (torn, short_write, eagain, corrupt, refuse, stall)
-# injected client-side, a replica SIGKILL, a router SIGKILL + journal
-# recovery on the same endpoint, and a router-side net_storm — over both
-# transports. Exits non-zero on a lost/duplicated/bit-divergent accepted
-# frame, a scenario that failed to inject, a client that never had to
-# reconnect, or a restart that failed to recover journaled membership.
-(cd build && ./bench/bench_chaos_cluster --quick --out=BENCH_chaos_cluster.json)
+# The same tier with a hostile wire and dying processes, the router now a
+# child process: every client-side socket-fault scenario (torn,
+# short_write, eagain, corrupt, refuse, stall), a replica SIGKILL, a router
+# SIGKILL + journal recovery on the same endpoint, and a router-side
+# net_storm, over both transports. Exits non-zero on a lost/duplicated/
+# bit-divergent accepted frame, a scenario that failed to inject, a client
+# that never had to reconnect, or a restart that failed to recover
+# journaled membership. Both cluster benches share one harness
+# (bench/cluster_harness.*): replica/router roles, oracle, audit, fleet.
+(cd build && ./bench/bench_chaos_cluster --quick --out=BENCH_chaos_cluster.json \
+  && python3 -m json.tool BENCH_chaos_cluster.json >/dev/null)
 
 echo "== sanitizer build (address,undefined) =="
 cmake -B build-asan -S . -DREADS_SANITIZE=ON >/dev/null
