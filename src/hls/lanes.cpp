@@ -22,6 +22,11 @@ constexpr std::int64_t kI16Lo = std::numeric_limits<std::int16_t>::min();
 constexpr std::int64_t kI16Hi = std::numeric_limits<std::int16_t>::max();
 constexpr Wide kI32Lo = std::numeric_limits<std::int32_t>::min();
 constexpr Wide kI32Hi = std::numeric_limits<std::int32_t>::max();
+// Narrow kernels list a row's nonzero inputs as uint16 indices with a
+// uint16 length (qkernels.hpp pack_i16), so a row may hold at most this
+// many input channels.
+constexpr std::size_t kMaxListedChannels =
+    std::numeric_limits<std::uint16_t>::max();
 
 int frac_bits(const FixedSpec& spec) noexcept {
   return spec.width - spec.int_bits;
@@ -213,6 +218,9 @@ LaneReport prove_lanes(const FirmwareModel& fw) {
           decision.reason = "wide64: product shift " +
                             std::to_string(ac.prod_shift) +
                             " outside [0, 31]";
+        } else if (l.in_channels > kMaxListedChannels) {
+          decision.reason = "wide64: " + std::to_string(l.in_channels) +
+                            " input channels overflow uint16 nonzero lists";
         } else if (layer_env.part_lo < kI32Lo || layer_env.part_hi > kI32Hi) {
           decision.reason =
               "wide64: accumulator envelope " +

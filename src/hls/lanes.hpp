@@ -28,7 +28,9 @@
 //       [bias + sum min(0, t_lo),  bias + sum max(0, t_hi)].
 //     If that envelope fits int32 (and weights/activations fit int16, and
 //     0 <= s < 32), int32 accumulation of shifted int32 products is exact,
-//     hence bit-identical to the reference int64 loop.
+//     hence bit-identical to the reference int64 loop. The layer must also
+//     have at most 65,535 input channels: the narrow kernels count a row's
+//     nonzero inputs in uint16.
 //
 // The VNNI dot-product lane (vpdpwssd: two int16 products fused into one
 // int32 accumulate) additionally requires s == 0 (the fused pair-sum cannot

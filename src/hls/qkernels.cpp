@@ -7,9 +7,10 @@ namespace reads::hls::kernels {
 namespace detail {
 
 // Scalar fallback: 4-wide output blocking over the transposed weight row,
-// one activation load shared across the block, zero activations skipped
-// ((0 * w) >> shift contributes exactly 0, and after ReLU layers a large
-// fraction of activations are zero).
+// one activation load shared across the block. This wide path keeps a
+// per-channel zero test ((0 * w) >> shift contributes exactly 0); it only
+// runs layers the range prover cannot clear. The narrow lanes below skip
+// zeros through pack_i16's nonzero lists instead.
 void conv1d_acc_scalar(const std::int64_t* x, const std::int64_t* wtr,
                        const std::int64_t* bias_acc, std::int64_t* acc,
                        std::size_t positions, std::size_t in_ch,
@@ -48,8 +49,10 @@ void conv1d_acc_scalar(const std::int64_t* x, const std::int64_t* wtr,
 // the prover's envelope says no partial sum can leave int32, and keeping
 // the scalar path at the same width as the SIMD lanes means a prover bug
 // shows up as a sanitizer report in the property tests instead of silently
-// diverging between variants.
-void conv1d_acc_i16_scalar(const std::int16_t* x, const std::int16_t* wtr,
+// diverging between variants. Only the row's listed nonzero channels are
+// visited.
+void conv1d_acc_i16_scalar(const std::int16_t* x, const std::uint16_t* nz,
+                           const std::uint16_t* nnz, const std::int16_t* wtr,
                            const std::int32_t* bias_acc, std::int32_t* acc,
                            std::size_t positions, std::size_t in_ch,
                            std::size_t in_stride, std::size_t out_ch,
@@ -63,13 +66,14 @@ void conv1d_acc_i16_scalar(const std::int16_t* x, const std::int16_t* wtr,
     const std::ptrdiff_t dk_lo = std::max<std::ptrdiff_t>(0, pad - p);
     const std::ptrdiff_t dk_hi = std::min<std::ptrdiff_t>(kk, pos + pad - p);
     for (std::ptrdiff_t dk = dk_lo; dk < dk_hi; ++dk) {
-      const std::int16_t* xq =
-          x + static_cast<std::size_t>(p + dk - pad) * in_stride;
+      const auto q = static_cast<std::size_t>(p + dk - pad);
+      const std::int16_t* xq = x + q * in_stride;
+      const std::uint16_t* list = nz + q * in_stride;
       const std::int16_t* wdk =
           wtr + static_cast<std::size_t>(dk) * in_ch * out_pad;
-      for (std::size_t i = 0; i < in_ch; ++i) {
+      for (std::size_t j = 0; j < nnz[q]; ++j) {
+        const std::size_t i = list[j];
         const std::int32_t xv = xq[i];
-        if (xv == 0) continue;
         const std::int16_t* wrow = wdk + i * out_pad;
         std::size_t o = 0;
         for (; o + 4 <= out_ch; o += 4) {
@@ -85,8 +89,10 @@ void conv1d_acc_i16_scalar(const std::int16_t* x, const std::int16_t* wtr,
 }
 
 // Scalar dot-product lane: fused int16-pair accumulation with shift == 0,
-// the same pair-sum order vpdpwssd uses.
-void conv1d_acc_i16_dp_scalar(const std::int16_t* x, const std::int16_t* wtr,
+// the same pair-sum order vpdpwssd uses, over the row's listed pairs.
+void conv1d_acc_i16_dp_scalar(const std::int16_t* x, const std::uint16_t* nz,
+                              const std::uint16_t* nnz,
+                              const std::int16_t* wtr,
                               const std::int32_t* bias_acc, std::int32_t* acc,
                               std::size_t positions, std::size_t in_pairs,
                               std::size_t in_stride, std::size_t out_ch,
@@ -100,14 +106,15 @@ void conv1d_acc_i16_dp_scalar(const std::int16_t* x, const std::int16_t* wtr,
     const std::ptrdiff_t dk_lo = std::max<std::ptrdiff_t>(0, pad - p);
     const std::ptrdiff_t dk_hi = std::min<std::ptrdiff_t>(kk, pos + pad - p);
     for (std::ptrdiff_t dk = dk_lo; dk < dk_hi; ++dk) {
-      const std::int16_t* xq =
-          x + static_cast<std::size_t>(p + dk - pad) * in_stride;
+      const auto q = static_cast<std::size_t>(p + dk - pad);
+      const std::int16_t* xq = x + q * in_stride;
+      const std::uint16_t* list = nz + q * in_pairs;
       const std::int16_t* wdk =
           wtr + static_cast<std::size_t>(dk) * in_pairs * out_pad * 2;
-      for (std::size_t ip = 0; ip < in_pairs; ++ip) {
+      for (std::size_t j = 0; j < nnz[q]; ++j) {
+        const std::size_t ip = list[j];
         const std::int32_t x0 = xq[2 * ip];
         const std::int32_t x1 = xq[2 * ip + 1];
-        if (x0 == 0 && x1 == 0) continue;
         const std::int16_t* wrow = wdk + ip * out_pad * 2;
         for (std::size_t o = 0; o < out_ch; ++o) {
           accp[o] += wrow[2 * o] * x0 + wrow[2 * o + 1] * x1;
@@ -156,14 +163,16 @@ void finalize_i32_avx512(const std::int32_t* acc, std::int64_t* out,
                          std::size_t positions, std::size_t out_ch,
                          std::size_t acc_stride, const hd::Accum& ac,
                          std::size_t& overflows, std::size_t& saturations);
-void conv1d_acc_i16_avx512(const std::int16_t* x, const std::int16_t* wtr,
+void conv1d_acc_i16_avx512(const std::int16_t* x, const std::uint16_t* nz,
+                           const std::uint16_t* nnz, const std::int16_t* wtr,
                            const std::int32_t* bias_acc, std::int32_t* acc,
                            std::size_t positions, std::size_t in_ch,
                            std::size_t in_stride, std::size_t out_ch,
                            std::size_t out_pad, std::size_t k, int shift);
 #endif
 #if defined(READS_QKERNELS_VNNI)
-void conv1d_acc_i16_dp_vnni(const std::int16_t* x, const std::int16_t* wtr,
+void conv1d_acc_i16_dp_vnni(const std::int16_t* x, const std::uint16_t* nz,
+                            const std::uint16_t* nnz, const std::int16_t* wtr,
                             const std::int32_t* bias_acc, std::int32_t* acc,
                             std::size_t positions, std::size_t in_pairs,
                             std::size_t in_stride, std::size_t out_ch,
@@ -173,11 +182,13 @@ void conv1d_acc_i16_dp_vnni(const std::int16_t* x, const std::int16_t* wtr,
 using KernelFn = void (*)(const std::int64_t*, const std::int64_t*,
                           const std::int64_t*, std::int64_t*, std::size_t,
                           std::size_t, std::size_t, std::size_t, int);
-using NarrowFn = void (*)(const std::int16_t*, const std::int16_t*,
+using NarrowFn = void (*)(const std::int16_t*, const std::uint16_t*,
+                          const std::uint16_t*, const std::int16_t*,
                           const std::int32_t*, std::int32_t*, std::size_t,
                           std::size_t, std::size_t, std::size_t, std::size_t,
                           std::size_t, int);
-using NarrowDpFn = void (*)(const std::int16_t*, const std::int16_t*,
+using NarrowDpFn = void (*)(const std::int16_t*, const std::uint16_t*,
+                            const std::uint16_t*, const std::int16_t*,
                             const std::int32_t*, std::int32_t*, std::size_t,
                             std::size_t, std::size_t, std::size_t,
                             std::size_t, std::size_t);
@@ -244,22 +255,49 @@ void conv1d_acc(const std::int64_t* x, const std::int64_t* wtr,
                         shift);
 }
 
-void conv1d_acc_i16(const std::int16_t* x, const std::int16_t* wtr,
+void pack_i16(const std::int64_t* in, std::size_t positions,
+              std::size_t in_ch, std::size_t in_stride, bool pairs,
+              std::int16_t* x16, std::uint16_t* nz, std::uint16_t* nnz) {
+  const std::size_t list_stride = nz_stride(in_stride, pairs);
+  for (std::size_t p = 0; p < positions; ++p) {
+    const std::int64_t* src = in + p * in_ch;
+    std::int16_t* dst = x16 + p * in_stride;
+    for (std::size_t i = 0; i < in_ch; ++i) {
+      dst[i] = static_cast<std::int16_t>(src[i]);
+    }
+    std::fill(dst + in_ch, dst + in_stride, std::int16_t{0});
+    // Branch-free compaction: every index is written, and the count only
+    // advances past the nonzero ones.
+    std::uint16_t* list = nz + p * list_stride;
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < list_stride; ++j) {
+      list[n] = static_cast<std::uint16_t>(j);
+      const bool live =
+          pairs ? (dst[2 * j] | dst[2 * j + 1]) != 0 : dst[j] != 0;
+      n += static_cast<std::size_t>(live);
+    }
+    nnz[p] = static_cast<std::uint16_t>(n);
+  }
+}
+
+void conv1d_acc_i16(const std::int16_t* x, const std::uint16_t* nz,
+                    const std::uint16_t* nnz, const std::int16_t* wtr,
                     const std::int32_t* bias_acc, std::int32_t* acc,
                     std::size_t positions, std::size_t in_ch,
                     std::size_t in_stride, std::size_t out_ch,
                     std::size_t out_pad, std::size_t k, int shift) {
-  detail::dispatch().narrow(x, wtr, bias_acc, acc, positions, in_ch,
+  detail::dispatch().narrow(x, nz, nnz, wtr, bias_acc, acc, positions, in_ch,
                             in_stride, out_ch, out_pad, k, shift);
 }
 
-void conv1d_acc_i16_dp(const std::int16_t* x, const std::int16_t* wtr,
+void conv1d_acc_i16_dp(const std::int16_t* x, const std::uint16_t* nz,
+                       const std::uint16_t* nnz, const std::int16_t* wtr,
                        const std::int32_t* bias_acc, std::int32_t* acc,
                        std::size_t positions, std::size_t in_pairs,
                        std::size_t in_stride, std::size_t out_ch,
                        std::size_t out_pad, std::size_t k) {
-  detail::dispatch().narrow_dp(x, wtr, bias_acc, acc, positions, in_pairs,
-                               in_stride, out_ch, out_pad, k);
+  detail::dispatch().narrow_dp(x, nz, nnz, wtr, bias_acc, acc, positions,
+                               in_pairs, in_stride, out_ch, out_pad, k);
 }
 
 void requant_i64(const std::int64_t* in, std::int64_t* out, std::size_t n,

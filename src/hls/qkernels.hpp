@@ -18,6 +18,12 @@
 //    a per-term shift cannot ride through the fused pair-sum, which is why
 //    it is a separate lane.
 //
+// Sparse activations: after ReLU a large share of narrow-layer inputs are
+// zero. pack_i16 writes, with the int16 copy of each position row, the
+// list of that row's nonzero inputs, and the narrow kernels loop over the
+// list only: no per-input zero test (an unpredictable branch) inside the
+// MAC loops, and every unlisted term is exactly (0 * w) >> shift = 0.
+//
 // Bit-exactness contract: each kernel produces, for every output, the exact
 // sum  bias_acc[o] + sum_taps((w * x) >> shift)  — the same value the
 // reference per-output loop computes, because the arithmetic is exact at
@@ -45,15 +51,33 @@ void conv1d_acc(const std::int64_t* x, const std::int64_t* wtr,
                 std::size_t positions, std::size_t in_ch, std::size_t out_ch,
                 std::size_t k, int shift);
 
+/// Copy int64 activation rows (positions, in_ch) down to int16 rows of
+/// `in_stride` (>= in_ch; pad columns are written zero) and list, per row,
+/// the inputs that are not zero. Without `pairs` the list
+/// holds channel indices (row stride in_stride); with `pairs` it holds
+/// indices of channel pairs (2j, 2j+1) with a nonzero half (row stride
+/// in_stride / 2, for the dot-product lane). nnz[p] is row p's list length.
+/// The values must already fit int16 (the range prover's certificate).
+void pack_i16(const std::int64_t* in, std::size_t positions,
+              std::size_t in_ch, std::size_t in_stride, bool pairs,
+              std::int16_t* x16, std::uint16_t* nz, std::uint16_t* nnz);
+
+/// Row stride (list slots per position) of pack_i16's nonzero lists.
+constexpr std::size_t nz_stride(std::size_t in_stride, bool pairs) noexcept {
+  return pairs ? in_stride / 2 : in_stride;
+}
+
 /// Narrow-lane pass for range-prover-certified layers. `x` is (positions,
-/// in_stride) int16 activations (in_stride >= in_ch; extra columns are
-/// zero), `wtr` is (k, in_ch, out_pad) int16 with out_pad a multiple of 16
-/// (pad columns carry zero weights), `bias_acc`/`acc` are out_pad-stride
-/// int32. The AVX-512 variant computes all out_pad lanes; only the first
-/// out_ch of each row are meaningful. `shift` in [0, 31] is applied per
-/// product (vpmulld/vpsrad — products fit int32 by the prover's int16
+/// in_stride) int16 activations with their nonzero lists `nz`/`nnz` from
+/// pack_i16 (channel indices), `wtr` is (k, in_ch, out_pad) int16 with
+/// out_pad a multiple of 16 (pad columns carry zero weights),
+/// `bias_acc`/`acc` are out_pad-stride int32. Only listed inputs are
+/// multiplied. The AVX-512 variant computes all out_pad lanes; only the
+/// first out_ch of each row are meaningful. `shift` in [0, 31] is applied
+/// per product (vpmulld/vpsrad — products fit int32 by the prover's int16
 /// bounds).
-void conv1d_acc_i16(const std::int16_t* x, const std::int16_t* wtr,
+void conv1d_acc_i16(const std::int16_t* x, const std::uint16_t* nz,
+                    const std::uint16_t* nnz, const std::int16_t* wtr,
                     const std::int32_t* bias_acc, std::int32_t* acc,
                     std::size_t positions, std::size_t in_ch,
                     std::size_t in_stride, std::size_t out_ch,
@@ -61,11 +85,12 @@ void conv1d_acc_i16(const std::int16_t* x, const std::int16_t* wtr,
 
 /// Dot-product narrow pass (shift == 0 only). Input channels are processed
 /// as in_pairs adjacent pairs (in_stride = 2 * in_pairs; an odd channel
-/// count is zero-padded), and `wtr` is pair-interleaved:
-/// (k, in_pairs, out_pad, 2). Accumulation fuses each int16 pair into one
-/// int32 add — exactly vpdpwssd — which the prover's absolute-sum bound
-/// keeps exact.
-void conv1d_acc_i16_dp(const std::int16_t* x, const std::int16_t* wtr,
+/// count is zero-padded), `nz`/`nnz` list the nonzero pairs (pack_i16 with
+/// `pairs`), and `wtr` is pair-interleaved: (k, in_pairs, out_pad, 2).
+/// Accumulation fuses each int16 pair into one int32 add — exactly
+/// vpdpwssd — which the prover's absolute-sum bound keeps exact.
+void conv1d_acc_i16_dp(const std::int16_t* x, const std::uint16_t* nz,
+                       const std::uint16_t* nnz, const std::int16_t* wtr,
                        const std::int32_t* bias_acc, std::int32_t* acc,
                        std::size_t positions, std::size_t in_pairs,
                        std::size_t in_stride, std::size_t out_ch,

@@ -210,9 +210,12 @@ namespace {
 // (up to 64 outputs) in registers across the whole tap/input-channel loop —
 // the accumulators never round-trip through memory, unlike the int64 kernel
 // above which loads/stores per input channel. out_pad is a multiple of 16
-// (pad columns carry zero weights), so no masked tail is needed.
+// (pad columns carry zero weights), so no masked tail is needed. The input
+// loop walks the row's nonzero list, so its trip count is the only
+// data-dependent control flow.
 template <int NB>
-void narrow_block_pass(const std::int16_t* x, const std::int16_t* wtr,
+void narrow_block_pass(const std::int16_t* x, const std::uint16_t* nz,
+                       const std::uint16_t* nnz, const std::int16_t* wtr,
                        const std::int32_t* bias_acc, std::int32_t* acc,
                        std::ptrdiff_t pos, std::size_t in_ch,
                        std::size_t in_stride, std::size_t out_pad,
@@ -227,15 +230,16 @@ void narrow_block_pass(const std::int16_t* x, const std::int16_t* wtr,
     const std::ptrdiff_t dk_lo = std::max<std::ptrdiff_t>(0, pad - p);
     const std::ptrdiff_t dk_hi = std::min<std::ptrdiff_t>(kk, pos + pad - p);
     for (std::ptrdiff_t dk = dk_lo; dk < dk_hi; ++dk) {
-      const std::int16_t* xq =
-          x + static_cast<std::size_t>(p + dk - pad) * in_stride;
+      const auto q = static_cast<std::size_t>(p + dk - pad);
+      const std::int16_t* xq = x + q * in_stride;
+      const std::uint16_t* list = nz + q * in_stride;
+      const std::size_t count = nnz[q];
       const std::int16_t* wdk =
-          wtr + static_cast<std::size_t>(dk) * in_ch * out_pad;
-      for (std::size_t i = 0; i < in_ch; ++i) {
-        const std::int32_t xv = xq[i];
-        if (xv == 0) continue;
-        const __m512i xvec = _mm512_set1_epi32(xv);
-        const std::int16_t* wrow = wdk + i * out_pad + ob;
+          wtr + static_cast<std::size_t>(dk) * in_ch * out_pad + ob;
+      for (std::size_t j = 0; j < count; ++j) {
+        const std::size_t i = list[j];
+        const __m512i xvec = _mm512_set1_epi32(xq[i]);
+        const std::int16_t* wrow = wdk + i * out_pad;
         for (int b = 0; b < NB; ++b) {
           const __m512i w = _mm512_cvtepi16_epi32(_mm256_loadu_si256(
               reinterpret_cast<const __m256i*>(wrow + 16 * b)));
@@ -257,7 +261,8 @@ void narrow_block_pass(const std::int16_t* x, const std::int16_t* wtr,
 
 }  // namespace
 
-void conv1d_acc_i16_avx512(const std::int16_t* x, const std::int16_t* wtr,
+void conv1d_acc_i16_avx512(const std::int16_t* x, const std::uint16_t* nz,
+                           const std::uint16_t* nnz, const std::int16_t* wtr,
                            const std::int32_t* bias_acc, std::int32_t* acc,
                            std::size_t positions, std::size_t in_ch,
                            std::size_t in_stride, std::size_t /*out_ch*/,
@@ -266,21 +271,21 @@ void conv1d_acc_i16_avx512(const std::int16_t* x, const std::int16_t* wtr,
   const auto kk = static_cast<std::ptrdiff_t>(k);
   std::size_t ob = 0;
   for (; ob + 64 <= out_pad; ob += 64) {
-    narrow_block_pass<4>(x, wtr, bias_acc, acc, pos, in_ch, in_stride,
-                         out_pad, ob, kk, shift);
+    narrow_block_pass<4>(x, nz, nnz, wtr, bias_acc, acc, pos, in_ch,
+                         in_stride, out_pad, ob, kk, shift);
   }
   switch ((out_pad - ob) / 16) {
     case 3:
-      narrow_block_pass<3>(x, wtr, bias_acc, acc, pos, in_ch, in_stride,
-                           out_pad, ob, kk, shift);
+      narrow_block_pass<3>(x, nz, nnz, wtr, bias_acc, acc, pos, in_ch,
+                           in_stride, out_pad, ob, kk, shift);
       break;
     case 2:
-      narrow_block_pass<2>(x, wtr, bias_acc, acc, pos, in_ch, in_stride,
-                           out_pad, ob, kk, shift);
+      narrow_block_pass<2>(x, nz, nnz, wtr, bias_acc, acc, pos, in_ch,
+                           in_stride, out_pad, ob, kk, shift);
       break;
     case 1:
-      narrow_block_pass<1>(x, wtr, bias_acc, acc, pos, in_ch, in_stride,
-                           out_pad, ob, kk, shift);
+      narrow_block_pass<1>(x, nz, nnz, wtr, bias_acc, acc, pos, in_ch,
+                           in_stride, out_pad, ob, kk, shift);
       break;
     default:
       break;

@@ -25,13 +25,10 @@ int frac_bits(const FixedSpec& spec) noexcept {
 
 namespace {
 
-std::size_t words_i16(std::size_t count) {
-  return (count * sizeof(std::int16_t) + sizeof(std::int64_t) - 1) /
-         sizeof(std::int64_t);
-}
-
-std::size_t words_i32(std::size_t count) {
-  return (count * sizeof(std::int32_t) + sizeof(std::int64_t) - 1) /
+/// Arena words (8 bytes each) holding `count` elements of T.
+template <typename T>
+std::size_t words(std::size_t count) {
+  return (count * sizeof(T) + sizeof(std::int64_t) - 1) /
          sizeof(std::int64_t);
 }
 
@@ -123,9 +120,15 @@ QuantizedModel::QuantizedModel(FirmwareModel firmware)
       for (std::size_t o = 0; o < l.out_channels; ++o) {
         plan.bias32[o] = static_cast<std::int32_t>(ac.bias(l.bias_raw[o]));
       }
-      narrow_words_ =
-          std::max(narrow_words_, words_i16(l.positions * plan.in_stride) +
-                                      words_i32(l.positions * plan.out_pad));
+      // One arena scope per narrow layer: int16 rows, their nonzero lists
+      // and list lengths, and the int32 accumulators.
+      const std::size_t slots =
+          kernels::nz_stride(plan.in_stride, plan.lane == Lane::kNarrowDp);
+      narrow_words_ = std::max(
+          narrow_words_, words<std::int16_t>(l.positions * plan.in_stride) +
+                             words<std::uint16_t>(l.positions * slots) +
+                             words<std::uint16_t>(l.positions) +
+                             words<std::int32_t>(l.positions * plan.out_pad));
     }
   }
 }
@@ -265,36 +268,34 @@ void QuantizedModel::run_layer_fast(std::size_t idx, std::int64_t* acts,
       const auto& plan = plans_[idx];
       if (plan.use_kernel && plan.lane != Lane::kWide64) {
         // Narrow lane (prover-certified): copy the source slab down to
-        // int16 once, accumulate in int32, finalize through the shared
-        // Accum — the int32 sums equal the exact int64 sums by the proof,
-        // so outputs and stats counters are bit-identical to the wide path.
+        // int16 once, listing each row's nonzero inputs, accumulate only
+        // the listed terms in int32 (an unlisted term is (0 * w) >> s = 0),
+        // and finalize through the shared Accum — the int32 sums equal the
+        // exact int64 sums by the proof, so outputs and stats counters are
+        // bit-identical to the wide path.
         const std::size_t k = l.kind == LayerKind::kDense ? 1 : l.kernel;
+        const bool pairs = plan.lane == Lane::kNarrowDp;
         auto& arena = util::ScratchArena::local();
         util::ArenaScope narrow_scope(arena);
         auto x16 = arena.alloc<std::int16_t>(l.positions * plan.in_stride);
+        auto nz = arena.alloc<std::uint16_t>(
+            l.positions * kernels::nz_stride(plan.in_stride, pairs));
+        auto nnz = arena.alloc<std::uint16_t>(l.positions);
         auto acc32 = arena.alloc<std::int32_t>(l.positions * plan.out_pad);
-        for (std::size_t p = 0; p < l.positions; ++p) {
-          const std::int64_t* src = in0 + p * l.in_channels;
-          std::int16_t* dst = x16.data() + p * plan.in_stride;
-          for (std::size_t i = 0; i < l.in_channels; ++i) {
-            dst[i] = static_cast<std::int16_t>(src[i]);
-          }
-          for (std::size_t i = l.in_channels; i < plan.in_stride; ++i) {
-            dst[i] = 0;
-          }
-        }
-        if (plan.lane == Lane::kNarrowDp) {
-          kernels::conv1d_acc_i16_dp(x16.data(), plan.wtr16.data(),
-                                     plan.bias32.data(), acc32.data(),
-                                     l.positions, plan.in_stride / 2,
-                                     plan.in_stride, l.out_channels,
-                                     plan.out_pad, k);
+        kernels::pack_i16(in0, l.positions, l.in_channels, plan.in_stride,
+                          pairs, x16.data(), nz.data(), nnz.data());
+        if (pairs) {
+          kernels::conv1d_acc_i16_dp(x16.data(), nz.data(), nnz.data(),
+                                     plan.wtr16.data(), plan.bias32.data(),
+                                     acc32.data(), l.positions,
+                                     plan.in_stride / 2, plan.in_stride,
+                                     l.out_channels, plan.out_pad, k);
         } else {
-          kernels::conv1d_acc_i16(x16.data(), plan.wtr16.data(),
-                                  plan.bias32.data(), acc32.data(),
-                                  l.positions, l.in_channels, plan.in_stride,
-                                  l.out_channels, plan.out_pad, k,
-                                  ac.prod_shift);
+          kernels::conv1d_acc_i16(x16.data(), nz.data(), nnz.data(),
+                                  plan.wtr16.data(), plan.bias32.data(),
+                                  acc32.data(), l.positions, l.in_channels,
+                                  plan.in_stride, l.out_channels,
+                                  plan.out_pad, k, ac.prod_shift);
         }
         kernels::finalize_i32(acc32.data(), out, l.positions, l.out_channels,
                               plan.out_pad, ac, ovf, sat);

@@ -141,8 +141,9 @@ class QuantizedModel {
   std::vector<LayerIo> io_;
   std::vector<std::size_t> act_offset_;  ///< per-layer slot in the arena
   std::size_t act_words_ = 0;            ///< total arena words per frame
-  /// Extra arena words for the widest narrow layer's int16 activation copy
-  /// and int32 accumulator scratch (allocated per layer, nested scope).
+  /// Extra arena words for the widest narrow layer's int16 activation copy,
+  /// its per-row nonzero lists and list lengths, and int32 accumulator
+  /// scratch (allocated per layer, nested scope).
   std::size_t narrow_words_ = 0;
   LaneReport lanes_;
   std::vector<KernelPlan> plans_;

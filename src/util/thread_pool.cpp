@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <stdexcept>
 
@@ -66,7 +65,11 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   const std::size_t chunks = std::min(n, parties);
   const std::size_t chunk = (n + chunks - 1) / chunks;
 
-  std::atomic<std::size_t> remaining{chunks - 1};
+  // The counter, mutex and condition variable live on the caller's stack.
+  // Each worker decrements and notifies while holding done_mutex, so the
+  // caller cannot observe 0 — and return, ending their lifetime — until
+  // the last worker has released the mutex and touches none of them again.
+  std::size_t remaining = chunks - 1;
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
@@ -75,17 +78,15 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     const std::size_t hi = std::min(end, lo + chunk);
     enqueue([&, lo, hi] {
       for (std::size_t i = lo; i < hi; ++i) fn(i);
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(done_mutex);
-        done_cv.notify_one();
-      }
+      std::lock_guard lock(done_mutex);
+      if (--remaining == 0) done_cv.notify_one();
     });
   }
   // Caller handles the first chunk.
   for (std::size_t i = begin; i < std::min(end, begin + chunk); ++i) fn(i);
 
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 namespace {

@@ -9,7 +9,8 @@
 // and Accum against a wrap-after-every-add ring accumulator (the HLS
 // AC_WRAP register the wrap-once-at-finalize optimization must be
 // congruent to). The SIMD kernels are checked lane-for-lane against the
-// scalar apply/finalize, including the event counts that feed ForwardStats.
+// scalar apply/finalize, including the event counts that feed ForwardStats,
+// and the narrow MAC kernels against a naive int64 convolution.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,6 +26,7 @@
 #include "hls/qmodel.hpp"
 #include "nn/builders.hpp"
 #include "nn/init.hpp"
+#include "util/allocguard.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -305,6 +307,114 @@ TEST(KernelEquivalence, FinalizeI32MatchesScalarFinalize) {
   }
 }
 
+TEST(KernelEquivalence, NarrowConvMatchesInt64OnSparsityGrid) {
+  // pack_i16 + the dispatched narrow kernels against a naive int64 'same'
+  // convolution, across input sparsity (the nonzero lists are the only
+  // thing deciding which terms are summed), all-zero padding-edge rows,
+  // odd channel counts on the pair lane, and multi-block output widths.
+  // Magnitudes stay at |w|, |x| <= 1024 so every partial sum fits int32,
+  // which is the range prover's precondition for these lanes.
+  util::Xoshiro256 rng(23);
+  const std::size_t positions = 7;
+  const auto draw = [&rng] {
+    const auto v = static_cast<std::int64_t>(rng() % 2048) - 1024;
+    return v == 0 ? std::int64_t{1} : v;
+  };
+  for (std::size_t in_ch : {1u, 31u, 77u, 186u}) {
+    for (std::size_t out_ch : {2u, 31u, 46u, 140u}) {
+      for (std::size_t k : {1u, 3u}) {
+        const std::size_t out_pad = (out_ch + 15) & ~std::size_t{15};
+        std::vector<std::int64_t> w(k * in_ch * out_ch);  // (k, in, out)
+        for (auto& v : w) v = draw();
+        std::vector<std::int32_t> bias(out_pad, 0);
+        for (std::size_t o = 0; o < out_ch; ++o) {
+          bias[o] = static_cast<std::int32_t>(draw());
+        }
+        for (double zero_frac : {0.0, 0.5, 0.9, 1.0}) {
+          for (bool zero_edges : {false, true}) {
+            std::vector<std::int64_t> x(positions * in_ch);
+            for (std::size_t p = 0; p < positions; ++p) {
+              const bool edge = p == 0 || p + 1 == positions;
+              for (std::size_t i = 0; i < in_ch; ++i) {
+                const bool zero = (zero_edges && edge) ||
+                                  rng.uniform() < zero_frac;
+                x[p * in_ch + i] = zero ? 0 : draw();
+              }
+            }
+            for (int shift : {0, 3}) {
+              for (bool pairs : {false, true}) {
+                if (pairs && shift != 0) continue;  // dp lane is shift 0
+                const std::size_t in_stride =
+                    pairs ? 2 * ((in_ch + 1) / 2) : in_ch;
+                const std::size_t slots =
+                    hls::kernels::nz_stride(in_stride, pairs);
+                std::vector<std::int16_t> wtr(k * slots * out_pad *
+                                              (pairs ? 2 : 1));
+                for (std::size_t dk = 0; dk < k; ++dk) {
+                  for (std::size_t i = 0; i < in_ch; ++i) {
+                    for (std::size_t o = 0; o < out_ch; ++o) {
+                      const auto wv = static_cast<std::int16_t>(
+                          w[(dk * in_ch + i) * out_ch + o]);
+                      if (pairs) {
+                        wtr[((dk * slots + i / 2) * out_pad + o) * 2 +
+                            i % 2] = wv;
+                      } else {
+                        wtr[(dk * in_ch + i) * out_pad + o] = wv;
+                      }
+                    }
+                  }
+                }
+                std::vector<std::int16_t> x16(positions * in_stride, -1);
+                std::vector<std::uint16_t> nz(positions * slots);
+                std::vector<std::uint16_t> nnz(positions);
+                hls::kernels::pack_i16(x.data(), positions, in_ch, in_stride,
+                                       pairs, x16.data(), nz.data(),
+                                       nnz.data());
+                std::vector<std::int32_t> acc(positions * out_pad, -7);
+                if (pairs) {
+                  hls::kernels::conv1d_acc_i16_dp(
+                      x16.data(), nz.data(), nnz.data(), wtr.data(),
+                      bias.data(), acc.data(), positions, slots, in_stride,
+                      out_ch, out_pad, k);
+                } else {
+                  hls::kernels::conv1d_acc_i16(
+                      x16.data(), nz.data(), nnz.data(), wtr.data(),
+                      bias.data(), acc.data(), positions, in_ch, in_stride,
+                      out_ch, out_pad, k, shift);
+                }
+                const auto pad = static_cast<std::ptrdiff_t>(k / 2);
+                for (std::size_t p = 0; p < positions; ++p) {
+                  for (std::size_t o = 0; o < out_ch; ++o) {
+                    std::int64_t want = bias[o];
+                    for (std::size_t dk = 0; dk < k; ++dk) {
+                      const std::ptrdiff_t q =
+                          static_cast<std::ptrdiff_t>(p + dk) - pad;
+                      if (q < 0 ||
+                          q >= static_cast<std::ptrdiff_t>(positions)) {
+                        continue;
+                      }
+                      for (std::size_t i = 0; i < in_ch; ++i) {
+                        want += (w[(dk * in_ch + i) * out_ch + o] *
+                                 x[static_cast<std::size_t>(q) * in_ch + i]) >>
+                                shift;
+                      }
+                    }
+                    ASSERT_EQ(acc[p * out_pad + o], want)
+                        << "in_ch=" << in_ch << " out_ch=" << out_ch
+                        << " k=" << k << " zero_frac=" << zero_frac
+                        << " zero_edges=" << zero_edges << " shift=" << shift
+                        << " pairs=" << pairs << " p=" << p << " o=" << o;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ lane prover
 
 Tensor random_frame(const std::vector<std::size_t>& shape, std::uint64_t seed,
@@ -371,6 +481,66 @@ TEST(LaneProver, DeployedStyleUnetProvesNarrowAndStaysBitIdentical) {
     EXPECT_EQ(fast_stats.saturations, ref_stats.saturations) << "frame " << f;
     EXPECT_EQ(fast_stats.overflows, ref_stats.overflows) << "frame " << f;
   }
+}
+
+TEST(QuantizedModelAlloc, WarmForwardIntoMakesNoHeapAllocations) {
+  // The steady-state frame path serves every scratch buffer — activation
+  // slots, the narrow lanes' int16 rows, nonzero lists and accumulators —
+  // from the thread's arena, so once warmed a frame allocates nothing.
+  if (!util::alloc_counting_active()) {
+    GTEST_SKIP() << "allocation counting is compiled out (sanitizer build)";
+  }
+  auto model = nn::build_unet({.monitors = 16, .c1 = 3, .c2 = 4, .c3 = 5});
+  nn::init_he_uniform(model, 83);
+  std::vector<Tensor> frames;
+  for (int i = 0; i < 4; ++i) {
+    frames.push_back(random_frame({16, 1}, 90u + static_cast<unsigned>(i)));
+  }
+  hls::HlsConfig cfg;
+  cfg.quant =
+      hls::layer_based_config(model, hls::profile_model(model, frames), 16);
+  const hls::QuantizedModel qm(hls::compile(model, cfg));
+  ASSERT_EQ(qm.lanes().narrow_layers, qm.lanes().mac_layers);
+
+  Tensor out;
+  hls::ForwardStats stats;
+  qm.forward_into(frames[0], out, &stats);  // warm: arena, output, stats
+  const auto before = util::alloc_count();
+  for (const auto& f : frames) {
+    qm.forward_into(f, out, &stats);
+    qm.forward_into(f, out);
+  }
+  EXPECT_EQ(util::alloc_count() - before, 0u);
+}
+
+TEST(LaneProver, ChannelsBeyondUint16NonzeroListsStayWide) {
+  // The narrow lanes list a row's nonzero inputs with a uint16 length, so
+  // a layer with more than 65,535 input channels must stay on the int64
+  // path (and stay exact there) while its narrow-sized neighbours go narrow.
+  auto model = nn::build_mlp({.inputs = 65536, .hidden = 2, .outputs = 3});
+  nn::init_he_uniform(model, 89);
+  const hls::QuantizedModel qm(hls::compile(model, hls::HlsConfig{}));
+  bool saw_wide = false;
+  bool saw_narrow = false;
+  for (const auto& d : qm.lanes().decisions) {
+    if (!d.mac_layer) continue;
+    if (d.lane == hls::Lane::kWide64) {
+      saw_wide = true;
+      EXPECT_NE(d.reason.find("nonzero lists"), std::string::npos)
+          << d.reason;
+    } else {
+      saw_narrow = true;
+    }
+  }
+  EXPECT_TRUE(saw_wide);
+  EXPECT_TRUE(saw_narrow);
+  const auto raw = qm.quantize_input(random_frame({1, 65536}, 97));
+  hls::ForwardStats fast_stats;
+  hls::ForwardStats ref_stats;
+  EXPECT_EQ(qm.forward_raw(raw, &fast_stats),
+            qm.forward_raw_reference(raw, &ref_stats));
+  EXPECT_EQ(fast_stats.saturations, ref_stats.saturations);
+  EXPECT_EQ(fast_stats.overflows, ref_stats.overflows);
 }
 
 TEST(LaneProver, WideWeightsForceInt64FallbackAndStayExact) {

@@ -37,7 +37,7 @@ echo "== autotune campaign (Pareto front / dominance / surrogate gates) =="
 
 echo "== kernel engine gates (bit-identity / speedup / narrow lanes) =="
 # Fast path must stay bit-identical to the reference executor, beat it by
-# >= 8x (committed artifact shows ~11.9x; the lower bar absorbs CI host
+# >= 8x (committed artifact shows ~17.3x; the lower bar absorbs CI host
 # noise), and prove >= half the MAC layers onto narrow int16 lanes.
 (cd build && ./bench/bench_kernels --min_speedup=8 --min_narrow_fraction=0.5 \
   --out=BENCH_kernels.json)
