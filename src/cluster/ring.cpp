@@ -12,22 +12,16 @@ namespace {
 /// FNV-1a alone places structured input (sequential node ids, small stream
 /// numbers — most bytes zero) into tight clumps on the 64-bit ring; with 3
 /// nodes x 64 vnodes one node can end up owning no low-numbered stream at
-/// all. A SplitMix64-style avalanche on the digest restores uniform
+/// all. The SplitMix64 finalizer (util::mix64) on the digest restores uniform
 /// spreading while staying a pure function of its input (placement must be
 /// identical across processes and runs).
-std::uint64_t avalanche(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t point_hash(std::uint64_t node, std::uint64_t vnode) {
   std::uint8_t bytes[16];
   for (int i = 0; i < 8; ++i) {
     bytes[i] = static_cast<std::uint8_t>((node >> (8 * i)) & 0xFFu);
     bytes[8 + i] = static_cast<std::uint8_t>((vnode >> (8 * i)) & 0xFFu);
   }
-  return avalanche(util::fnv1a64(bytes, sizeof(bytes)));
+  return util::mix64(util::fnv1a64(bytes, sizeof(bytes)));
 }
 
 }  // namespace
@@ -43,7 +37,7 @@ std::uint64_t HashRing::stream_hash(std::uint64_t stream) noexcept {
   for (int i = 0; i < 8; ++i) {
     bytes[i] = static_cast<std::uint8_t>((stream >> (8 * i)) & 0xFFu);
   }
-  return avalanche(util::fnv1a64(bytes, sizeof(bytes)));
+  return util::mix64(util::fnv1a64(bytes, sizeof(bytes)));
 }
 
 void HashRing::add(std::uint64_t node) {

@@ -1,12 +1,12 @@
 // Consistent-hash ring for stream -> replica pinning.
 //
 // Each node contributes `vnodes` points on a 64-bit ring (FNV-1a over the
-// node id and vnode index); a stream belongs to the first point clockwise
-// from its own hash. Adding or removing one node therefore moves only the
-// streams in the arcs that node's points cover (~1/N of them) — the router
-// builds its live-resharding drain set from exactly that delta, so ring
-// placement must be deterministic across processes and runs (it is: pure
-// FNV-1a, no RNG).
+// node id and vnode index, finalized by util::mix64); a stream belongs to
+// the first point clockwise from its own hash. Adding or removing one node
+// therefore moves only the streams in the arcs that node's points cover
+// (~1/N of them) — the router builds its live-resharding drain set from
+// exactly that delta, so ring placement must be deterministic across
+// processes and runs (it is: pure hashing, no RNG; pinned in test_cluster).
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,12 @@
 // ChaosBackend: a serve::Backend decorator that injects replica crashes.
 //
-// Wraps a real backend; before every infer/infer_batch it asks the shared
-// Injector whether this replica's next backend op is scheduled to crash,
-// and throws if so — from the Replica's perspective indistinguishable from
-// a worker process dying mid-request, which is exactly the fault the
-// quarantine/redispatch machinery must absorb. When the op is clean, the
+// Wraps a real backend and overrides infer() only, which the default
+// Backend::infer_batch_into (the replica's one batch entry point) calls once
+// per frame. Before every frame it asks the shared Injector whether this
+// replica's next backend op is scheduled to crash, and throws if so — from
+// the Replica's perspective indistinguishable from a worker process dying
+// mid-request, which is exactly the fault the quarantine/redispatch
+// machinery must absorb. When the op is clean, the
 // wrapped backend runs untouched, so outputs stay bit-identical to an
 // unfaulted run (the gateway's exactness audit depends on this).
 #pragma once
@@ -29,12 +31,6 @@ class ChaosBackend final : public serve::Backend {
   serve::Tensor infer(const serve::Tensor& frame) override {
     maybe_crash();
     return inner_->infer(frame);
-  }
-
-  std::vector<serve::Tensor> infer_batch(
-      std::span<const serve::Tensor> frames) override {
-    maybe_crash();
-    return inner_->infer_batch(frames);
   }
 
  private:

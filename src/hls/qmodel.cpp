@@ -201,25 +201,21 @@ void QuantizedModel::forward_into(const Tensor& input, Tensor& out,
 }
 
 std::vector<Tensor> QuantizedModel::forward_batch(std::span<const Tensor> inputs,
-                                                  ForwardStats* stats,
-                                                  util::Exec exec) const {
+                                                  ForwardStats* stats) const {
   prepare_stats(stats);
   std::vector<Tensor> outputs(inputs.size());
   std::mutex mutex;
-  util::parallel_for(
-      0, inputs.size(),
-      [&](std::size_t f) {
-        ForwardStats local;
-        outputs[f] = forward(inputs[f], stats ? &local : nullptr);
-        if (stats) {
-          std::lock_guard lock(mutex);
-          for (std::size_t i = 0; i < local.saturations.size(); ++i) {
-            stats->saturations[i] += local.saturations[i];
-            stats->overflows[i] += local.overflows[i];
-          }
-        }
-      },
-      exec);
+  util::parallel_for(0, inputs.size(), [&](std::size_t f) {
+    ForwardStats local;
+    outputs[f] = forward(inputs[f], stats ? &local : nullptr);
+    if (stats) {
+      std::lock_guard lock(mutex);
+      for (std::size_t i = 0; i < local.saturations.size(); ++i) {
+        stats->saturations[i] += local.saturations[i];
+        stats->overflows[i] += local.overflows[i];
+      }
+    }
+  });
   return outputs;
 }
 

@@ -25,7 +25,6 @@
 #include "hls/firmware.hpp"
 #include "hls/lanes.hpp"
 #include "tensor/tensor.hpp"
-#include "util/thread_pool.hpp"
 
 namespace reads::hls {
 
@@ -69,16 +68,12 @@ class QuantizedModel {
   /// lanes vs the wide int64 path, and why).
   const LaneReport& lanes() const noexcept { return lanes_; }
 
-  /// Run many frames through the quantized pipeline, each worker reusing
-  /// its own scratch arena. Per-frame stats are summed into `stats`
-  /// (counter sums are order-independent, so the result is deterministic
-  /// and equal to sequential per-frame accumulation). `exec` selects the
-  /// global thread pool (default) or the calling thread only — serving
-  /// replicas use Exec::kCaller so micro-batches stay on the replica's
-  /// core. Outputs are bit-identical either way.
+  /// Run many frames through the quantized pipeline on the global thread
+  /// pool, each worker reusing its own scratch arena. Per-frame stats are
+  /// summed into `stats` (counter sums are order-independent, so the result
+  /// is deterministic and equal to sequential per-frame accumulation).
   std::vector<Tensor> forward_batch(std::span<const Tensor> inputs,
-                                    ForwardStats* stats = nullptr,
-                                    util::Exec exec = util::Exec::kPool) const;
+                                    ForwardStats* stats = nullptr) const;
 
   /// Raw 16-bit-style interface used by the SoC simulation: input words are
   /// already quantized at the input spec; outputs come back raw at the

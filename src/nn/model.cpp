@@ -109,12 +109,11 @@ Tensor Model::forward(const Tensor& input) const {
   return scratch.values.back();
 }
 
-std::vector<Tensor> Model::forward_batch(std::span<const Tensor> inputs,
-                                         util::Exec exec) const {
+std::vector<Tensor> Model::forward_batch(
+    std::span<const Tensor> inputs) const {
   std::vector<Tensor> outputs(inputs.size());
-  util::parallel_for(
-      std::size_t{0}, inputs.size(),
-      [&](std::size_t i) { outputs[i] = forward(inputs[i]); }, exec);
+  util::parallel_for(std::size_t{0}, inputs.size(),
+                     [&](std::size_t i) { outputs[i] = forward(inputs[i]); });
   return outputs;
 }
 

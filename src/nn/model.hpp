@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "nn/layer.hpp"
-#include "util/thread_pool.hpp"
 
 namespace reads::nn {
 
@@ -65,11 +64,8 @@ class Model {
   /// per-thread scratch Activations, so repeated calls do not allocate.
   Tensor forward(const Tensor& input) const;
 
-  /// Run many frames; results are in input order. Exec::kPool fans out on
-  /// the global thread pool, Exec::kCaller stays on the calling thread
-  /// (used by serving replicas to keep batches on their own core).
-  std::vector<Tensor> forward_batch(std::span<const Tensor> inputs,
-                                    util::Exec exec = util::Exec::kPool) const;
+  /// Run many frames on the global thread pool; results are in input order.
+  std::vector<Tensor> forward_batch(std::span<const Tensor> inputs) const;
 
   /// Forward capturing every node's output (training and profiling).
   Activations forward_all(const Tensor& input, bool training = false) const;

@@ -2,27 +2,14 @@
 
 #include <utility>
 
-#include "util/thread_pool.hpp"
-
 namespace reads::serve {
-
-std::vector<Tensor> Backend::infer_batch(std::span<const Tensor> frames) {
-  std::vector<Tensor> out;
-  out.reserve(frames.size());
-  for (const auto& f : frames) out.push_back(infer(f));
-  return out;
-}
-
-void Backend::infer_into(const Tensor& frame, Tensor& out) {
-  // Virtual dispatch through infer() keeps decorators (chaos wrapper) on
-  // this path; backends that can reuse `out`'s storage override.
-  out = infer(frame);
-}
 
 void Backend::infer_batch_into(std::span<const Tensor> frames,
                                std::span<Tensor> outputs) {
+  // Virtual dispatch through infer() keeps decorators (chaos wrapper) on
+  // this path, once per frame.
   for (std::size_t i = 0; i < frames.size(); ++i) {
-    infer_into(frames[i], outputs[i]);
+    outputs[i] = infer(frames[i]);
   }
 }
 
@@ -33,23 +20,11 @@ Tensor QuantizedBackend::infer(const Tensor& frame) {
   return model_.forward(frame);
 }
 
-std::vector<Tensor> QuantizedBackend::infer_batch(
-    std::span<const Tensor> frames) {
-  // Exec::kCaller keeps the whole batch on the replica's thread: replicas
-  // are already one-per-core, so fanning each batch back out to the global
-  // pool would just make replicas contend with each other.
-  return model_.forward_batch(frames, nullptr, util::Exec::kCaller);
-}
-
-void QuantizedBackend::infer_into(const Tensor& frame, Tensor& out) {
-  model_.forward_into(frame, out);
-}
-
 void QuantizedBackend::infer_batch_into(std::span<const Tensor> frames,
                                         std::span<Tensor> outputs) {
-  // Sequential on the replica's thread, same as infer_batch's Exec::kCaller
-  // (replicas are one-per-core), but writing into the caller's reused
-  // output buffers instead of allocating a fresh tensor per frame.
+  // Sequential on the replica's thread (replicas are one-per-core), writing
+  // into the caller's reused output buffers instead of allocating a fresh
+  // tensor per frame.
   for (std::size_t i = 0; i < frames.size(); ++i) {
     model_.forward_into(frames[i], outputs[i]);
   }
@@ -58,10 +33,6 @@ void QuantizedBackend::infer_batch_into(std::span<const Tensor> frames,
 FloatBackend::FloatBackend(nn::Model model) : model_(std::move(model)) {}
 
 Tensor FloatBackend::infer(const Tensor& frame) { return model_.forward(frame); }
-
-std::vector<Tensor> FloatBackend::infer_batch(std::span<const Tensor> frames) {
-  return model_.forward_batch(frames, util::Exec::kCaller);
-}
 
 SocBackend::SocBackend(hls::FirmwareModel firmware, soc::SocParams params,
                        std::uint64_t seed)

@@ -5,14 +5,18 @@
 // (FloatBackend), or its own simulated SoC (SocBackend) — so replicas never
 // share mutable state and scale without cross-replica synchronization. All
 // backends are deterministic: infer() on the same frame always returns the
-// same bits, and infer_batch() equals per-frame infer() (the gateway's
+// same bits, and infer_batch_into() equals per-frame infer() (the gateway's
 // bit-exactness guarantee reduces to this property).
+//
+// A replica serves every micro-batch through infer_batch_into() alone. Its
+// default loops over infer(), so a decorator that overrides only infer()
+// (the fault-injection wrapper) still sees every frame; QuantizedBackend
+// overrides it to reuse the output buffers and stay allocation-free.
 #pragma once
 
 #include <memory>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "hls/firmware.hpp"
 #include "hls/qmodel.hpp"
@@ -35,21 +39,9 @@ class Backend {
   /// state shared with other Backend instances.
   virtual Tensor infer(const Tensor& frame) = 0;
 
-  /// Micro-batch entry point; outputs in input order, each bit-identical to
-  /// infer() on the same frame. Default: a plain loop on the calling
-  /// (replica) thread.
-  virtual std::vector<Tensor> infer_batch(std::span<const Tensor> frames);
-
-  /// Buffer-reusing single-frame entry point: write the output into `out`,
-  /// reusing its storage when the shape already matches. The default
-  /// delegates to infer() (so decorators that only override infer(), like
-  /// the fault-injection wrapper, keep working); backends on the
-  /// zero-allocation serving path override this to perform no heap
-  /// allocation once `out` is warm.
-  virtual void infer_into(const Tensor& frame, Tensor& out);
-
-  /// Buffer-reusing micro-batch: `outputs.size() == frames.size()`, each
-  /// written as by infer_into. Default: a loop over infer_into.
+  /// The micro-batch entry point, run on the calling (replica) thread:
+  /// `outputs.size() == frames.size()`, outputs[i] bit-identical to
+  /// infer(frames[i]). Default: `outputs[i] = infer(frames[i])`.
   virtual void infer_batch_into(std::span<const Tensor> frames,
                                 std::span<Tensor> outputs);
 };
@@ -62,11 +54,9 @@ class QuantizedBackend final : public Backend {
 
   std::string_view name() const noexcept override { return "quantized"; }
   Tensor infer(const Tensor& frame) override;
-  std::vector<Tensor> infer_batch(std::span<const Tensor> frames) override;
-  /// Zero heap allocations once `out` is warm: QuantizedModel::forward_into
-  /// quantizes into the thread's scratch arena and writes the dequantized
-  /// result into `out`'s reused storage.
-  void infer_into(const Tensor& frame, Tensor& out) override;
+  /// Zero heap allocations once `outputs` are warm: QuantizedModel::
+  /// forward_into quantizes into the thread's scratch arena and writes the
+  /// dequantized result into each output's reused storage.
   void infer_batch_into(std::span<const Tensor> frames,
                         std::span<Tensor> outputs) override;
 
@@ -83,7 +73,6 @@ class FloatBackend final : public Backend {
 
   std::string_view name() const noexcept override { return "float"; }
   Tensor infer(const Tensor& frame) override;
-  std::vector<Tensor> infer_batch(std::span<const Tensor> frames) override;
 
  private:
   nn::Model model_;
@@ -92,7 +81,7 @@ class FloatBackend final : public Backend {
 /// Latency-faithful mode: every frame runs through a per-replica simulated
 /// Arria SoC (bridge transfers, IP latency, OS jitter in virtual time), so
 /// a gateway of SocBackends serves exactly what a rack of the paper's
-/// boards would compute. Batch requests fall back to sequential process().
+/// boards would compute. Batches run frame by frame through infer().
 class SocBackend final : public Backend {
  public:
   SocBackend(hls::FirmwareModel firmware, soc::SocParams params,

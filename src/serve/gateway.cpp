@@ -56,6 +56,9 @@ struct Gateway::ShadowSession {
   /// Mirroring + judging continue only while true; flips on promote,
   /// rollback, or end_shadow().
   std::atomic<bool> active{true};
+  /// Set by end_shadow(): mirroring stops and verdicts freeze, but the
+  /// worker still judges every frame mirrored before the call.
+  std::atomic<bool> ending{false};
   std::atomic<ShadowOutcome> outcome{ShadowOutcome::kActive};
   std::atomic<std::uint64_t> mirrored{0};
   std::atomic<std::uint64_t> dropped{0};
@@ -217,9 +220,10 @@ ShadowStatus Gateway::end_shadow() {
     std::lock_guard lock(shadow_mutex_);
     return last_shadow_status_;
   }
-  session->active.store(false, std::memory_order_relaxed);
+  session->ending.store(true, std::memory_order_relaxed);
   session->queue.close();
   if (session->worker.joinable()) session->worker.join();
+  session->active.store(false, std::memory_order_relaxed);
   ShadowOutcome expected = ShadowOutcome::kActive;
   session->outcome.compare_exchange_strong(expected, ShadowOutcome::kEnded,
                                            std::memory_order_relaxed);
@@ -241,7 +245,10 @@ ShadowStatus Gateway::shadow_status() const {
 void Gateway::on_mirror(std::uint64_t id, std::uint64_t stream,
                         const Tensor& frame, const Tensor& primary) {
   auto session = shadow_session();
-  if (!session || !session->active.load(std::memory_order_relaxed)) return;
+  if (!session || !session->active.load(std::memory_order_relaxed) ||
+      session->ending.load(std::memory_order_relaxed)) {
+    return;
+  }
   ShadowItem item;
   item.id = id;
   item.stream = stream;
@@ -257,7 +264,9 @@ void Gateway::on_mirror(std::uint64_t id, std::uint64_t stream,
 void Gateway::shadow_run(std::shared_ptr<ShadowSession> session) {
   auto& s = *session;
   while (auto item = s.queue.pop()) {
-    if (!s.active.load(std::memory_order_relaxed)) continue;  // drain only
+    // After a verdict, drain only; after end_shadow(), judge but never
+    // promote or roll back.
+    if (!s.active.load(std::memory_order_relaxed)) continue;
     bool ok = false;
     try {
       const Tensor shadow_out = s.candidate->infer(item->frame);
@@ -271,7 +280,10 @@ void Gateway::shadow_run(std::shared_ptr<ShadowSession> session) {
       s.rejects.fetch_add(1, std::memory_order_relaxed);
       ++s.window_rejects;
     }
-    if (s.window_judged < s.cfg.window) continue;
+    if (s.window_judged < s.cfg.window ||
+        s.ending.load(std::memory_order_relaxed)) {
+      continue;
+    }
 
     s.windows.fetch_add(1, std::memory_order_relaxed);
     if (s.window_rejects > s.cfg.max_rejects) {
@@ -307,13 +319,12 @@ void Gateway::shadow_run(std::shared_ptr<ShadowSession> session) {
 
 double Gateway::predicted_completion_ms(std::size_t shard) const {
   const auto& replica = *replicas_.at(shard);
-  const double est = replica.service_est_ms();
   // RFC 6298-style conservative estimate: mean + 4x mean deviation, so
   // admission is gated on a high service quantile. Admitting against the
   // mean would let ~half the borderline frames finish late — exactly the
   // frames admission control exists to refuse.
-  return static_cast<double>(shards_[shard]->size()) * est +
-         replica.busy_residual_ms() + est + 4.0 * replica.service_var_ms();
+  return replica.estimator().predicted_ms(shards_[shard]->size()) +
+         replica.busy_residual_ms();
 }
 
 std::size_t Gateway::pick_shard(std::uint64_t stream) const {
@@ -367,13 +378,13 @@ Ticket Gateway::submit(Tensor frame, std::uint64_t stream) {
   return submit(std::move(frame), stream, cfg_.deadline_ms);
 }
 
-Ticket Gateway::submit(Tensor frame, std::uint64_t stream, double deadline_ms) {
+template <class AttachChannel>
+RejectReason Gateway::admit(Tensor& frame, std::uint64_t stream,
+                            double deadline_ms, AttachChannel&& attach) {
   metrics_.record_arrival();
-  Ticket ticket;
   if (stopped_.load(std::memory_order_relaxed)) {
-    ticket.reason = RejectReason::kShutdown;
     metrics_.record_shed_shutdown();
-    return ticket;
+    return RejectReason::kShutdown;
   }
 
   const auto now = Clock::now();
@@ -391,64 +402,10 @@ Ticket Gateway::submit(Tensor frame, std::uint64_t stream, double deadline_ms) {
       shards_[shard]->size() == 0 && !replicas_[shard]->busy();
   if (cfg_.admission_control && has_deadline && !idle &&
       predicted_completion_ms(shard) > cfg_.admission_margin * deadline_ms) {
-    ticket.reason = RejectReason::kPredictedLate;
-    metrics_.record_shed_predicted_late();
-    return ticket;
-  }
-
-  Request req;
-  req.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  if (auto session = shadow_session();
-      session && session->active.load(std::memory_order_relaxed)) {
-    req.mirror = mirror_selected(req.id, session->cfg.fraction);
-  }
-  req.stream = stream;
-  req.frame = std::move(frame);
-  req.arrival = now;
-  req.deadline = has_deadline
-                     ? now + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double, std::milli>(
-                                     deadline_ms))
-                     : Clock::time_point::max();
-  req.promise.emplace();
-  ticket.response = req.promise->get_future();
-  if (!shards_[shard]->try_push(req)) {
-    // Full or closed under us; either way the frame was never enqueued.
-    ticket.response = {};
-    if (shards_[shard]->closed()) {
-      ticket.reason = RejectReason::kShutdown;
-      metrics_.record_shed_shutdown();
-    } else {
-      ticket.reason = RejectReason::kQueueFull;
-      metrics_.record_shed_queue_full();
-    }
-    return ticket;
-  }
-  ticket.admitted = true;
-  metrics_.record_admitted();
-  return ticket;
-}
-
-RejectReason Gateway::submit_into(Tensor& frame, ResponseSlot& slot,
-                                  std::uint64_t stream, double deadline_ms) {
-  metrics_.record_arrival();
-  if (stopped_.load(std::memory_order_relaxed)) {
-    metrics_.record_shed_shutdown();
-    return RejectReason::kShutdown;
-  }
-
-  const auto now = Clock::now();
-  const std::size_t shard = pick_shard(stream);
-  const bool has_deadline = deadline_ms > 0.0;
-  const bool idle =
-      shards_[shard]->size() == 0 && !replicas_[shard]->busy();
-  if (cfg_.admission_control && has_deadline && !idle &&
-      predicted_completion_ms(shard) > cfg_.admission_margin * deadline_ms) {
     metrics_.record_shed_predicted_late();
     return RejectReason::kPredictedLate;
   }
 
-  slot.reset();
   Request req;
   req.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   if (auto session = shadow_session();
@@ -463,9 +420,10 @@ RejectReason Gateway::submit_into(Tensor& frame, ResponseSlot& slot,
                                  std::chrono::duration<double, std::milli>(
                                      deadline_ms))
                      : Clock::time_point::max();
-  req.slot = &slot;
+  attach(req);
   if (!shards_[shard]->try_push(req)) {
-    // Full or closed under us; the frame stays with the caller.
+    // Full or closed under us; the frame was never enqueued and goes back
+    // to the caller.
     frame = std::move(req.frame);
     if (shards_[shard]->closed()) {
       metrics_.record_shed_shutdown();
@@ -476,6 +434,25 @@ RejectReason Gateway::submit_into(Tensor& frame, ResponseSlot& slot,
   }
   metrics_.record_admitted();
   return RejectReason::kNone;
+}
+
+Ticket Gateway::submit(Tensor frame, std::uint64_t stream, double deadline_ms) {
+  Ticket ticket;
+  ticket.reason = admit(frame, stream, deadline_ms, [&](Request& req) {
+    req.promise.emplace();
+    ticket.response = req.promise->get_future();
+  });
+  ticket.admitted = ticket.reason == RejectReason::kNone;
+  if (!ticket.admitted) ticket.response = {};
+  return ticket;
+}
+
+RejectReason Gateway::submit_into(Tensor& frame, ResponseSlot& slot,
+                                  std::uint64_t stream, double deadline_ms) {
+  return admit(frame, stream, deadline_ms, [&](Request& req) {
+    slot.reset();
+    req.slot = &slot;
+  });
 }
 
 }  // namespace reads::serve

@@ -179,8 +179,10 @@ class Gateway {
   bool begin_shadow(BackendFactory factory, ShadowConfig cfg,
                     ShadowJudge judge = {});
 
-  /// Finish the shadow session (if any): stop mirroring, drain and join the
-  /// shadow worker, and return the final status. Idempotent.
+  /// Finish the shadow session (if any): stop mirroring, let the shadow
+  /// worker judge every frame mirrored before the call — without promoting
+  /// or rolling back on those late verdicts — join it, and return the final
+  /// status. Idempotent.
   ShadowStatus end_shadow();
 
   /// Snapshot of the running (or most recently finished) shadow session.
@@ -194,6 +196,13 @@ class Gateway {
   struct ShadowSession;
 
   std::size_t pick_shard(std::uint64_t stream) const;
+  /// The one admission body behind submit() and submit_into(): shed, or
+  /// enqueue `frame` on a shard. `attach(Request&)` installs the delivery
+  /// channel (promise or slot); it runs only once the frame has passed the
+  /// predicted-late check. On any refusal `frame` stays with the caller.
+  template <class AttachChannel>
+  RejectReason admit(Tensor& frame, std::uint64_t stream, double deadline_ms,
+                     AttachChannel&& attach);
   /// Replica fault hook: place `req` on a healthy shard other than `from`.
   /// Never blocks; false leaves the request with the caller.
   bool redispatch(std::size_t from, Request& req);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <stdexcept>
 
 namespace reads::serve {
 
@@ -66,46 +65,6 @@ void Metrics::record_batch(std::size_t replica, double busy_ms,
     e2e_ms_.add(e);
     e2e_samples_.add(e);
   }
-}
-
-void Metrics::merge(const Metrics& other) {
-  if (&other == this) {
-    throw std::invalid_argument("Metrics::merge: cannot merge with self");
-  }
-  if (other.replicas_.size() != replicas_.size()) {
-    throw std::invalid_argument("Metrics::merge: replica count mismatch");
-  }
-  arrived_.fetch_add(other.arrived_.load(kRelaxed), kRelaxed);
-  admitted_.fetch_add(other.admitted_.load(kRelaxed), kRelaxed);
-  shed_predicted_late_.fetch_add(other.shed_predicted_late_.load(kRelaxed),
-                                 kRelaxed);
-  shed_queue_full_.fetch_add(other.shed_queue_full_.load(kRelaxed), kRelaxed);
-  shed_shutdown_.fetch_add(other.shed_shutdown_.load(kRelaxed), kRelaxed);
-  completed_.fetch_add(other.completed_.load(kRelaxed), kRelaxed);
-  deadline_misses_.fetch_add(other.deadline_misses_.load(kRelaxed), kRelaxed);
-  backend_faults_.fetch_add(other.backend_faults_.load(kRelaxed), kRelaxed);
-  quarantines_.fetch_add(other.quarantines_.load(kRelaxed), kRelaxed);
-  restarts_.fetch_add(other.restarts_.load(kRelaxed), kRelaxed);
-  redispatched_.fetch_add(other.redispatched_.load(kRelaxed), kRelaxed);
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    auto& mine = replicas_[i];
-    const auto& theirs = other.replicas_[i];
-    mine.frames.fetch_add(theirs.frames.load(kRelaxed), kRelaxed);
-    mine.batches.fetch_add(theirs.batches.load(kRelaxed), kRelaxed);
-    mine.busy_ns.fetch_add(theirs.busy_ns.load(kRelaxed), kRelaxed);
-    mine.faults.fetch_add(theirs.faults.load(kRelaxed), kRelaxed);
-    const std::size_t n = theirs.max_batch.load(kRelaxed);
-    std::size_t seen = mine.max_batch.load(kRelaxed);
-    while (seen < n &&
-           !mine.max_batch.compare_exchange_weak(seen, n, kRelaxed)) {
-    }
-  }
-  // scoped_lock orders the two mutexes internally, so two threads merging
-  // the same pair in opposite directions cannot deadlock.
-  std::scoped_lock lock(dist_mutex_, other.dist_mutex_);
-  queue_ms_.merge(other.queue_ms_);
-  e2e_ms_.merge(other.e2e_ms_);
-  e2e_samples_.merge(other.e2e_samples_);
 }
 
 MetricsSnapshot Metrics::snapshot() const {

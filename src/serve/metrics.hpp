@@ -137,14 +137,6 @@ class Metrics {
 
   MetricsSnapshot snapshot() const;
 
-  /// Fold another live Metrics into this one (atomic counters and
-  /// distributions both). Slot-wise: both objects must track the same
-  /// replica count (std::invalid_argument otherwise) — heterogeneous
-  /// aggregation across processes goes through MetricsSnapshot::merge,
-  /// which concatenates replica rows instead. Thread-safe against
-  /// concurrent recording on either side.
-  void merge(const Metrics& other);
-
  private:
   static constexpr auto kRelaxed = std::memory_order_relaxed;
 

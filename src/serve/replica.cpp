@@ -78,7 +78,7 @@ double Replica::busy_residual_ms() const noexcept {
   // underestimate precisely when the replica is running late, admitting
   // frames that then wait behind the overrun. Assume one more service
   // quantum instead.
-  return busy_.load(std::memory_order_relaxed) ? service_est_ms() : 0.0;
+  return busy_.load(std::memory_order_relaxed) ? estimator_.est_ms() : 0.0;
 }
 
 void Replica::run(BoundedQueue<Request>& shard) {
@@ -100,7 +100,7 @@ void Replica::run(BoundedQueue<Request>& shard) {
       // already-drained frame's deadline. The candidate itself can only
       // gain: being served in this batch is never later than waiting
       // behind it.
-      const double est = service_est_ms();
+      const double est = estimator_.est_ms();
       auto min_deadline = batch.front().deadline;
       while (batch.size() < opts_.max_batch) {
         const auto predicted_done =
@@ -136,17 +136,18 @@ void Replica::handle_fault(std::vector<Request>& batch,
   ++consecutive_faults_;
 
   // Admitted frames are never lost: offer each to a healthy peer; whoever
-  // the gateway cannot place stays here for a local retry. The promise
-  // travels with the request, so exactly-once delivery is preserved no
-  // matter how many hops recovery takes.
-  for (auto& r : batch) {
+  // the gateway cannot place stays here for a local retry. The delivery
+  // channel travels with the request, so exactly-once delivery is
+  // preserved no matter how many hops recovery takes.
+  const auto rehome = [this](Request& r) {
     ++r.redispatches;
     if (redispatch_ && redispatch_(r)) {
       metrics_.record_redispatched();
     } else {
       carry_.push_back(std::move(r));
     }
-  }
+  };
+  for (auto& r : batch) rehome(r);
   batch.clear();
 
   if (consecutive_faults_ < opts_.quarantine_after) return;
@@ -157,14 +158,7 @@ void Replica::handle_fault(std::vector<Request>& batch,
   // retried here after the backoff — better late than lost.
   health_.store(ReplicaHealth::kQuarantined, std::memory_order_relaxed);
   metrics_.record_quarantine(opts_.id);
-  while (auto queued = shard.try_pop()) {
-    ++queued->redispatches;
-    if (redispatch_ && redispatch_(*queued)) {
-      metrics_.record_redispatched();
-    } else {
-      carry_.push_back(std::move(*queued));
-    }
-  }
+  while (auto queued = shard.try_pop()) rehome(*queued);
 
   const auto restarts = restarts_.load(std::memory_order_relaxed);
   const double factor =
@@ -183,7 +177,7 @@ void Replica::handle_fault(std::vector<Request>& batch,
 bool Replica::serve_batch(std::vector<Request>& batch) {
   const std::size_t n = batch.size();
   const auto start = Clock::now();
-  const double est = service_est_ms();
+  const double est = estimator_.est_ms();
   busy_.store(true, std::memory_order_relaxed);
   busy_until_ns_.store(
       to_ns(start) +
@@ -201,10 +195,17 @@ bool Replica::serve_batch(std::vector<Request>& batch) {
   if (outputs_.size() < n) outputs_.resize(n);
   frames_.clear();
   for (auto& r : batch) frames_.push_back(std::move(r.frame));
+  bool served = true;
   try {
     backend_->infer_batch_into(frames_,
                                std::span<Tensor>(outputs_.data(), n));
   } catch (...) {
+    served = false;
+  }
+  const auto done = Clock::now();
+  busy_until_ns_.store(0, std::memory_order_relaxed);
+  busy_.store(false, std::memory_order_relaxed);
+  if (!served) {
     // Backend fault (worker crash). Put the frames back where they came
     // from — the requests must survive intact for redispatch — and report
     // the batch unserved. The what() is deliberately not propagated: the
@@ -213,13 +214,8 @@ bool Replica::serve_batch(std::vector<Request>& batch) {
     for (std::size_t i = 0; i < n; ++i) {
       batch[i].frame = std::move(frames_[i]);
     }
-    busy_until_ns_.store(0, std::memory_order_relaxed);
-    busy_.store(false, std::memory_order_relaxed);
     return false;
   }
-  const auto done = Clock::now();
-  busy_until_ns_.store(0, std::memory_order_relaxed);
-  busy_.store(false, std::memory_order_relaxed);
 
   const double service_ms = ms_between(start, done);
   const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
@@ -239,39 +235,31 @@ bool Replica::serve_batch(std::vector<Request>& batch) {
     queue_ms_.push_back(q_ms);
     e2e_ms_.push_back(end_ms);
     if (!met) ++misses;
+    // One fill for both channels: in place in the preallocated slot
+    // (zero-allocation path), or in a local Response handed to the promise.
+    // The swap recycles the slot client's previous output buffer into our
+    // pool (same shape, so the next inference reuses it); a local Response
+    // swaps in an empty tensor, which the next inference sizes.
+    Response local;
+    Response& resp = r.slot != nullptr ? r.slot->response() : local;
+    resp.id = r.id;
+    resp.stream = r.stream;
+    std::swap(resp.output, outputs_[i]);
+    resp.replica = opts_.id;
+    resp.batch_size = n;
+    resp.queue_ms = q_ms;
+    resp.service_ms = service_ms;
+    resp.e2e_ms = end_ms;
+    resp.deadline_met = met;
+    resp.redispatches = r.redispatches;
+    resp.model_epoch = epoch;
     if (r.slot != nullptr) {
-      // Zero-allocation delivery: fill the preallocated slot in place. The
-      // swap recycles the client's previous output buffer into our pool
-      // (same shape, so the next inference reuses it), and frame_return
-      // hands the input buffer back for the producer's next assembly.
-      Response& resp = r.slot->response();
-      resp.id = r.id;
-      resp.stream = r.stream;
-      std::swap(resp.output, outputs_[i]);
-      resp.replica = opts_.id;
-      resp.batch_size = n;
-      resp.queue_ms = q_ms;
-      resp.service_ms = service_ms;
-      resp.e2e_ms = end_ms;
-      resp.deadline_met = met;
-      resp.redispatches = r.redispatches;
-      resp.model_epoch = epoch;
+      // frame_return hands the input buffer back for the producer's next
+      // assembly.
       r.slot->frame_return() = std::move(frames_[i]);
       r.slot->publish();
     } else if (r.promise) {
-      Response resp;
-      resp.id = r.id;
-      resp.stream = r.stream;
-      resp.output = std::move(outputs_[i]);
-      resp.replica = opts_.id;
-      resp.batch_size = n;
-      resp.queue_ms = q_ms;
-      resp.service_ms = service_ms;
-      resp.e2e_ms = end_ms;
-      resp.deadline_met = met;
-      resp.redispatches = r.redispatches;
-      resp.model_epoch = epoch;
-      r.promise->set_value(std::move(resp));
+      r.promise->set_value(std::move(local));
     }
   }
 

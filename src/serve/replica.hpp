@@ -13,7 +13,7 @@
 // lock-free: an EWMA per-frame service-time estimate and the predicted
 // completion time of the in-flight batch (busy_residual_ms).
 //
-// Self-healing: a backend fault (an exception from infer/infer_batch — in a
+// Self-healing: a backend fault (an exception from infer_batch_into — in a
 // real deployment a crashed worker process) never loses an admitted frame
 // and never kills the worker thread. Faulted requests are redispatched to
 // healthy peers through the gateway's hook, or retried locally when no peer
@@ -119,16 +119,9 @@ class Replica {
     return restarts_.load(std::memory_order_relaxed);
   }
 
-  /// EWMA per-frame service time (ms), updated after every batch.
-  double service_est_ms() const noexcept { return estimator_.est_ms(); }
-
-  /// EWMA of |observed - estimate| (ms), RFC 6298-style: the admission
-  /// predictor adds a multiple of this so jittery hosts admit against a
-  /// high service quantile, not the mean.
-  double service_var_ms() const noexcept { return estimator_.var_ms(); }
-
-  /// The underlying estimator (shared shape with the cluster router's
-  /// per-endpoint round-trip estimators; see serve/estimator.hpp).
+  /// EWMA per-frame service time and its mean deviation (ms), updated after
+  /// every batch (shared shape with the cluster router's per-endpoint
+  /// round-trip estimators; see serve/estimator.hpp).
   const ServiceEstimator& estimator() const noexcept { return estimator_; }
 
   /// True from first frame of a batch until its responses are delivered.

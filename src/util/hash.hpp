@@ -30,4 +30,13 @@ inline std::uint64_t fnv1a64(const void* bytes, std::size_t len,
   return fnv1a64(static_cast<const unsigned char*>(bytes), len, state);
 }
 
+/// The SplitMix64 output finalizer: a bijective avalanche of one word.
+/// SplitMix64::next() applies it to its advanced state; the hash ring
+/// applies it to FNV-1a digests.
+constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 }  // namespace reads::util

@@ -12,6 +12,8 @@
 #include <cmath>
 #include <limits>
 
+#include "util/hash.hpp"
+
 namespace reads::util {
 
 /// SplitMix64: tiny, fast generator mainly used to seed Xoshiro streams and
@@ -21,10 +23,7 @@ class SplitMix64 {
   explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
 
   constexpr std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return mix64(state_ += 0x9e3779b97f4a7c15ULL);
   }
 
  private:

@@ -122,11 +122,7 @@ void ThreadPool::set_global_threads(std::size_t threads) {
 }
 
 void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn, Exec exec) {
-  if (exec == Exec::kCaller) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
+                  const std::function<void(std::size_t)>& fn) {
   ThreadPool::global().parallel_for(begin, end, fn);
 }
 

@@ -29,11 +29,6 @@
 
 namespace reads::util {
 
-/// Where batch-style entry points run their per-item work: fanned out on
-/// the global pool (default), or inline on the calling thread — the serving
-/// gateway pins each replica's batches to the replica's own core this way.
-enum class Exec : unsigned char { kPool, kCaller };
-
 class ThreadPool {
  public:
   /// threads == 0 selects hardware_concurrency() - 1 (the calling thread
@@ -72,10 +67,9 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Convenience wrapper over the global pool. Exec::kCaller (or an empty
-/// pool) runs the loop inline on the calling thread.
+/// Convenience wrapper over the global pool (an empty pool runs the loop
+/// inline on the calling thread).
 void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  Exec exec = Exec::kPool);
+                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace reads::util

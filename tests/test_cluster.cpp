@@ -94,6 +94,21 @@ TEST(HashRing, OwnershipIsDeterministicAndCoversAllNodes) {
   EXPECT_EQ(owned.size(), 3u);
 }
 
+TEST(HashRing, PlacementIsPinned) {
+  // Recorded placements: ring positions feed live resharding across
+  // processes, so a change to the hash (FNV-1a + util::mix64) must show up
+  // here rather than silently moving streams.
+  cluster::HashRing ring(64);
+  for (std::uint64_t n : {1u, 2u, 3u}) ring.add(n);
+  const std::map<std::uint64_t, std::uint64_t> expected = {
+      {0, 2}, {1, 2}, {2, 3}, {3, 3}, {4, 3},
+      {5, 2}, {6, 3}, {7, 3}, {42, 2}, {1000, 1}};
+  for (const auto& [stream, owner] : expected) {
+    EXPECT_EQ(ring.owner(stream), owner) << "stream " << stream;
+  }
+  EXPECT_EQ(cluster::HashRing::stream_hash(0), 0x813f0174a2367c13ULL);
+}
+
 TEST(HashRing, RemovingANodeMovesOnlyItsStreams) {
   cluster::HashRing ring(64);
   ring.add(1);

@@ -435,58 +435,99 @@ TEST(GatewayTest, EveryAdmittedFrameAnsweredExactlyOnceThroughShutdown) {
   EXPECT_EQ(late.reason, RejectReason::kShutdown);
 }
 
-TEST(GatewayTest, AdmissionControlShedsPredictedLateFrames) {
-  serve::GatewayConfig cfg;
-  cfg.deadline_ms = 20.0;
-  cfg.initial_service_est_ms = 5.0;
-  cfg.queue_capacity = 64;
-  serve::Gateway gateway(synthetic_backends(1, 5000us), cfg);
+/// The two admission entry points: submit() (promise channel) and
+/// submit_into() (slot channel). They share one admission body, so every
+/// shed test drives both.
+enum class Entry { kSubmit, kSubmitInto };
 
-  const auto frame = test_frame(8, 4);
+/// A burst of `n` copies of `frame` (stream i) through one entry point.
+/// Returns each frame's admission verdict after every admitted frame has
+/// been answered. A frame refused by submit_into() must still be the
+/// caller's, untouched, and a predicted-late shed must leave the caller's
+/// slot as it was (here: still holding a previous response).
+std::vector<RejectReason> burst(serve::Gateway& gateway, Entry entry,
+                                const Tensor& frame, std::size_t n) {
+  std::vector<RejectReason> reasons;
   std::vector<serve::Ticket> tickets;
-  for (std::size_t i = 0; i < 12; ++i) {
-    tickets.push_back(gateway.submit(frame, i));
-  }
-  std::size_t admitted = 0;
-  std::size_t shed = 0;
-  for (auto& t : tickets) {
-    if (t.admitted) {
-      ++admitted;
-      t.response.get();  // still exactly-once for everything admitted
-    } else {
-      EXPECT_EQ(t.reason, RejectReason::kPredictedLate);
-      ++shed;
+  std::vector<serve::ResponseSlot> slots(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (entry == Entry::kSubmit) {
+      tickets.push_back(gateway.submit(frame, i));
+      EXPECT_EQ(tickets.back().admitted,
+                tickets.back().reason == RejectReason::kNone);
+      reasons.push_back(tickets.back().reason);
+      continue;
+    }
+    Tensor mine = frame;
+    slots[i].publish();  // as if it still held the previous response
+    reasons.push_back(gateway.submit_into(mine, slots[i], i,
+                                          gateway.config().deadline_ms));
+    if (reasons.back() != RejectReason::kNone) {
+      EXPECT_EQ(mine, frame) << "a refused frame stays with the caller";
+    }
+    if (reasons.back() == RejectReason::kPredictedLate) {
+      EXPECT_TRUE(slots[i].ready()) << "a late shed must not reset the slot";
     }
   }
-  // 12 frames x 5 ms against a 20 ms budget: the gateway must admit the
-  // head of the burst and shed the tail at admission, not after service.
-  EXPECT_GT(admitted, 0u);
-  EXPECT_GT(shed, 0u);
-  gateway.stop();
-  const auto snap = gateway.metrics().snapshot();
-  EXPECT_EQ(snap.shed_predicted_late, shed);
-  EXPECT_EQ(snap.completed, admitted);
+  // Still exactly-once for everything admitted.
+  for (auto& t : tickets) {
+    if (t.admitted) t.response.get();
+  }
+  for (std::size_t i = 0; i < n && entry == Entry::kSubmitInto; ++i) {
+    if (reasons[i] == RejectReason::kNone) slots[i].wait();
+  }
+  return reasons;
+}
+
+TEST(GatewayTest, AdmissionControlShedsPredictedLateFrames) {
+  for (const Entry entry : {Entry::kSubmit, Entry::kSubmitInto}) {
+    SCOPED_TRACE(entry == Entry::kSubmit ? "submit" : "submit_into");
+    serve::GatewayConfig cfg;
+    cfg.deadline_ms = 20.0;
+    cfg.initial_service_est_ms = 5.0;
+    cfg.queue_capacity = 64;
+    serve::Gateway gateway(synthetic_backends(1, 5000us), cfg);
+
+    std::size_t admitted = 0;
+    std::size_t shed = 0;
+    for (const auto reason : burst(gateway, entry, test_frame(8, 4), 12)) {
+      if (reason == RejectReason::kNone) {
+        ++admitted;
+      } else {
+        EXPECT_EQ(reason, RejectReason::kPredictedLate);
+        ++shed;
+      }
+    }
+    // 12 frames x 5 ms against a 20 ms budget: the gateway must admit the
+    // head of the burst and shed the tail at admission, not after service.
+    EXPECT_GT(admitted, 0u);
+    EXPECT_GT(shed, 0u);
+    gateway.stop();
+    const auto snap = gateway.metrics().snapshot();
+    EXPECT_EQ(snap.shed_predicted_late, shed);
+    EXPECT_EQ(snap.shed_queue_full, 0u);
+    EXPECT_EQ(snap.completed, admitted);
+  }
 }
 
 TEST(GatewayTest, FullShardShedsAtAdmission) {
-  serve::GatewayConfig cfg;
-  cfg.deadline_ms = 0.0;  // capacity is the only limiter
-  cfg.queue_capacity = 2;
-  serve::Gateway gateway(synthetic_backends(1, 2000us), cfg);
+  for (const Entry entry : {Entry::kSubmit, Entry::kSubmitInto}) {
+    SCOPED_TRACE(entry == Entry::kSubmit ? "submit" : "submit_into");
+    serve::GatewayConfig cfg;
+    cfg.deadline_ms = 0.0;  // capacity is the only limiter
+    cfg.queue_capacity = 2;
+    serve::Gateway gateway(synthetic_backends(1, 2000us), cfg);
 
-  const auto frame = test_frame(8, 5);
-  std::vector<serve::Ticket> tickets;
-  for (std::size_t i = 0; i < 16; ++i) {
-    tickets.push_back(gateway.submit(frame, i));
+    std::size_t queue_full = 0;
+    for (const auto reason : burst(gateway, entry, test_frame(8, 5), 16)) {
+      if (reason == RejectReason::kQueueFull) ++queue_full;
+    }
+    EXPECT_GT(queue_full, 0u);
+    gateway.stop();
+    const auto snap = gateway.metrics().snapshot();
+    EXPECT_EQ(snap.shed_queue_full, queue_full);
+    EXPECT_EQ(snap.shed_predicted_late, 0u);
   }
-  std::size_t queue_full = 0;
-  for (auto& t : tickets) {
-    if (!t.admitted && t.reason == RejectReason::kQueueFull) ++queue_full;
-    if (t.admitted) t.response.get();
-  }
-  EXPECT_GT(queue_full, 0u);
-  gateway.stop();
-  EXPECT_EQ(gateway.metrics().snapshot().shed_queue_full, queue_full);
 }
 
 TEST(GatewayTest, ByStreamShardingPinsStreamsToReplicas) {
@@ -781,6 +822,29 @@ serve::GatewayConfig swap_test_config() {
   return cfg;
 }
 
+/// Serve `n` fresh frames one at a time (each answered before the next).
+/// With ShadowConfig::fraction 1.0 every one of them is mirrored.
+void serve_frames(serve::Gateway& gw, unsigned n, unsigned seed) {
+  for (unsigned i = 0; i < n; ++i) {
+    auto t = gw.submit(test_frame(16, seed + i));
+    ASSERT_TRUE(t.admitted);
+    t.response.get();
+  }
+}
+
+/// Wait until the shadow session reaches a verdict (leaves kActive). The
+/// bound is wall time, not a frame count: under CPU load the shadow worker
+/// can be starved for many milliseconds while the primary path keeps
+/// serving, and end_shadow() never promotes or rolls back on its own.
+serve::ShadowStatus wait_for_verdict(const serve::Gateway& gw) {
+  const auto until = Clock::now() + 30s;
+  while (gw.shadow_status().outcome == serve::ShadowOutcome::kActive &&
+         Clock::now() < until) {
+    std::this_thread::sleep_for(1ms);
+  }
+  return gw.shadow_status();
+}
+
 TEST(GatewayTest, SwapAllServesNewGenerationWithEpochStamps) {
   std::vector<std::unique_ptr<serve::Backend>> backends;
   backends.push_back(std::make_unique<AffineBackend>(2.0f, 1.0f));
@@ -844,14 +908,9 @@ TEST(GatewayTest, ShadowPromotesCleanCandidateFleetWide) {
       [] { return std::make_unique<AffineBackend>(2.0f, 1.2f); }, sc))
       << "second session while one is active must be refused";
 
-  for (int i = 0;
-       i < 200 &&
-       gw.shadow_status().outcome != serve::ShadowOutcome::kPromoted;
-       ++i) {
-    auto t = gw.submit(test_frame(16, 300u + static_cast<unsigned>(i)));
-    ASSERT_TRUE(t.admitted);
-    t.response.get();
-  }
+  // Two clean windows of four mirrors each earn the promotion.
+  serve_frames(gw, 8, 300);
+  EXPECT_EQ(wait_for_verdict(gw).outcome, serve::ShadowOutcome::kPromoted);
   const auto status = gw.end_shadow();
   EXPECT_EQ(status.outcome, serve::ShadowOutcome::kPromoted);
   EXPECT_GE(status.judged, 8u);
@@ -886,14 +945,8 @@ TEST(GatewayTest, ShadowRollsBackRegressingCandidateBitIdentically) {
   ASSERT_TRUE(gw.begin_shadow(
       [] { return std::make_unique<AffineBackend>(2.0f, 10.0f); }, sc));
 
-  for (int i = 0;
-       i < 200 &&
-       gw.shadow_status().outcome != serve::ShadowOutcome::kRolledBack;
-       ++i) {
-    auto t = gw.submit(test_frame(16, 500u + static_cast<unsigned>(i)));
-    ASSERT_TRUE(t.admitted);
-    t.response.get();
-  }
+  serve_frames(gw, 4, 500);
+  EXPECT_EQ(wait_for_verdict(gw).outcome, serve::ShadowOutcome::kRolledBack);
   const auto status = gw.end_shadow();
   EXPECT_EQ(status.outcome, serve::ShadowOutcome::kRolledBack);
   EXPECT_GT(status.rejects, sc.max_rejects);
@@ -977,11 +1030,8 @@ TEST(GatewayTest, ShadowPromotionFactoryThrowRollsBackInsteadOfTerminating) {
       },
       sc));
 
-  for (int i = 0; i < 200 && gw.shadow_status().active; ++i) {
-    auto t = gw.submit(test_frame(16, 950u + static_cast<unsigned>(i)));
-    ASSERT_TRUE(t.admitted);
-    t.response.get();
-  }
+  serve_frames(gw, 2, 950);
+  wait_for_verdict(gw);
   const auto status = gw.end_shadow();
   EXPECT_EQ(status.outcome, serve::ShadowOutcome::kRolledBack);
   EXPECT_EQ(status.rejects, 0u) << "candidate itself was clean";
@@ -1022,6 +1072,8 @@ TEST(GatewayTest, ShadowJudgeSeesStreamAndGroundTruthHook) {
     ASSERT_TRUE(t.admitted);
     t.response.get();
   }
+  // No wait for a verdict here: end_shadow() itself judges every frame
+  // mirrored before the call, however far the shadow worker lags.
   const auto status = gw.end_shadow();
   EXPECT_GE(status.judged, 2u);
   EXPECT_GT(judged_streams.load(), 0u) << "judge must receive stream ids";
