@@ -19,6 +19,7 @@
 
 #include "common.hpp"
 #include "hls/qkernels.hpp"
+#include "nn/kernels.hpp"
 
 namespace {
 
@@ -111,7 +112,7 @@ int main(int argc, char** argv) {
       (void)sink;
     }
   });
-  const Timing float_t = time_reps(reps, warmup, [&] {
+  const Timing float_time = time_reps(reps, warmup, [&] {
     for (const auto& in : inputs) {
       volatile float sink = d.bundle.model.forward(in)[0];
       (void)sink;
@@ -125,7 +126,7 @@ int main(int argc, char** argv) {
   const double n = static_cast<double>(frames);
   const double fast_ms = fast_t.best / n * 1e3;
   const double ref_ms = ref_t.best / n * 1e3;
-  const double float_ms = float_t.best / n * 1e3;
+  const double float_ms = float_time.best / n * 1e3;
   const double speedup = fast_ms > 0.0 ? ref_ms / fast_ms : 0.0;
   const double batch_fps = batch_t.best > 0.0 ? n / batch_t.best : 0.0;
 
@@ -151,6 +152,7 @@ int main(int argc, char** argv) {
   std::ostringstream json;
   json << "{\"bench\": \"kernels\""
        << ", \"variant\": \"" << hls::kernels::variant() << "\""
+       << ", \"float_variant\": \"" << nn::kernels::float_variant() << "\""
        << ", \"narrow_variant\": \"" << hls::kernels::narrow_variant() << "\""
        << ", \"narrow_dp_variant\": \"" << hls::kernels::narrow_dp_variant()
        << "\""

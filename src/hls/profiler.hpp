@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -15,6 +16,17 @@
 
 namespace reads::hls {
 
+/// Largest bucket of Profile::act_int_bits_histogram.
+inline constexpr int kMaxActIntBits = 24;
+
+/// Histogram bucket of one activation v: clamp(int_bits_for(|v|), 1,
+/// kMaxActIntBits), read from the float's exponent field. For finite
+/// |v| > 0, int_bits_for(|v|) is floor(log2 |v|) + 2, the unbiased exponent
+/// plus 2 (its 1e-9 guard never crosses a power of two: the float just
+/// below 2^e is 2^-24 below it, relatively); zeros and subnormals clamp to
+/// 1. NaN and inf go through int_bits_for itself.
+std::size_t act_int_bits_bucket(float v) noexcept;
+
 /// Observed dynamic ranges, keyed by node name.
 struct Profile {
   std::map<std::string, double> max_activation;  ///< max |output| per node
@@ -23,7 +35,8 @@ struct Profile {
   /// Per node: histogram over "integer bits needed" (index = int bits,
   /// sign included; index 0 unused). Lets callers size integer bits to a
   /// coverage quantile instead of the absolute maximum.
-  std::map<std::string, std::array<std::uint64_t, 25>> act_int_bits_histogram;
+  std::map<std::string, std::array<std::uint64_t, kMaxActIntBits + 1>>
+      act_int_bits_histogram;
   std::size_t calibration_frames = 0;
 
   /// Smallest integer-bit count covering at least `coverage` of the node's

@@ -6,6 +6,14 @@
 
 namespace reads::nn::kernels {
 
+namespace detail {
+#if defined(READS_NN_KERNELS_AVX512)
+void conv1d_taps_avx512(const float* x, const float* wt, const float* b,
+                        float* y, std::size_t positions, std::size_t in_ch,
+                        std::size_t out_ch, std::size_t stride, std::size_t k);
+#endif
+}  // namespace detail
+
 namespace {
 
 // Below this many positions the per-call weight transpose costs more than
@@ -70,20 +78,17 @@ void dense_transposed(const float* x, const float* w, const float* b, float* y,
   }
 }
 
-void conv1d_transposed(const float* x, const float* w, const float* b,
-                       float* y, std::size_t positions, std::size_t in_ch,
-                       std::size_t out_ch, std::size_t k) {
+// The seed's per-position tap loop over a transposed weight block of row
+// stride `stride`: each tap's sub-sums round-trip through `acc` on every
+// input, a contiguous independent-lane sweep the compiler vectorizes
+// without reassociating any per-output sum. `acc` comes from the arena
+// capacity conv1d_transposed reserved.
+void conv1d_taps_scalar(const float* x, const float* wt, const float* b,
+                        float* y, std::size_t positions, std::size_t in_ch,
+                        std::size_t out_ch, std::size_t stride,
+                        std::size_t k) {
   auto& arena = util::ScratchArena::local();
   util::ArenaScope scope(arena);
-  arena.require<float>(k * in_ch * out_ch + out_ch + 4);
-  auto wt = arena.alloc<float>(k * in_ch * out_ch);
-  for (std::size_t o = 0; o < out_ch; ++o) {
-    for (std::size_t dk = 0; dk < k; ++dk) {
-      for (std::size_t i = 0; i < in_ch; ++i) {
-        wt[(dk * in_ch + i) * out_ch + o] = w[(o * k + dk) * in_ch + i];
-      }
-    }
-  }
   auto acc = arena.alloc<float>(out_ch);
   const auto pad = static_cast<std::ptrdiff_t>(k / 2);
   const auto pos = static_cast<std::ptrdiff_t>(positions);
@@ -95,17 +100,65 @@ void conv1d_transposed(const float* x, const float* w, const float* b,
     const std::ptrdiff_t dk_hi = std::min<std::ptrdiff_t>(kk, pos + pad - p);
     for (std::ptrdiff_t dk = dk_lo; dk < dk_hi; ++dk) {
       const float* xq = x + static_cast<std::size_t>(p + dk - pad) * in_ch;
-      const float* wdk = wt.data() + static_cast<std::size_t>(dk) * in_ch * out_ch;
+      const float* wdk = wt + static_cast<std::size_t>(dk) * in_ch * stride;
       // One sub-sum per tap, added to y afterwards — the seed's grouping.
       std::fill(acc.begin(), acc.end(), 0.0f);
       for (std::size_t i = 0; i < in_ch; ++i) {
         const float xv = xq[i];
-        const float* wrow = wdk + i * out_ch;
+        const float* wrow = wdk + i * stride;
         for (std::size_t o = 0; o < out_ch; ++o) acc[o] += wrow[o] * xv;
       }
       for (std::size_t o = 0; o < out_ch; ++o) yp[o] += acc[o];
     }
   }
+}
+
+using TapsFn = void (*)(const float*, const float*, const float*, float*,
+                        std::size_t, std::size_t, std::size_t, std::size_t,
+                        std::size_t);
+
+struct FloatDispatch {
+  TapsFn taps = conv1d_taps_scalar;
+  const char* name = "scalar";
+  std::size_t lanes = 1;  ///< transposed rows are padded to a multiple
+};
+
+FloatDispatch resolve() {
+  FloatDispatch d;
+#if defined(READS_NN_KERNELS_AVX512) && defined(__GNUC__) && defined(__x86_64__)
+  if (__builtin_cpu_supports("avx512f")) {
+    d.taps = detail::conv1d_taps_avx512;
+    d.name = "avx512";
+    d.lanes = 16;
+  }
+#endif
+  return d;
+}
+
+const FloatDispatch& dispatch() {
+  static const FloatDispatch d = resolve();
+  return d;
+}
+
+void conv1d_transposed(const FloatDispatch& d, const float* x,
+                       const float* w, const float* b, float* y,
+                       std::size_t positions, std::size_t in_ch,
+                       std::size_t out_ch, std::size_t k) {
+  const std::size_t stride = (out_ch + d.lanes - 1) / d.lanes * d.lanes;
+  auto& arena = util::ScratchArena::local();
+  util::ArenaScope scope(arena);
+  // +4 covers word rounding; out_ch is the scalar taps' sub-sum row.
+  arena.require<float>(k * in_ch * stride + out_ch + 4);
+  auto wt = arena.alloc<float>(k * in_ch * stride);
+  std::fill(wt.begin(), wt.end(), 0.0f);
+  for (std::size_t o = 0; o < out_ch; ++o) {
+    for (std::size_t dk = 0; dk < k; ++dk) {
+      for (std::size_t i = 0; i < in_ch; ++i) {
+        wt[(dk * in_ch + i) * stride + o] = w[(o * k + dk) * in_ch + i];
+      }
+    }
+  }
+  d.taps(x, wt.data(), b, y, positions, in_ch, out_ch, stride, k);
 }
 
 void conv1d_blocked(const float* x, const float* w, const float* b, float* y,
@@ -168,10 +221,24 @@ void conv1d_forward(const float* x, const float* w, const float* b, float* y,
                     std::size_t positions, std::size_t in_ch,
                     std::size_t out_ch, std::size_t k) {
   if (positions >= kTransposeMinPositions && out_ch >= 4) {
-    conv1d_transposed(x, w, b, y, positions, in_ch, out_ch, k);
+    conv1d_transposed(dispatch(), x, w, b, y, positions, in_ch, out_ch, k);
   } else {
     conv1d_blocked(x, w, b, y, positions, in_ch, out_ch, k);
   }
 }
+
+void detail::conv1d_forward_scalar(const float* x, const float* w,
+                                   const float* b, float* y,
+                                   std::size_t positions, std::size_t in_ch,
+                                   std::size_t out_ch, std::size_t k) {
+  if (positions >= kTransposeMinPositions && out_ch >= 4) {
+    conv1d_transposed(FloatDispatch{}, x, w, b, y, positions, in_ch, out_ch,
+                      k);
+  } else {
+    conv1d_blocked(x, w, b, y, positions, in_ch, out_ch, k);
+  }
+}
+
+const char* float_variant() noexcept { return dispatch().name; }
 
 }  // namespace reads::nn::kernels

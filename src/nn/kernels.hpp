@@ -7,13 +7,20 @@
 // schedule changes:
 //
 //  * small position counts (the MLP's positions == 1) use 4-wide output
-//    register blocking, breaking the loop-carried fma dependence so four
+//    register blocking, breaking the loop-carried add dependence so four
 //    dot products retire in parallel;
 //  * large position counts (the U-Net's 260..65-position convolutions)
 //    transpose the weights into a (k, in, out) block on the per-thread
 //    scratch arena once per call, making the innermost loop a contiguous,
-//    independent-lane sweep over outputs that the compiler can vectorize
-//    without reassociating any per-output sum.
+//    independent-lane sweep over outputs. Conv1D picks its tap loop at run
+//    time: on AVX-512 hosts each tap's sums for up to 64 outputs and 4
+//    positions stay in registers across the input sweep
+//    (kernels_avx512.cpp); elsewhere the portable loop runs.
+//
+// Every multiply and add is rounded separately, as in the seed: both
+// kernel files build with -ffp-contract=off, so no compiler may fuse a
+// multiply-add into an FMA (which rounds once and changes the bits) on a
+// target that has one.
 #pragma once
 
 #include <cstddef>
@@ -28,5 +35,16 @@ void dense_forward(const float* x, const float* w, const float* b, float* y,
 void conv1d_forward(const float* x, const float* w, const float* b, float* y,
                     std::size_t positions, std::size_t in_ch,
                     std::size_t out_ch, std::size_t k);
+
+/// Name of the Conv1D tap loop selected at run time ("avx512"/"scalar").
+const char* float_variant() noexcept;
+
+namespace detail {
+/// conv1d_forward on the portable tap loop whatever the host supports, so
+/// tests on AVX-512 hosts still check the path every other host runs.
+void conv1d_forward_scalar(const float* x, const float* w, const float* b,
+                           float* y, std::size_t positions, std::size_t in_ch,
+                           std::size_t out_ch, std::size_t k);
+}  // namespace detail
 
 }  // namespace reads::nn::kernels

@@ -30,18 +30,4 @@ void QuantizedBackend::infer_batch_into(std::span<const Tensor> frames,
   }
 }
 
-FloatBackend::FloatBackend(nn::Model model) : model_(std::move(model)) {}
-
-Tensor FloatBackend::infer(const Tensor& frame) { return model_.forward(frame); }
-
-SocBackend::SocBackend(hls::FirmwareModel firmware, soc::SocParams params,
-                       std::uint64_t seed)
-    : model_(std::move(firmware)), system_(model_, params, seed) {}
-
-Tensor SocBackend::infer(const Tensor& frame) {
-  auto result = system_.process(frame);
-  last_sim_latency_ms_ = result.timing.total_ms;
-  return std::move(result.output);
-}
-
 }  // namespace reads::serve

@@ -1,11 +1,10 @@
 // Inference backends a Replica can wrap.
 //
-// Each replica owns its backend outright — its own weight copy, sigmoid
-// tables and kernel plans (QuantizedBackend), its own nn::Model
-// (FloatBackend), or its own simulated SoC (SocBackend) — so replicas never
-// share mutable state and scale without cross-replica synchronization. All
-// backends are deterministic: infer() on the same frame always returns the
-// same bits, and infer_batch_into() equals per-frame infer() (the gateway's
+// Each replica owns its backend outright (QuantizedBackend: its own weight
+// copy, sigmoid tables and kernel plans), so replicas never share mutable
+// state and scale without cross-replica synchronization. All backends are
+// deterministic: infer() on the same frame always returns the same bits,
+// and infer_batch_into() equals per-frame infer() (the gateway's
 // bit-exactness guarantee reduces to this property).
 //
 // A replica serves every micro-batch through infer_batch_into() alone. Its
@@ -20,9 +19,6 @@
 
 #include "hls/firmware.hpp"
 #include "hls/qmodel.hpp"
-#include "nn/model.hpp"
-#include "soc/params.hpp"
-#include "soc/system.hpp"
 #include "tensor/tensor.hpp"
 
 namespace reads::serve {
@@ -64,39 +60,6 @@ class QuantizedBackend final : public Backend {
 
  private:
   hls::QuantizedModel model_;
-};
-
-/// Full-precision float path (accuracy reference / CPU-only deployments).
-class FloatBackend final : public Backend {
- public:
-  explicit FloatBackend(nn::Model model);
-
-  std::string_view name() const noexcept override { return "float"; }
-  Tensor infer(const Tensor& frame) override;
-
- private:
-  nn::Model model_;
-};
-
-/// Latency-faithful mode: every frame runs through a per-replica simulated
-/// Arria SoC (bridge transfers, IP latency, OS jitter in virtual time), so
-/// a gateway of SocBackends serves exactly what a rack of the paper's
-/// boards would compute. Batches run frame by frame through infer().
-class SocBackend final : public Backend {
- public:
-  SocBackend(hls::FirmwareModel firmware, soc::SocParams params,
-             std::uint64_t seed);
-
-  std::string_view name() const noexcept override { return "soc"; }
-  Tensor infer(const Tensor& frame) override;
-
-  /// Simulated (virtual-time) latency of the most recent infer() call.
-  double last_sim_latency_ms() const noexcept { return last_sim_latency_ms_; }
-
- private:
-  hls::QuantizedModel model_;
-  soc::ArriaSocSystem system_;
-  double last_sim_latency_ms_ = 0.0;
 };
 
 }  // namespace reads::serve

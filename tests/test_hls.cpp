@@ -4,7 +4,10 @@
 // latency models with their paper-shaped properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "hls/accuracy.hpp"
@@ -121,6 +124,75 @@ TEST(Profiler, CoverageConfigMatchesMaxRuleAtFullCoverage) {
   }
   EXPECT_THROW(hls::layer_based_config(model, prof, 16, 0, 0.0),
                std::invalid_argument);
+}
+
+// The exponent-field bucket equals the int_bits_for rule it replaces at
+// every power-of-two edge of the float range and at its specials.
+TEST(Profiler, BucketMatchesIntBitsForAtEveryFloatEdge) {
+  const auto want = [](float v) {
+    return static_cast<std::size_t>(std::clamp(
+        hls::int_bits_for(std::fabs(static_cast<double>(v))), 1,
+        hls::kMaxActIntBits));
+  };
+  using limits = std::numeric_limits<float>;
+  std::vector<float> points = {0.0f,
+                               -0.0f,
+                               limits::denorm_min(),
+                               std::nextafter(limits::min(), 0.0f),
+                               limits::max(),
+                               -limits::max(),
+                               limits::quiet_NaN(),
+                               limits::infinity(),
+                               -limits::infinity()};
+  for (int e = -149; e <= 127; ++e) {
+    const float p = std::ldexp(1.0f, e);
+    points.push_back(p);
+    points.push_back(std::nextafter(p, 0.0f));
+    points.push_back(std::nextafter(p, limits::infinity()));
+  }
+  for (const float v : points) {
+    EXPECT_EQ(hls::act_int_bits_bucket(v), want(v))
+        << "v = " << v << " (bits 0x" << std::hex
+        << std::bit_cast<std::uint32_t>(v) << ")";
+  }
+}
+
+// profile_model (sharded over the pool, exponent-field buckets, float
+// maxima) equals a single-threaded sweep that applies int_bits_for to
+// every value. The last frame is scaled to overflow, so inf and NaN
+// activations take the by-value path too.
+TEST(Profiler, MatchesSingleThreadedIntBitsForSweep) {
+  auto model = nn::build_unet({.monitors = 16, .c1 = 3, .c2 = 4, .c3 = 5});
+  nn::init_he_uniform(model, 77);
+  std::vector<Tensor> inputs;
+  for (unsigned i = 0; i < 9; ++i) {
+    inputs.push_back(random_frame({16, 1}, 1300u + i, 0.5 + i));
+  }
+  inputs.push_back(random_frame({16, 1}, 1399, 3e38));
+  const auto prof = hls::profile_model(model, inputs);
+
+  nn::Activations acts;
+  std::size_t non_finite = 0;
+  for (std::size_t n = 0; n < model.nodes().size(); ++n) {
+    const auto& name = model.nodes()[n].name;
+    double max_abs = 0.0;
+    std::array<std::uint64_t, hls::kMaxActIntBits + 1> hist{};
+    for (const auto& in : inputs) {
+      model.forward_all_into(in, acts);
+      for (const float v : acts.values[n].flat()) {
+        const double a = std::fabs(static_cast<double>(v));
+        if (!std::isfinite(a)) ++non_finite;
+        max_abs = std::max(max_abs, a);
+        ++hist[static_cast<std::size_t>(
+            std::clamp(hls::int_bits_for(a), 1, hls::kMaxActIntBits))];
+      }
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(prof.max_activation.at(name)),
+              std::bit_cast<std::uint64_t>(max_abs))
+        << name;
+    EXPECT_EQ(prof.act_int_bits_histogram.at(name), hist) << name;
+  }
+  EXPECT_GT(non_finite, 0u);
 }
 
 // -------------------------------------------------------------- firmware

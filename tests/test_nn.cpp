@@ -4,11 +4,14 @@
 // matters for the from-scratch trainer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "nn/builders.hpp"
 #include "nn/init.hpp"
+#include "nn/kernels.hpp"
 #include "nn/layers/activations.hpp"
 #include "nn/layers/batchnorm.hpp"
 #include "nn/layers/concat.hpp"
@@ -19,6 +22,7 @@
 #include "nn/layers/upsample.hpp"
 #include "nn/model.hpp"
 #include "nn/serialize.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -75,6 +79,116 @@ TEST(Conv1D, HandComputedSamePadding) {
 
 TEST(Conv1D, RejectsEvenKernel) {
   EXPECT_THROW(nn::Conv1D(1, 1, 2), std::invalid_argument);
+}
+
+// ------------------------------------------ float kernels: bit identity
+
+// A value in (-scale, scale): a signed 24-bit integer times 2^-23 times a
+// power-of-two `scale`, so exact in float and made without libm or any
+// multiply-add. The data is then the same bits under any compiler flags
+// and C library.
+float dyadic(util::Xoshiro256& rng, float scale) {
+  const auto m = static_cast<std::int32_t>(rng() >> 40) - (1 << 23);
+  return static_cast<float>(m) * 0x1p-23f * scale;
+}
+
+// The seed Conv1D loop nest, in the order every kernel variant must keep
+// per output: y = bias; per tap, acc = 0 then acc += w * x over ascending
+// inputs (a rounded multiply, then a rounded add); y += acc.
+void conv1d_seed_order(const float* x, const float* w, const float* b,
+                       float* y, std::size_t positions, std::size_t in_ch,
+                       std::size_t out_ch, std::size_t k) {
+  const auto pad = static_cast<std::ptrdiff_t>(k / 2);
+  const auto pos = static_cast<std::ptrdiff_t>(positions);
+  for (std::ptrdiff_t p = 0; p < pos; ++p) {
+    for (std::size_t o = 0; o < out_ch; ++o) {
+      float yo = b[o];
+      for (std::size_t dk = 0; dk < k; ++dk) {
+        const std::ptrdiff_t q = p + static_cast<std::ptrdiff_t>(dk) - pad;
+        if (q < 0 || q >= pos) continue;
+        const float* xq = x + static_cast<std::size_t>(q) * in_ch;
+        const float* wk = w + (o * k + dk) * in_ch;
+        float acc = 0.0f;
+        for (std::size_t i = 0; i < in_ch; ++i) acc += wk[i] * xq[i];
+        yo += acc;
+      }
+      y[static_cast<std::size_t>(p) * out_ch + o] = yo;
+    }
+  }
+}
+
+// Every shape class the dispatcher distinguishes: the blocked path (7
+// positions), the transposed path, output counts around the 16-lane vector
+// and 64-output register block edges, and the U-Net's own channel counts;
+// both for the host's tap loop and for the portable one.
+TEST(FloatKernels, Conv1dMatchesSeedOrderBitForBit) {
+  util::Xoshiro256 rng(2026);
+  const auto fill = [&rng](std::vector<float>& v) {
+    for (auto& e : v) {
+      // ReLU-fed layers see many exact zeros; keep some of both signs.
+      const auto u = rng() % 20;
+      e = u < 6 ? 0.0f : (u < 7 ? -0.0f : dyadic(rng, 1.0f));
+    }
+  };
+  for (const std::size_t in_ch : {1u, 31u, 77u, 186u}) {
+    for (const std::size_t out_ch :
+         {4u, 15u, 16u, 17u, 31u, 46u, 64u, 65u, 140u}) {
+      for (const std::size_t k : {1u, 3u, 5u}) {
+        std::vector<float> w(out_ch * k * in_ch);
+        std::vector<float> b(out_ch);
+        fill(w);
+        fill(b);
+        for (const std::size_t positions : {7u, 8u, 65u, 260u}) {
+          std::vector<float> x(positions * in_ch);
+          fill(x);
+          std::vector<float> want(positions * out_ch, 2.0f);
+          conv1d_seed_order(x.data(), w.data(), b.data(), want.data(),
+                            positions, in_ch, out_ch, k);
+          std::vector<float> got(positions * out_ch, 1.0f);
+          nn::kernels::conv1d_forward(x.data(), w.data(), b.data(),
+                                      got.data(), positions, in_ch, out_ch, k);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << "in_ch " << in_ch << " out_ch " << out_ch << " k " << k
+              << " positions " << positions << " variant "
+              << nn::kernels::float_variant();
+          std::fill(got.begin(), got.end(), 1.0f);
+          nn::kernels::detail::conv1d_forward_scalar(
+              x.data(), w.data(), b.data(), got.data(), positions, in_ch,
+              out_ch, k);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << "in_ch " << in_ch << " out_ch " << out_ch << " k " << k
+              << " positions " << positions << " variant scalar";
+        }
+      }
+    }
+  }
+}
+
+// Pins the bytes of every node output of the full-size U-Net for a seeded
+// model and seeded inputs. The calibration profile, hence the layer-based
+// precision plan and the compiled firmware, is a function of these bytes:
+// a kernel that reorders or fuses (FMA) one multiply-add changes the hash.
+TEST(FloatKernels, UNetForwardAllBytesPinned) {
+  auto unet = nn::build_unet({});
+  util::Xoshiro256 rng(4242);
+  for (auto* p : unet.parameters()) {
+    for (auto& w : p->flat()) w = dyadic(rng, 0.125f);
+  }
+  nn::Activations acts;
+  Tensor x({260, 1});
+  std::uint64_t h = util::kFnvOffset;
+  for (int f = 0; f < 3; ++f) {
+    for (auto& v : x.flat()) v = dyadic(rng, 4.0f);
+    unet.forward_all_into(x, acts);
+    for (const auto& t : acts.values) {
+      h = util::fnv1a64(t.data(), t.numel() * sizeof(float), h);
+    }
+  }
+  EXPECT_EQ(h, 0x54fd154ec4f3e76bULL) << std::hex << "0x" << h;
 }
 
 TEST(MaxPool1D, ForwardAndDivisibility) {
