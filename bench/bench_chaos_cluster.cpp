@@ -349,15 +349,16 @@ int main(int argc, char** argv) {
        << "  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     auto& o = runs[i];
-    json << "    {\"transport\": \"" << o.transport << "\", \"endpoint\": \""
-         << o.endpoint << "\", \"wall_s\": " << util::json_double(o.wall_s)
-         << ",\n"
+    json << "    {\"transport\": " << util::json_quote(o.transport)
+         << ", \"endpoint\": " << util::json_quote(o.endpoint)
+         << ", \"wall_s\": " << util::json_double(o.wall_s) << ",\n"
          << "     \"verify\": " << o.audit.json() << ",\n"
          << "     \"scenarios\": [";
     for (std::size_t s = 0; s < o.scenarios.size(); ++s) {
       const auto& sc = o.scenarios[s];
-      json << (s > 0 ? ", " : "") << "{\"name\": \"" << sc.name
-           << "\", \"injected\": " << sc.injected
+      json << (s > 0 ? ", " : "")
+           << "{\"name\": " << util::json_quote(sc.name)
+           << ", \"injected\": " << sc.injected
            << ", \"reconnects\": " << sc.reconnects
            << ", \"resubmissions\": " << sc.resubmissions << "}";
     }

@@ -315,9 +315,9 @@ int main(int argc, char** argv) {
        << "  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     auto& o = runs[i];
-    json << "    {\"transport\": \"" << o.transport << "\", \"endpoint\": \""
-         << o.endpoint << "\", \"wall_s\": " << util::json_double(o.wall_s)
-         << ",\n"
+    json << "    {\"transport\": " << util::json_quote(o.transport)
+         << ", \"endpoint\": " << util::json_quote(o.endpoint)
+         << ", \"wall_s\": " << util::json_double(o.wall_s) << ",\n"
          << "     \"verify\": " << o.audit.json() << ",\n"
          << "     \"reshard\": {\"added_node\": " << o.added_node
          << ", \"removed_node\": 1, \"remove_ok\": "

@@ -220,7 +220,7 @@ cluster::ResilientClient& TickRunner::connect(const std::string& endpoint,
   cfg.jitter_seed = jitter_seed;
   // Resubmission stays exactly-once while the window is inside the router's
   // per-stream dedup window; on a clean wire it only bounds open-loop load.
-  cfg.max_unacked = cluster::RouterConfig{}.dedup_window - 1;
+  cfg.max_unacked = cluster::kDedupWindow - 1;
   return client_.emplace(endpoint, cfg);
 }
 

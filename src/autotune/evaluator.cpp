@@ -4,23 +4,17 @@
 #include <stdexcept>
 #include <utility>
 
+#include "hls/accuracy.hpp"
 #include "hls/qmodel.hpp"
+#include "hls/resource.hpp"
 
 namespace reads::autotune {
 
-Evaluator::Evaluator(const SearchSpace& space, EvaluatorConfig config)
-    : space_(space),
-      cfg_(config),
-      resource_model_(cfg_.device, cfg_.resource),
-      latency_model_(cfg_.latency) {}
+Evaluator::Evaluator(const SearchSpace& space) : space_(space) {}
 
 Evaluator::Evaluator(const SearchSpace& space, const nn::Model& reference,
-                     std::vector<tensor::Tensor> frames,
-                     EvaluatorConfig config)
+                     std::vector<tensor::Tensor> frames)
     : space_(space),
-      cfg_(config),
-      resource_model_(cfg_.device, cfg_.resource),
-      latency_model_(cfg_.latency),
       reference_(&reference),
       frames_(std::move(frames)) {
   if (frames_.empty()) {
@@ -29,10 +23,10 @@ Evaluator::Evaluator(const SearchSpace& space, const nn::Model& reference,
   reference_outputs_ = reference_->forward_batch(frames_);
 }
 
-CheapEval Evaluator::score_firmware(const hls::FirmwareModel& fw) const {
+CheapEval Evaluator::score_firmware(const hls::FirmwareModel& fw) {
   CheapEval e;
-  const auto res = resource_model_.estimate(fw);
-  const auto lat = latency_model_.estimate(fw);
+  const auto res = hls::ResourceModel().estimate(fw);
+  const auto lat = hls::LatencyModel().estimate(fw);
   e.latency_ms = lat.total_ms();
   e.total_cycles = lat.total_cycles;
   e.aluts = res.total_aluts;
@@ -42,7 +36,7 @@ CheapEval Evaluator::score_firmware(const hls::FirmwareModel& fw) const {
   e.alut_utilization = res.alut_utilization();
   e.dsp_utilization = res.dsp_utilization();
   e.fits = res.fits();
-  e.meets_deadline = e.latency_ms <= cfg_.deadline_ms;
+  e.meets_deadline = e.latency_ms <= kDeadlineMs;
   e.layer_cycles = lat.layers;
   for (const auto& layer : fw.layers) e.mults += layer.instantiated_mults;
   return e;
@@ -89,7 +83,7 @@ Validation Evaluator::validate(const Candidate& candidate) const {
       sum += d;
       ++n;
       v.max_diff = std::max(v.max_diff, d);
-      const bool close = d <= cfg_.tolerance;
+      const bool close = d <= hls::kAccuracyTolerance;
       if (!close) ++v.outliers;
       const bool is_rr = two_channel && (i % 2 == 1);
       if (is_rr) {
@@ -109,7 +103,6 @@ Validation Evaluator::validate(const Candidate& candidate) const {
                                                 static_cast<double>(n_rr)
                                           : 0.0)
                               : v.accuracy_mi;
-  validations_.fetch_add(1, std::memory_order_relaxed);
   return v;
 }
 

@@ -11,27 +11,24 @@
 //             frames (PR 6 SIMD kernels + ThreadPool) compared against the
 //             cached float reference outputs. This is the cost the
 //             surrogate learns to predict.
+//
+// Both score against the paper's deployment (Table II): the Arria 10 SX 660
+// budget (hls::ResourceModel's default device) and the 3 ms deadline, with
+// the default resource and latency model parameters.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <vector>
 
 #include "autotune/space.hpp"
 #include "hls/latency.hpp"
-#include "hls/resource.hpp"
 #include "nn/model.hpp"
 #include "tensor/tensor.hpp"
 
 namespace reads::autotune {
 
-struct EvaluatorConfig {
-  hls::DeviceSpec device = hls::DeviceSpec::arria10_sx660();
-  hls::ResourceModelParams resource{};
-  hls::LatencyModelParams latency{};
-  double deadline_ms = 3.0;   ///< the paper's control-loop deadline
-  double tolerance = 0.20;    ///< the paper's accuracy tolerance
-};
+/// The paper's control-loop deadline every candidate is scored against.
+inline constexpr double kDeadlineMs = 3.0;
 
 /// Analytical screen of one candidate.
 struct CheapEval {
@@ -73,37 +70,29 @@ class Evaluator {
  public:
   /// Cheap-only evaluator (no reference model): validate() throws. Used by
   /// bench_reuse_ablation, which only sweeps resources/latency.
-  Evaluator(const SearchSpace& space, EvaluatorConfig config = {});
+  explicit Evaluator(const SearchSpace& space);
 
   /// Full evaluator. `frames` are already-standardized held-out inputs;
   /// the float reference outputs are computed once here and reused for
   /// every validation. `reference` must outlive the evaluator.
   Evaluator(const SearchSpace& space, const nn::Model& reference,
-            std::vector<tensor::Tensor> frames, EvaluatorConfig config = {});
+            std::vector<tensor::Tensor> frames);
 
   CheapEval cheap(const Candidate& candidate) const;
   Validation validate(const Candidate& candidate) const;
 
   bool can_validate() const noexcept { return reference_ != nullptr; }
-  std::size_t validations() const noexcept {
-    return validations_.load(std::memory_order_relaxed);
-  }
-  const EvaluatorConfig& config() const noexcept { return cfg_; }
   const SearchSpace& space() const noexcept { return space_; }
 
-  /// Score an already-compiled firmware with this evaluator's models and
-  /// budget (also used by the Requalifier's pre-publication budget guard).
-  CheapEval score_firmware(const hls::FirmwareModel& fw) const;
+  /// Score an already-compiled firmware against the deployment budget
+  /// (also used by the Requalifier's pre-publication budget guard).
+  static CheapEval score_firmware(const hls::FirmwareModel& fw);
 
  private:
   const SearchSpace& space_;
-  EvaluatorConfig cfg_;
-  hls::ResourceModel resource_model_;
-  hls::LatencyModel latency_model_;
   const nn::Model* reference_ = nullptr;
   std::vector<tensor::Tensor> frames_;
   std::vector<tensor::Tensor> reference_outputs_;
-  mutable std::atomic<std::size_t> validations_{0};
 };
 
 }  // namespace reads::autotune

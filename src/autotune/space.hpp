@@ -65,9 +65,6 @@ class SearchSpace {
   /// reuse. Throws std::invalid_argument when it has no tunable layers.
   explicit SearchSpace(hls::FirmwareModel baseline, SearchBounds bounds = {});
 
-  const hls::FirmwareModel& baseline_firmware() const noexcept {
-    return base_;
-  }
   const SearchBounds& bounds() const noexcept { return bounds_; }
   const std::vector<std::string>& tunable_layers() const noexcept {
     return tunable_;

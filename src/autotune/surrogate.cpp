@@ -9,6 +9,9 @@ namespace reads::autotune {
 namespace {
 
 constexpr double kLogEps = 1e-9;
+/// Ridge penalty on the normal equations, scaled by the observation count
+/// so the effective prior stays constant as data accumulates.
+constexpr double kRidgeLambda = 1e-4;
 
 /// Average ranks (1-based) with ties sharing the mean of their positions.
 std::vector<double> average_ranks(const std::vector<double>& values) {
@@ -76,7 +79,7 @@ void Surrogate::refresh_locked() const {
   // normal equations. kFeatureCount is tiny, so O(K^3) is free.
   constexpr std::size_t k = kFeatureCount;
   std::array<std::array<double, k + 1>, k> a{};
-  const double damp = cfg_.ridge_lambda * static_cast<double>(count_);
+  const double damp = kRidgeLambda * static_cast<double>(count_);
   for (std::size_t r = 0; r < k; ++r) {
     for (std::size_t c = 0; c < k; ++c) a[r][c] = xtx_[r][c];
     a[r][r] += damp;

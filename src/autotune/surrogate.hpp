@@ -31,9 +31,6 @@ inline constexpr std::size_t kFeatureCount = 10;
 using FeatureVec = std::array<double, kFeatureCount>;
 
 struct SurrogateConfig {
-  /// Ridge penalty on the normal equations, scaled by the observation
-  /// count so the effective prior stays constant as data accumulates.
-  double ridge_lambda = 1e-4;
   /// predict() returns nullopt until this many observations are seen —
   /// an untrained surrogate must not silently rank candidates.
   std::size_t min_observations = 8;

@@ -10,6 +10,10 @@ namespace reads::autotune {
 
 namespace {
 
+constexpr std::size_t kMaxRounds = 64;
+/// Stop after this many consecutive rounds with no feasible proposal.
+constexpr std::size_t kMaxDryRounds = 3;
+
 Objectives objectives_of(const Validation& v) {
   Objectives o;
   o.quant_err = v.quant_err();
@@ -171,8 +175,7 @@ TuneOutcome Autotuner::run() {
 
   // 3. Surrogate-guided rounds.
   std::size_t dry = 0;
-  while (budget_left() && out.rounds < cfg_.max_rounds &&
-         dry < cfg_.max_dry_rounds) {
+  while (budget_left() && out.rounds < kMaxRounds && dry < kMaxDryRounds) {
     ++out.rounds;
     // Parents: current Pareto-front members (the baseline starts there and
     // front points are exactly the interesting trade-offs).

@@ -47,9 +47,6 @@ struct TuneConfig {
   /// surrogate's training set off-policy enough to measure honestly).
   std::size_t explorers = 1;
   std::size_t greedy_descent_steps = 4;
-  std::size_t max_rounds = 64;
-  /// Stop after this many consecutive rounds with no feasible proposal.
-  std::size_t max_dry_rounds = 3;
   std::uint64_t seed = 1;
   SurrogateConfig surrogate{};
 };

@@ -233,13 +233,6 @@ Fd accept_conn(int listen_fd) {
   }
 }
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw_errno("fcntl O_NONBLOCK");
-  }
-}
-
 std::ptrdiff_t read_some(int fd, std::uint8_t* buf, std::size_t len) {
   IoTap* const tap = io_tap();
   if (tap != nullptr && !tap->gate_read(fd)) return 0;
@@ -303,22 +296,6 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t len,
     if (n < 0) return false;
     if (n == 0) {
       if (!poll_one(fd, POLLOUT, deadline)) return false;
-      continue;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool read_exact(int fd, std::uint8_t* data, std::size_t len,
-                double timeout_ms) {
-  const double deadline = timeout_ms < 0.0 ? -1.0 : now_ms() + timeout_ms;
-  std::size_t off = 0;
-  while (off < len) {
-    const std::ptrdiff_t n = read_some(fd, data + off, len - off);
-    if (n < 0) return false;
-    if (n == 0) {
-      if (!poll_one(fd, POLLIN, deadline)) return false;
       continue;
     }
     off += static_cast<std::size_t>(n);

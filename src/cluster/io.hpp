@@ -136,8 +136,6 @@ Fd connect_to(const Endpoint& ep, double timeout_ms);
 /// invalid Fd when none is pending.
 Fd accept_conn(int listen_fd);
 
-void set_nonblocking(int fd);
-
 /// One nonblocking read: >0 bytes read, 0 would-block, -1 peer gone
 /// (EOF/ECONNRESET/EPIPE). EINTR retried internally.
 std::ptrdiff_t read_some(int fd, std::uint8_t* buf, std::size_t len);
@@ -151,11 +149,6 @@ std::ptrdiff_t write_some(int fd, const std::uint8_t* buf, std::size_t len);
 /// the timeout expires mid-message (the stream is unusable either way).
 bool write_all(int fd, const std::uint8_t* data, std::size_t len,
                double timeout_ms = -1.0);
-
-/// Read exactly `len` bytes, parking in poll(2) between fragments. False on
-/// EOF, error, or timeout.
-bool read_exact(int fd, std::uint8_t* data, std::size_t len,
-                double timeout_ms = -1.0);
 
 /// Nonblocking CLOEXEC pipe; the read end joins a Poller so another thread
 /// (or a signal handler) can wake an event loop by writing one byte.

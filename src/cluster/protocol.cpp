@@ -90,6 +90,10 @@ struct Cursor {
 
 namespace {
 
+/// Generous payload bound: the largest legitimate message is a stats reply
+/// with retained latency samples, a few MB at bench scale.
+constexpr std::size_t kMaxPayload = 64u << 20;
+
 /// Envelope seal: CRC-32 over the type byte followed by the payload.
 std::uint32_t envelope_crc(std::uint8_t type, const std::uint8_t* payload,
                            std::size_t len) noexcept {
@@ -311,7 +315,7 @@ bool MessageReader::feed(std::span<const std::uint8_t> bytes) {
   // wait forever for a phantom payload.
   while (buf_.size() - off >= 4) {
     const std::uint32_t len = net::get_u32(buf_.data() + off);
-    if (len > limits_.max_payload) {
+    if (len > kMaxPayload) {
       broken_ = true;
       buf_.clear();
       return false;

@@ -181,15 +181,6 @@ struct Message {
 /// were already verified, but no later byte is ever trusted.
 class MessageReader {
  public:
-  struct Limits {
-    /// Generous bound: the largest legitimate message is a stats reply with
-    /// retained latency samples, a few MB at bench scale.
-    std::size_t max_payload = 64u << 20;
-  };
-
-  MessageReader() = default;
-  explicit MessageReader(Limits limits) : limits_(limits) {}
-
   bool feed(std::span<const std::uint8_t> bytes);
   bool feed(const std::uint8_t* data, std::size_t len) {
     return feed(std::span<const std::uint8_t>(data, len));
@@ -201,7 +192,6 @@ class MessageReader {
   std::size_t pending_bytes() const noexcept { return buf_.size(); }
 
  private:
-  Limits limits_;
   std::vector<std::uint8_t> buf_;
   std::deque<Message> ready_;
   bool broken_ = false;

@@ -7,6 +7,11 @@ namespace reads::cluster {
 
 namespace {
 
+/// Completion FIFO capacity. The event loop blocks here when the backend
+/// falls this far behind — explicit backpressure to the router, whose
+/// per-replica outstanding cap is smaller than this.
+constexpr std::size_t kCompletionCapacity = 1024;
+
 ShedReason to_shed_reason(serve::RejectReason r) {
   switch (r) {
     case serve::RejectReason::kPredictedLate:
@@ -30,7 +35,7 @@ ReplicaServer::ReplicaServer(
       gateway_(std::make_unique<serve::Gateway>(std::move(backends),
                                                 cfg_.gateway)),
       decoder_(std::move(decoder)),
-      completions_(cfg_.completion_capacity) {}
+      completions_(kCompletionCapacity) {}
 
 ReplicaServer::~ReplicaServer() {
   request_stop();

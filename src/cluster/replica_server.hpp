@@ -42,10 +42,6 @@ struct ReplicaServerConfig {
   /// shed as kBadFrame (a framing-level sanity check — content integrity
   /// is the packet CRC).
   std::size_t monitors = 260;
-  /// Completion FIFO capacity. The event loop blocks here when the backend
-  /// falls this far behind — explicit backpressure to the router, whose
-  /// per-replica outstanding cap should be smaller than this.
-  std::size_t completion_capacity = 1024;
 };
 
 /// Convert a validated jumbo packet's readings into the backend's input

@@ -42,7 +42,7 @@ struct ResilientClientConfig {
   /// Seed for the deterministic backoff jitter stream.
   std::uint64_t jitter_seed = 1;
   /// Submission window: submit() refuses (returns false) past this many
-  /// unacknowledged ticks. Keep below the router's dedup_window.
+  /// unacknowledged ticks. Keep below the router's kDedupWindow.
   std::size_t max_unacked = 32;
 };
 

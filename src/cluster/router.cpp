@@ -10,6 +10,19 @@ namespace reads::cluster {
 
 namespace {
 
+/// Per-replica outstanding-job cap (kQueueFull shed beyond it).
+constexpr std::size_t kMaxOutstandingPerReplica = 128;
+/// Resharding hold bound per stream (kHeldTooLong shed beyond it).
+constexpr std::size_t kMaxHeldPerStream = 256;
+/// Graceful-shutdown drain bound.
+constexpr double kDrainTimeoutMs = 5000.0;
+constexpr std::size_t kRingVnodes = 64;
+/// Seed for each replica connection's round-trip estimator.
+constexpr double kInitialRttEstMs = 2.0;
+/// Slow-consumer defense: a peer whose outbound buffer exceeds this is
+/// dropped.
+constexpr std::size_t kMaxOutbufBytes = 8u << 20;
+
 double tp_ms(std::chrono::steady_clock::time_point t) noexcept {
   return std::chrono::duration<double, std::milli>(t.time_since_epoch())
       .count();
@@ -39,7 +52,7 @@ Router::Router(RouterConfig cfg)
     : cfg_(apply_journal_slo(std::move(cfg))),
       listener_(listen_on(cfg_.listen)),
       wake_(make_wake_pipe()),
-      ring_(cfg_.ring_vnodes),
+      ring_(kRingVnodes),
       metrics_(1, cfg_.hard_deadline_ms) {
   JournalState recovered;
   if (!cfg_.journal_path.empty()) {
@@ -154,38 +167,41 @@ void Router::process_commands() {
 // ---- fleet membership ---------------------------------------------------
 
 std::uint64_t Router::do_add_replica(const std::string& endpoint) {
-  Endpoint ep;
-  Fd fd;
+  auto rc = std::make_unique<ReplicaConn>();
   try {
-    ep = Endpoint::parse(endpoint);
-    fd = connect_to(ep, cfg_.connect_timeout_ms);
+    rc->endpoint = Endpoint::parse(endpoint);
+    connect_replica(*rc, cfg_.connect_timeout_ms);
   } catch (const std::exception&) {
     return 0;
   }
-  auto rc = std::make_unique<ReplicaConn>();
-  rc->node = next_node_id_++;
-  rc->endpoint = ep;
-  rc->fd = std::move(fd);
-  rc->rtt = serve::ServiceEstimator(cfg_.initial_rtt_est_ms);
-  rc->last_progress_ms = now_ms();
-  append_hello(rc->outbuf, Hello{Role::kAdmin, kProtocolVersion});
-  const std::uint64_t node = rc->node;
+  const std::uint64_t node = next_node_id_++;
+  rc->node = node;
+  const ReplicaConn& added = *rc;
   replicas_.emplace(node, std::move(rc));
   ring_.add(node);
-  if (journal_.open()) journal_.record_node(JournalNode{node, ep.str(), true});
+  if (journal_.open()) {
+    journal_.record_node(JournalNode{node, added.endpoint.str(), true});
+  }
   for (auto& [id, st] : streams_) reevaluate_stream(id, st);
   return node;
+}
+
+void Router::connect_replica(ReplicaConn& rc, double timeout_ms) {
+  rc.rtt = serve::ServiceEstimator(kInitialRttEstMs);
+  rc.fd = connect_to(rc.endpoint, timeout_ms);
+  rc.reader = MessageReader();
+  rc.outbuf.clear();
+  append_hello(rc.outbuf, Hello{Role::kAdmin, kProtocolVersion});
+  rc.state = NodeState::kConnected;
+  rc.last_progress_ms = now_ms();
 }
 
 void Router::recover_replica(std::uint64_t node, const std::string& endpoint) {
   auto rc = std::make_unique<ReplicaConn>();
   rc->node = node;
-  rc->rtt = serve::ServiceEstimator(cfg_.initial_rtt_est_ms);
   try {
     rc->endpoint = Endpoint::parse(endpoint);
-    rc->fd = connect_to(rc->endpoint, cfg_.connect_timeout_ms);
-    append_hello(rc->outbuf, Hello{Role::kAdmin, kProtocolVersion});
-    rc->last_progress_ms = now_ms();
+    connect_replica(*rc, cfg_.connect_timeout_ms);
     replicas_.emplace(node, std::move(rc));
     ring_.add(node);
   } catch (const std::exception&) {
@@ -288,13 +304,7 @@ void Router::try_reconnects() {
     try {
       // Short budget: this blocks the loop, and a dead host answers with
       // ECONNREFUSED immediately anyway.
-      rc.fd = connect_to(rc.endpoint, 200.0);
-      rc.reader = MessageReader();
-      rc.outbuf.clear();
-      append_hello(rc.outbuf, Hello{Role::kAdmin, kProtocolVersion});
-      rc.state = NodeState::kConnected;
-      rc.rtt = serve::ServiceEstimator(cfg_.initial_rtt_est_ms);
-      rc.last_progress_ms = now;
+      connect_replica(rc, 200.0);
       ++counters_.reconnects;
       ring_.add(node);
       for (auto& [id, st] : streams_) reevaluate_stream(id, st);
@@ -328,7 +338,7 @@ void Router::send_job(ReplicaConn& rc, InFlight&& inf) {
   const std::uint64_t gid = inf.job.gid;
   rc.outstanding.emplace(gid, std::move(inf));
   rc.outbuf_high_water = std::max(rc.outbuf_high_water, rc.outbuf.size());
-  if (cfg_.max_outbuf_bytes != 0 && rc.outbuf.size() > cfg_.max_outbuf_bytes) {
+  if (rc.outbuf.size() > kMaxOutbufBytes) {
     // Slow-consumer defense: a replica that stopped draining its socket is
     // indistinguishable from a dead one. Kick it onto the crash path — the
     // job just queued (and everything else outstanding) redispatches.
@@ -342,7 +352,7 @@ Router::RouteOutcome Router::route_job(InFlight&& inf, bool run_admission,
   auto sit = streams_.find(inf.job.stream);
   StreamState& st = sit->second;
   if (st.draining) {
-    if (st.held.size() >= cfg_.max_held_per_stream) {
+    if (st.held.size() >= kMaxHeldPerStream) {
       ++counters_.held_overflow;
       *shed_reason = ShedReason::kHeldTooLong;
       return RouteOutcome::kShed;
@@ -362,7 +372,7 @@ Router::RouteOutcome Router::route_job(InFlight&& inf, bool run_admission,
   }
   ReplicaConn& rc = *replicas_.find(st.pin)->second;
   if (run_admission) {
-    if (rc.outstanding.size() >= cfg_.max_outstanding_per_replica) {
+    if (rc.outstanding.size() >= kMaxOutstandingPerReplica) {
       *shed_reason = ShedReason::kQueueFull;
       return RouteOutcome::kShed;
     }
@@ -466,13 +476,12 @@ const std::vector<std::uint8_t>* Router::dedup_find(
 void Router::dedup_store(std::uint64_t stream, std::uint64_t req_id,
                          const std::vector<std::uint8_t>& bytes,
                          bool journal) {
-  if (cfg_.dedup_window == 0) return;
   DedupWindow& w = dedup_[stream];
   const auto [it, inserted] = w.replies.emplace(req_id, bytes);
   if (inserted) {
     w.order.push_back(req_id);
     ++dedup_entries_;
-    while (w.order.size() > cfg_.dedup_window) {
+    while (w.order.size() > kDedupWindow) {
       w.replies.erase(w.order.front());
       w.order.pop_front();
       --dedup_entries_;
@@ -512,7 +521,7 @@ void Router::send_to_client(std::uint64_t client_id,
   c.outbuf_high_water = std::max(c.outbuf_high_water, c.outbuf.size());
   client_outbuf_high_water_ =
       std::max(client_outbuf_high_water_, c.outbuf.size());
-  if (cfg_.max_outbuf_bytes != 0 && c.outbuf.size() > cfg_.max_outbuf_bytes) {
+  if (c.outbuf.size() > kMaxOutbufBytes) {
     // Slow-consumer defense: drop the connection rather than buffer without
     // bound. Nothing is lost — every reply just queued is in the dedup
     // window, and a resilient client resubmits what it never saw.
@@ -613,8 +622,7 @@ void Router::handle_submit(ClientConn& c, Submit&& submit) {
   const std::uint64_t gid = inf.job.gid;
 
   ShedReason reason = ShedReason::kNoReplica;
-  const auto outcome = route_job(std::move(inf), cfg_.admission_control,
-                                 &reason);
+  const auto outcome = route_job(std::move(inf), true, &reason);
   if (outcome == RouteOutcome::kShed) {
     switch (reason) {
       case ShedReason::kPredictedLate:
@@ -934,7 +942,7 @@ void Router::run() {
 
     if (shutting_down_) {
       const bool timed_out =
-          now_ms() - shutdown_start_ms_ > cfg_.drain_timeout_ms;
+          now_ms() - shutdown_start_ms_ > kDrainTimeoutMs;
       if (shutdown_drained() || timed_out) break;
     }
   }
@@ -998,9 +1006,10 @@ std::string Router::stats_json_now() {
         rc->state == NodeState::kReconnecting
             ? std::max(0.0, rc->next_reconnect_ms - now)
             : 0.0;
-    out << "{\"node\": " << node << ", \"endpoint\": \""
-        << rc->endpoint.str() << "\", \"outstanding\": "
-        << rc->outstanding.size() << ", \"rtt_est_ms\": "
+    out << "{\"node\": " << node
+        << ", \"endpoint\": " << util::json_quote(rc->endpoint.str())
+        << ", \"outstanding\": " << rc->outstanding.size()
+        << ", \"rtt_est_ms\": "
         << util::json_double(rc->rtt.est_ms()) << ", \"state\": \"" << state
         << "\", \"attempts\": " << rc->attempts
         << ", \"next_reconnect_in_ms\": " << util::json_double(next_in)

@@ -97,6 +97,10 @@
 
 namespace reads::cluster {
 
+/// Per-stream dedup window (entries). It must exceed any client's maximum
+/// unacknowledged in-flight window for resubmission to stay exactly-once.
+inline constexpr std::size_t kDedupWindow = 256;
+
 struct RouterConfig {
   Endpoint listen;
   /// Endpoints of the initial replica fleet, connected in the constructor.
@@ -107,36 +111,19 @@ struct RouterConfig {
   /// Hard-RT admission: admit only when elapsed + predicted round-trip
   /// <= margin x budget.
   double admission_margin = 0.9;
-  bool admission_control = true;
-  /// Per-replica outstanding-job cap (kQueueFull shed beyond it).
-  std::size_t max_outstanding_per_replica = 128;
-  /// Resharding hold bound per stream (kHeldTooLong shed beyond it).
-  std::size_t max_held_per_stream = 256;
   /// Crash quarantine: reconnect attempts with exponential backoff.
   std::size_t reconnect_attempts = 5;
   double reconnect_backoff_initial_ms = 50.0;
   double reconnect_backoff_max_ms = 1000.0;
   double connect_timeout_ms = 2000.0;
-  /// Graceful-shutdown drain bound.
-  double drain_timeout_ms = 5000.0;
-  std::size_t ring_vnodes = 64;
   /// Per-stream assembly parameters (monitors/hubs/validation gauntlet).
   net::AssemblerParams assembler;
-  /// Seed for each replica's round-trip estimator.
-  double initial_rtt_est_ms = 2.0;
   /// Write-ahead journal path (empty = no persistence). When the file
   /// already holds a previous incarnation's records, the constructor
   /// recovers: journaled membership replaces `replicas` (unreachable nodes
   /// quarantine instead of throwing), the dedup windows refill, and the
   /// journaled SLO config overrides the deadline/margin fields.
   std::string journal_path;
-  /// Per-stream dedup window (entries). Must exceed any client's maximum
-  /// unacknowledged in-flight window for resubmission to stay exactly-once.
-  /// 0 disables dedup (and with it safe resubmission).
-  std::size_t dedup_window = 256;
-  /// Slow-consumer defense: a peer whose outbound buffer exceeds this is
-  /// dropped (0 = unbounded).
-  std::size_t max_outbuf_bytes = 8u << 20;
   /// A connection with pending work but no byte-level progress for this
   /// long is stalled: replicas are kicked into the quarantine path,
   /// clients are dropped. 0 disables.
@@ -272,6 +259,11 @@ class Router {
   void process_commands();
 
   std::uint64_t do_add_replica(const std::string& endpoint);
+  /// (Re)connect `rc` to its endpoint: fresh reader and outbuf, the hello
+  /// queued, the round-trip estimator at its seed, progress stamped. The
+  /// one place a replica connection starts. Throws when the connect fails
+  /// (the estimator is reseeded either way).
+  void connect_replica(ReplicaConn& rc, double timeout_ms);
   void do_remove_replica(ReplicaConn& rc);
   void finish_remove(std::uint64_t node, bool ok);
 

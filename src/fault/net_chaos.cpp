@@ -143,9 +143,4 @@ std::uint64_t NetInjector::injected_total() const noexcept {
   return total;
 }
 
-std::size_t NetInjector::sites_seen() const noexcept {
-  std::lock_guard lock(mutex_);
-  return next_site_;
-}
-
 }  // namespace reads::fault

@@ -56,8 +56,6 @@ class NetInjector final : public cluster::IoTap {
         std::memory_order_relaxed);
   }
   std::uint64_t injected_total() const noexcept;
-  /// Connections seen so far (== the next site id to be assigned).
-  std::size_t sites_seen() const noexcept;
 
  private:
   struct SiteState {

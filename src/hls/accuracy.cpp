@@ -7,8 +7,7 @@ namespace reads::hls {
 
 AccuracyReport evaluate_quantization(const nn::Model& reference,
                                      const QuantizedModel& quantized,
-                                     const std::vector<tensor::Tensor>& inputs,
-                                     double tolerance) {
+                                     const std::vector<tensor::Tensor>& inputs) {
   if (inputs.empty()) {
     throw std::invalid_argument("evaluate_quantization: no inputs");
   }
@@ -45,8 +44,8 @@ AccuracyReport evaluate_quantization(const nn::Model& reference,
       sum_rr += d_rr;
       report.max_diff_mi = std::max(report.max_diff_mi, d_mi);
       report.max_diff_rr = std::max(report.max_diff_rr, d_rr);
-      if (d_mi <= tolerance) ++close_mi; else ++report.outliers_mi;
-      if (d_rr <= tolerance) ++close_rr; else ++report.outliers_rr;
+      if (d_mi <= kAccuracyTolerance) ++close_mi; else ++report.outliers_mi;
+      if (d_rr <= kAccuracyTolerance) ++close_rr; else ++report.outliers_rr;
     }
   }
 

@@ -17,6 +17,9 @@
 
 namespace reads::hls {
 
+/// The paper's accuracy tolerance: |quantized - float| <= 0.20 is close.
+inline constexpr double kAccuracyTolerance = 0.20;
+
 struct AccuracyReport {
   double accuracy_mi = 0.0;      ///< fraction within tolerance, MI channel
   double accuracy_rr = 0.0;
@@ -37,11 +40,10 @@ struct AccuracyReport {
 };
 
 /// Compare the quantized firmware against its float reference over a set of
-/// (already standardized) input frames. `tolerance` is the paper's 0.20.
+/// (already standardized) input frames at kAccuracyTolerance.
 /// Outputs must be (monitors, 2) tensors: channel 0 = MI, channel 1 = RR.
 AccuracyReport evaluate_quantization(const nn::Model& reference,
                                      const QuantizedModel& quantized,
-                                     const std::vector<tensor::Tensor>& inputs,
-                                     double tolerance = 0.20);
+                                     const std::vector<tensor::Tensor>& inputs);
 
 }  // namespace reads::hls

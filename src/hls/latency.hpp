@@ -37,7 +37,6 @@ struct LatencyReport {
   double total_ms() const {
     return static_cast<double>(total_cycles) / (clock_mhz * 1e3);
   }
-  double total_us() const { return total_ms() * 1e3; }
 };
 
 struct LatencyModelParams {

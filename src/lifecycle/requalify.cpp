@@ -5,10 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "autotune/evaluator.hpp"
 #include "autotune/space.hpp"
 #include "autotune/tuner.hpp"
 #include "hls/accuracy.hpp"
-#include "hls/latency.hpp"
 #include "hls/profiler.hpp"
 #include "hls/resource.hpp"
 #include "nn/init.hpp"
@@ -191,8 +191,7 @@ RequalifyResult Requalifier::run(RequalifyRequest request) const {
   // explore independently yet reproducibly.
   if (cfg_.autotune) {
     autotune::SearchSpace space(hls::compile(candidate, hls_cfg));
-    autotune::Evaluator evaluator(space, candidate, holdout_cand,
-                                  cfg_.tune_eval);
+    autotune::Evaluator evaluator(space, candidate, holdout_cand);
     autotune::TuneConfig tune = cfg_.tune;
     tune.seed = util::derive_seed(request.seed, /*purpose=*/0x13);
     const auto outcome = autotune::Autotuner(space, evaluator, tune).run();
@@ -219,34 +218,31 @@ RequalifyResult Requalifier::run(RequalifyRequest request) const {
   // or the deadline must never reach the registry, whatever the accuracy
   // gates say.
   if (cfg_.autotune || cfg_.enforce_budget) {
-    const hls::ResourceModel resource_model(cfg_.tune_eval.device,
-                                            cfg_.tune_eval.resource);
-    const hls::LatencyModel latency_model(cfg_.tune_eval.latency);
-    const auto res = resource_model.estimate(quantized->firmware());
-    const auto lat = latency_model.estimate(quantized->firmware());
-    report.predicted_latency_ms = lat.total_ms();
-    report.alut_utilization = res.alut_utilization();
-    const bool over_budget = !res.fits();
-    const bool over_deadline = lat.total_ms() > cfg_.tune_eval.deadline_ms;
+    const auto score =
+        autotune::Evaluator::score_firmware(quantized->firmware());
+    report.predicted_latency_ms = score.latency_ms;
+    report.alut_utilization = score.alut_utilization;
+    const bool over_budget = !score.fits;
+    const bool over_deadline = !score.meets_deadline;
     if (over_budget) {
       fail(RejectCode::kResourceBudget);
       verdict << "resource budget violated (ALUT "
-              << res.alut_utilization() * 100.0 << "%, DSP "
-              << res.dsp_utilization() * 100.0 << "% of "
-              << cfg_.tune_eval.device.name << "); ";
+              << score.alut_utilization * 100.0 << "%, DSP "
+              << score.dsp_utilization * 100.0 << "% of "
+              << hls::DeviceSpec::arria10_sx660().name << "); ";
     }
     if (over_deadline) {
       fail(RejectCode::kDeadline);
-      verdict << "predicted latency " << lat.total_ms() << " ms exceeds "
-              << cfg_.tune_eval.deadline_ms << " ms deadline; ";
+      verdict << "predicted latency " << score.latency_ms << " ms exceeds "
+              << autotune::kDeadlineMs << " ms deadline; ";
     }
     if (over_budget || over_deadline) {
       budget_rejects_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  const auto accuracy = hls::evaluate_quantization(
-      candidate, *quantized, holdout_cand, cfg_.quant_tolerance);
+  const auto accuracy =
+      hls::evaluate_quantization(candidate, *quantized, holdout_cand);
   report.quant_accuracy_mi = accuracy.accuracy_mi;
   report.quant_accuracy_rr = accuracy.accuracy_rr;
 

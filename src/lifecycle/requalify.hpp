@@ -36,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "autotune/evaluator.hpp"
 #include "autotune/tuner.hpp"
 #include "blm/generator.hpp"
 #include "hls/firmware.hpp"
@@ -60,10 +59,9 @@ struct RequalifyConfig {
   int total_bits = 16;
   hls::ReusePolicy reuse;  ///< default: ReusePolicy::deployed_unet()
   double clock_mhz = 100.0;
-  /// Gate 1: quantized-vs-float accuracy (within quant_tolerance) on both
-  /// channels over the holdout.
+  /// Gate 1: quantized-vs-float accuracy (within hls::kAccuracyTolerance)
+  /// on both channels over the holdout.
   double min_quant_accuracy = 0.98;
-  double quant_tolerance = 0.20;
   /// Gate 2: candidate holdout MSE <= this multiple of the incumbent's.
   double max_mse_ratio = 1.05;
 
@@ -73,12 +71,9 @@ struct RequalifyConfig {
   /// (falls back to the seed plan when it does not).
   bool autotune = false;
   autotune::TuneConfig tune{};
-  /// Device budget / deadline the tuner screens against AND the compiled
-  /// candidate firmware is measured against before publication.
-  autotune::EvaluatorConfig tune_eval{};
-  /// Enforce the tune_eval resource/deadline budget on the compiled
-  /// firmware even when the autotune stage is off. Always enforced when
-  /// autotune is on.
+  /// Enforce the evaluator's resource/deadline budget
+  /// (autotune::Evaluator::score_firmware) on the compiled firmware even
+  /// when the autotune stage is off. Always enforced when autotune is on.
   bool enforce_budget = false;
 
   RequalifyConfig() : reuse(hls::ReusePolicy::deployed_unet()) {}

@@ -34,7 +34,6 @@ class BlmHub {
 
   std::uint8_t id() const noexcept { return id_; }
   std::uint16_t first_monitor() const noexcept { return first_; }
-  std::uint16_t monitor_count() const noexcept { return count_; }
 
   /// Digitize this hub's slice of the frame and transmit it.
   /// `frame_readings` are the raw readings of the whole ring.

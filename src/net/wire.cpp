@@ -4,6 +4,15 @@
 
 namespace reads::net {
 
+namespace {
+
+/// Upper bound on readings per packet; the facility ring is 260 monitors,
+/// so this leaves generous headroom for jumbo (whole-ring) packets while
+/// still refusing absurd length fields.
+constexpr std::size_t kMaxPacketReadings = 65536;
+
+}  // namespace
+
 void append_packet(std::vector<std::uint8_t>& out, const BlmPacket& p) {
   out.reserve(out.size() + packet_wire_size(p));
   put_u8(out, p.hub_id);
@@ -25,7 +34,7 @@ bool PacketDecoder::feed(std::span<const std::uint8_t> bytes) {
   while (buf_.size() - off >= kPacketWireHeader) {
     const std::uint8_t* h = buf_.data() + off;
     const std::uint32_t count = get_u32(h + 11);
-    if (count > limits_.max_readings) {
+    if (count > kMaxPacketReadings) {
       // The length field is the only framing information a byte stream
       // carries; once it is implausible there is no boundary to resync on.
       broken_ = true;

@@ -78,23 +78,13 @@ void append_packet(std::vector<std::uint8_t>& out, const BlmPacket& p);
 /// feed() buffers bytes and decodes every complete packet into an internal
 /// ready queue drained with next(). Decoding never validates content (CRC,
 /// layout, plausibility) — that is FrameAssembler's gauntlet — but it does
-/// bound the reading count: a stream claiming more than
-/// `limits.max_readings` readings per packet cannot be framed (the length
-/// field itself is untrusted input) and permanently breaks the decoder,
-/// because a byte stream with a corrupt length field has no packet
-/// boundaries left to recover. Connection owners drop broken streams.
+/// bound the reading count: a stream claiming more than 65,536 readings
+/// per packet cannot be framed (the length field itself is untrusted
+/// input) and permanently breaks the decoder, because a byte stream with a
+/// corrupt length field has no packet boundaries left to recover.
+/// Connection owners drop broken streams.
 class PacketDecoder {
  public:
-  struct Limits {
-    /// Upper bound on readings per packet; the facility ring is 260
-    /// monitors, so the default leaves generous headroom for jumbo
-    /// (whole-ring) packets while still refusing absurd length fields.
-    std::size_t max_readings = 65536;
-  };
-
-  PacketDecoder() = default;
-  explicit PacketDecoder(Limits limits) : limits_(limits) {}
-
   /// Buffer `bytes` and decode every now-complete packet. Returns false —
   /// and ignores all further input — once the stream is broken.
   bool feed(std::span<const std::uint8_t> bytes);
@@ -112,7 +102,6 @@ class PacketDecoder {
   std::uint64_t packets_decoded() const noexcept { return decoded_; }
 
  private:
-  Limits limits_;
   std::vector<std::uint8_t> buf_;
   std::deque<BlmPacket> ready_;
   bool broken_ = false;

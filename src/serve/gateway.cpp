@@ -13,6 +13,11 @@ namespace reads::serve {
 
 namespace {
 
+/// A faulted frame is offered to peers at most this many times before the
+/// faulting replica must retry it locally (bounds redispatch ping-pong
+/// when every backend is unhealthy at once).
+constexpr std::size_t kMaxRedispatch = 8;
+
 /// Deterministic mirror selection: a pure function of the request id, so a
 /// replayed stream mirrors exactly the same frames regardless of timing.
 bool mirror_selected(std::uint64_t id, double fraction) noexcept {
@@ -357,7 +362,7 @@ std::size_t Gateway::pick_shard(std::uint64_t stream) const {
 }
 
 bool Gateway::redispatch(std::size_t from, Request& req) {
-  if (req.redispatches > cfg_.max_redispatch) return false;
+  if (req.redispatches > kMaxRedispatch) return false;
   // Cheapest healthy peer first; try_push only moves the request out on
   // success, so walking the candidates cannot lose it.
   std::vector<std::pair<double, std::size_t>> order;

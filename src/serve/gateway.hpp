@@ -59,10 +59,6 @@ struct GatewayConfig {
   std::size_t quarantine_after = 3;
   double backoff_initial_ms = 1.0;
   double backoff_max_ms = 64.0;
-  /// A faulted frame is offered to peers at most this many times before the
-  /// faulting replica must retry it locally (bounds redispatch ping-pong
-  /// when every backend is unhealthy at once).
-  std::size_t max_redispatch = 8;
 };
 
 /// Produces one fresh Backend instance per call; used by fleet swaps (one

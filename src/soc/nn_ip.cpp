@@ -17,10 +17,8 @@ NnIpCore::NnIpCore(EventSim& sim, const hls::QuantizedModel& model,
       control_(control),
       fpga_(fpga),
       latency_params_(latency_params),
-      latency_(validate_and_estimate(model)),
-      functional_(functional) {
-  run_cycles_ = latency_.total_cycles;
-}
+      run_cycles_(validate_and_estimate(model).total_cycles),
+      functional_(functional) {}
 
 hls::LatencyReport NnIpCore::validate_and_estimate(
     const hls::QuantizedModel& model) const {
@@ -43,10 +41,9 @@ void NnIpCore::rebind(const hls::QuantizedModel& model) {
   if (busy_) {
     throw std::logic_error("NnIpCore: rebind while a run is in flight");
   }
-  auto latency = validate_and_estimate(model);
+  const std::size_t cycles = validate_and_estimate(model).total_cycles;
   model_ = &model;
-  latency_ = std::move(latency);
-  run_cycles_ = latency_.total_cycles;
+  run_cycles_ = cycles;
 }
 
 void NnIpCore::trigger() {

@@ -50,7 +50,6 @@ class NnIpCore {
 
   /// Cycle budget of one run (read + compute + write), at the FPGA clock.
   std::size_t run_cycles() const noexcept { return run_cycles_; }
-  const hls::LatencyReport& latency_report() const noexcept { return latency_; }
   std::uint64_t runs() const noexcept { return runs_; }
   std::uint64_t hangs() const noexcept { return hangs_; }
   std::uint64_t resets() const noexcept { return resets_; }
@@ -70,7 +69,6 @@ class NnIpCore {
   ControlIp& control_;
   FpgaParams fpga_;
   hls::LatencyModelParams latency_params_;
-  hls::LatencyReport latency_;
   std::size_t run_cycles_ = 0;
   std::uint64_t runs_ = 0;
   std::uint64_t hangs_ = 0;

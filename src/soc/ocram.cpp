@@ -25,7 +25,6 @@ std::uint32_t OnChipRam::read32(std::size_t word32_addr) const {
   if (base + 1 >= mem_.size() + 1 || base >= mem_.size()) {
     throw std::out_of_range("OnChipRam::read32");
   }
-  ++reads32_;
   const auto lo = static_cast<std::uint16_t>(mem_[base]);
   const std::uint16_t hi =
       base + 1 < mem_.size() ? static_cast<std::uint16_t>(mem_[base + 1]) : 0;
@@ -36,16 +35,11 @@ std::uint32_t OnChipRam::read32(std::size_t word32_addr) const {
 void OnChipRam::write32(std::size_t word32_addr, std::uint32_t value) {
   const std::size_t base = word32_addr * 2;
   if (base >= mem_.size()) throw std::out_of_range("OnChipRam::write32");
-  ++writes32_;
   mem_[base] = static_cast<std::int16_t>(static_cast<std::uint16_t>(value & 0xFFFF));
   if (base + 1 < mem_.size()) {
     mem_[base + 1] =
         static_cast<std::int16_t>(static_cast<std::uint16_t>(value >> 16));
   }
-}
-
-void OnChipRam::reset_counters() noexcept {
-  reads16_ = writes16_ = reads32_ = writes32_ = 0;
 }
 
 }  // namespace reads::soc

@@ -26,16 +26,11 @@ class OnChipRam {
 
   std::size_t reads16() const noexcept { return reads16_; }
   std::size_t writes16() const noexcept { return writes16_; }
-  std::size_t reads32() const noexcept { return reads32_; }
-  std::size_t writes32() const noexcept { return writes32_; }
-  void reset_counters() noexcept;
 
  private:
   std::vector<std::int16_t> mem_;
   mutable std::size_t reads16_ = 0;
   std::size_t writes16_ = 0;
-  mutable std::size_t reads32_ = 0;
-  std::size_t writes32_ = 0;
 };
 
 }  // namespace reads::soc

@@ -115,8 +115,6 @@ class ArriaSocSystem {
   const TransferCounters& transfer_counters() const noexcept {
     return hps_.counters();
   }
-  const OnChipRam& input_ram() const noexcept { return input_ram_; }
-  const OnChipRam& output_ram() const noexcept { return output_ram_; }
 
  private:
   const hls::QuantizedModel* model_;

@@ -57,7 +57,7 @@ TrainResult Trainer::fit(Dataset dataset, const TrainConfig& config) {
   }
   TrainResult result;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    if (config.shuffle) dataset.shuffle(config.shuffle_seed + epoch);
+    dataset.shuffle(config.shuffle_seed + epoch);
     double epoch_loss = 0.0;
     for (std::size_t b = 0; b < dataset.size(); b += config.batch_size) {
       const std::size_t e = std::min(dataset.size(), b + config.batch_size);

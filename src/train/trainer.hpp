@@ -17,8 +17,8 @@ namespace reads::train {
 struct TrainConfig {
   std::size_t epochs = 10;
   std::size_t batch_size = 16;
+  /// Every epoch reshuffles the dataset with shuffle_seed + epoch.
   std::uint64_t shuffle_seed = 1;
-  bool shuffle = true;
   /// Called after each epoch with (epoch index, mean training loss).
   std::function<void(std::size_t, double)> on_epoch;
   /// Called after every optimizer step (quantization-aware training hooks

@@ -59,7 +59,6 @@ class ScratchArena {
   }
 
   std::size_t used_words() const noexcept { return used_; }
-  std::size_t capacity_words() const noexcept { return buf_.size(); }
   void rewind(std::size_t mark) noexcept { used_ = mark; }
 
   /// The calling thread's arena (thread pool workers each get their own).

@@ -55,6 +55,28 @@ std::string json_double(double v) {
   return s.str();
 }
 
+std::string json_quote(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (u < 0x20) {
+      out += "\\u00";
+      out += kHex[u >> 4];
+      out += kHex[u & 0xf];
+    } else {
+      out += c;
+    }
+  }
+  out += '"';
+  return out;
+}
+
 void Percentiles::merge(const Percentiles& other) {
   values_.insert(values_.end(), other.values_.begin(), other.values_.end());
   if (!other.values_.empty()) sorted_ = false;
@@ -62,7 +84,7 @@ void Percentiles::merge(const Percentiles& other) {
 
 namespace {
 
-/// Shortest decimal that round-trips the double (snapshots get re-parsed).
+/// Round-trip decimal of the double (snapshots get re-parsed).
 void append_double(std::ostringstream& out, double v) {
   out << json_double(v);
 }
@@ -271,9 +293,20 @@ std::string JsonScan::enclosed(std::size_t pos) const {
   if (open != '{' && open != '[') fail("expected '{' or '['");
   const char close = open == '{' ? '}' : ']';
   std::size_t depth = 0;
+  bool in_string = false;
   for (std::size_t q = pos; q < text_.size(); ++q) {
-    if (text_[q] == open) ++depth;
-    if (text_[q] == close && --depth == 0) {
+    const char c = text_[q];
+    if (in_string) {
+      if (c == '\\') {
+        ++q;  // the escaped character cannot end the string
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == '"') in_string = true;
+    if (c == open) ++depth;
+    if (c == close && --depth == 0) {
       return text_.substr(pos, q - pos + 1);
     }
   }

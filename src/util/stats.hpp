@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace reads::util {
@@ -128,11 +129,17 @@ class Histogram {
   std::size_t overflow_ = 0;
 };
 
-/// Shortest decimal string that round-trips the double. Every JSON export
-/// in this codebase that may be re-parsed (histogram snapshots, cluster
-/// metrics aggregation) formats doubles through this so parse(emit(x)) == x
-/// and re-emitting a parsed snapshot reproduces the original text.
+/// The double at max_digits10 (17) significant digits, enough to
+/// round-trip it (not the shortest such string). Every JSON export in this
+/// codebase that may be re-parsed (histogram snapshots, cluster metrics
+/// aggregation) formats doubles through this so parse(emit(x)) == x and
+/// re-emitting a parsed snapshot reproduces the original text.
 std::string json_double(double v);
+
+/// `s` as a JSON string literal, quotes included: `"`, `\` and control
+/// characters are escaped, so outside bytes (a replica's socket path) can
+/// never end the string or the enclosing object early.
+std::string json_quote(std::string_view s);
 
 /// The one parser for the flat JSON this codebase emits (histogram, metrics
 /// and router stats snapshots): finds the first `"key":` at or after `from`
@@ -156,8 +163,8 @@ class JsonScan {
   std::uint64_t count(const std::string& key, std::size_t from = 0) const;
   std::vector<double> numbers(const std::string& key) const;
   std::vector<std::uint64_t> counts(const std::string& key) const;
-  /// The balanced `{...}` or `[...]` value starting at offset `pos` (the
-  /// emitters put no brackets inside strings, so counting suffices).
+  /// The balanced `{...}` or `[...]` value starting at offset `pos`;
+  /// brackets inside string literals do not count.
   std::string enclosed(std::size_t pos) const;
 
  private:

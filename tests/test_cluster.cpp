@@ -372,9 +372,10 @@ struct ReplicaProc {
   std::thread thread;
   std::string endpoint;
 
-  ReplicaProc(std::size_t monitors, std::chrono::microseconds service) {
+  ReplicaProc(std::size_t monitors, std::chrono::microseconds service,
+              const std::string& listen = "tcp:127.0.0.1:0") {
     cluster::ReplicaServerConfig cfg;
-    cfg.listen = cluster::Endpoint::parse("tcp:127.0.0.1:0");
+    cfg.listen = cluster::Endpoint::parse(listen);
     cfg.monitors = monitors;
     cfg.gateway.sharding = serve::ShardPolicy::kByStream;
     cfg.gateway.deadline_ms = 1000.0;
@@ -909,6 +910,37 @@ TEST(RouterFailover, DuplicateSubmitIsServedIdenticalBytesFromDedup) {
   EXPECT_GE(scan_counter(run.router.stats_json(), "dedup_hits"), 1u);
 }
 
+TEST(RouterFailover, DedupWindowHoldsExactlyTheNewestReplies) {
+  ReplicaProc a(kMonitors, 0us);
+  RouterRun run(router_config({a.endpoint}));
+  cluster::ClusterClient client(run.router.bound().str());
+
+  // One stream, more ticks than the window holds, drained in batches small
+  // enough that no tick is shed for a full replica queue.
+  const auto ticks = static_cast<std::uint32_t>(cluster::kDedupWindow + 40);
+  Ledger led;
+  for (std::uint32_t seq = 0; seq < ticks; ++seq) {
+    submit_tick(client, led, 6, seq);
+    if (led.submitted % 32 == 0) drain_all(client, led);
+  }
+  drain_all(client, led);
+  ASSERT_EQ(led.results, led.submitted);
+
+  auto stats = run.router.stats_json();
+  EXPECT_EQ(scan_counter(stats, "dedup_entries"), cluster::kDedupWindow);
+  EXPECT_EQ(scan_counter(stats, "dedup_hits"), 0u);
+
+  // The newest tick is still inside the bound: answered from the window.
+  const auto newest = make_tick(6, ticks - 1);
+  ASSERT_TRUE(client.submit(newest));
+  auto again = client.poll(10000.0);
+  ASSERT_TRUE(again && again->type == cluster::MsgType::kResult);
+  EXPECT_EQ(cluster::decode_result(again->payload).id, newest.req_id);
+  stats = run.router.stats_json();
+  EXPECT_EQ(scan_counter(stats, "dedup_hits"), 1u);
+  EXPECT_EQ(scan_counter(stats, "dedup_entries"), cluster::kDedupWindow);
+}
+
 TEST(RouterFailover, ResubmissionAfterClientDeathRebindsOrDedups) {
   ReplicaProc a(kMonitors, 20ms);  // slow enough that the job is in flight
   RouterRun run(router_config({a.endpoint}));
@@ -1116,6 +1148,31 @@ TEST(RouterAdmin, StatsReplyDoesNotDropInterleavedResults) {
   ASSERT_TRUE(msg.has_value());  // the result survived the admin exchange
   ASSERT_EQ(msg->type, cluster::MsgType::kResult);
   EXPECT_EQ(cluster::decode_result(msg->payload).id, tick.req_id);
+}
+
+TEST(RouterAdmin, StatsJsonEscapesOutsideEndpointBytes) {
+  // A kAddReplica endpoint is outside input, and a UDS path may hold any
+  // byte: a quote or a bracket in it must end neither the endpoint string
+  // nor the nodes array.
+  const std::string path =
+      "/tmp/reads-test-" + std::to_string(::getpid()) + "-q\"b]";
+  ReplicaProc a(kMonitors, 0us);
+  ReplicaProc odd(kMonitors, 0us, "uds:" + path);
+  RouterRun run(router_config({a.endpoint}));
+  ASSERT_NE(run.router.add_replica("uds:" + path), 0u);
+
+  const std::string stats = run.router.stats_json();
+  const util::JsonScan scan(stats, "stats");
+  const std::size_t pos = scan.value_pos("nodes");
+  const std::string nodes = scan.enclosed(pos);
+  // "nodes" is the last key, so its array runs to the closing brace.
+  EXPECT_EQ(nodes, stats.substr(pos, stats.size() - 1 - pos));
+  EXPECT_NE(nodes.find("\"endpoint\": \"uds:/tmp/reads-test-" +
+                       std::to_string(::getpid()) + "-q\\\"b]\""),
+            std::string::npos)
+      << nodes;
+  odd.stop();
+  ::unlink(path.c_str());
 }
 
 TEST(RouterAdmin, StatsAndMembershipConcurrentWithTraffic) {

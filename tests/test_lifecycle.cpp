@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "autotune/evaluator.hpp"
 #include "blm/generator.hpp"
 #include "hls/firmware.hpp"
 #include "hls/profiler.hpp"
@@ -412,29 +413,31 @@ TEST(Requalifier, AutotuneStagePublishesTunedPlanThroughTheGates) {
 }
 
 TEST(Requalifier, BudgetGuardRejectsViolatingFirmwarePreTraffic) {
-  // Forced violation: a device far too small for even the tiny U-Net, so
-  // whatever plan the autotune stage picks (or falls back to) compiles to
-  // firmware that breaks the resource budget. The guard must reject it
-  // before it can ever serve traffic, with a counted reason code.
+  // Forced violation: whatever plan the autotune stage picks (or falls back
+  // to), the mutate_hls hook widens every layer to 32 bits (DSP-ineligible,
+  // soft-logic multipliers) and unrolls it fully, so the compiled firmware
+  // breaks the Arria 10 resource budget. The guard must reject it before
+  // it can ever serve traffic, with a counted reason code.
   auto cfg = tiny_requalify_config();
   cfg.autotune = true;
   cfg.tune.budget = 4;
   cfg.tune.proposals_per_round = 8;
   cfg.tune.shortlist = 2;
   cfg.tune.greedy_descent_steps = 1;
-  cfg.tune_eval.device.alms = 1000;
-  cfg.tune_eval.device.aluts = 2000;
-  cfg.tune_eval.device.dsp_blocks = 4;
-  cfg.tune_eval.device.m20k_blocks = 8;
-  cfg.tune_eval.device.bram_bits = 8 * 20480;
   lifecycle::Requalifier req(cfg, tiny_unet);
 
   lifecycle::RequalifyRequest request;
   request.frames = tiny_frames(32, 100);
   request.seed = 5;
+  request.mutate_hls = [](hls::HlsConfig& hls_cfg) {
+    hls_cfg.quant = hls::QuantConfig::uniform({32, 16});
+    hls_cfg.reuse.default_reuse = 1;
+    hls_cfg.reuse.overrides.clear();
+  };
   auto result = req.run(std::move(request));
   EXPECT_FALSE(result.qualified);
   EXPECT_FALSE(result.artifact.has_value());
+  EXPECT_GT(result.report.alut_utilization, 1.0);
   EXPECT_EQ(result.report.reject_code, lifecycle::RejectCode::kResourceBudget);
   EXPECT_EQ(lifecycle::to_string(result.report.reject_code),
             "resource_budget");
@@ -445,11 +448,11 @@ TEST(Requalifier, BudgetGuardRejectsViolatingFirmwarePreTraffic) {
 
 TEST(Requalifier, DeadlineGuardRejectsViaMutateHlsHook) {
   // The mutate_hls fault-injection hook serializes every layer to reuse
-  // mults_per_output after the autotune stage; on the measured estimate
-  // the firmware then misses an aggressive deadline and must be rejected.
+  // mults_per_output and slows the IP clock to 10 kHz; on the measured
+  // estimate the firmware then misses the 3 ms deadline and must be
+  // rejected.
   auto cfg = tiny_requalify_config();
   cfg.enforce_budget = true;
-  cfg.tune_eval.deadline_ms = 1e-4;
   lifecycle::Requalifier req(cfg, tiny_unet);
 
   lifecycle::RequalifyRequest request;
@@ -458,9 +461,11 @@ TEST(Requalifier, DeadlineGuardRejectsViaMutateHlsHook) {
   request.mutate_hls = [](hls::HlsConfig& hls_cfg) {
     hls_cfg.reuse.default_reuse = 1u << 16;  // clamped to full serialization
     hls_cfg.reuse.overrides.clear();
+    hls_cfg.clock_mhz = 0.01;
   };
   auto result = req.run(std::move(request));
   EXPECT_FALSE(result.qualified);
+  EXPECT_GT(result.report.predicted_latency_ms, autotune::kDeadlineMs);
   EXPECT_EQ(result.report.reject_code, lifecycle::RejectCode::kDeadline);
   EXPECT_EQ(lifecycle::to_string(result.report.reject_code), "deadline");
   EXPECT_FALSE(result.report.autotuned);  // enforce_budget alone, no tuner

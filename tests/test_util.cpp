@@ -233,6 +233,17 @@ TEST(JsonScan, LooksUpFromAnOffsetAndMatchesWholeKeys) {
   EXPECT_FALSE(JsonScan(jobs_only, "test").has("redispatched"));
 }
 
+TEST(JsonScan, QuotedStringsCannotCloseAnEnclosedValue) {
+  EXPECT_EQ(json_quote("plain"), "\"plain\"");
+  EXPECT_EQ(json_quote("a\"b\\c]\n\x01"), "\"a\\\"b\\\\c]\\u000a\\u0001\"");
+  const std::string js = "{\"nodes\": [{\"endpoint\": " +
+                         json_quote("uds:/x\"]}\\") + "}], \"n\": 1}";
+  const JsonScan scan(js, "test");
+  const auto pos = scan.value_pos("nodes");
+  EXPECT_EQ(scan.enclosed(pos), js.substr(pos, js.find(", \"n\"") - pos));
+  EXPECT_EQ(scan.count("n"), 1u);
+}
+
 TEST(Percentiles, SummaryJsonNearestRankAndEmpty) {
   Percentiles p;
   for (int i = 1; i <= 1000; ++i) p.add(static_cast<double>(i));

@@ -8,6 +8,10 @@
 #
 # Build trees: build/ (plain), build-asan/ and build-tsan/ (sanitized).
 # All are incremental across runs.
+#
+# Every bench phase also runs its artifact through python3 -m json.tool,
+# which fails the phase on malformed JSON that the exit code alone would
+# not catch.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,13 +23,15 @@ cmake --build build -j"$(nproc)"
 echo "== chaos campaign (fault-injection gates) =="
 # Every fault scenario plus the replica-crash audit; exits non-zero on a
 # skipped tick, a lost/duplicated frame, or unbounded recovery.
-(cd build && ./bench/bench_chaos --quick --out=BENCH_chaos.json)
+(cd build && ./bench/bench_chaos --quick --out=BENCH_chaos.json \
+  && python3 -m json.tool BENCH_chaos.json >/dev/null)
 
 echo "== lifecycle campaign (drift -> requalify -> hot-swap gates) =="
 # Drives >=3 drift/requalify/swap cycles plus a shadow promote and a shadow
 # rollback; exits non-zero on a lost/duplicated/late frame, an uncovered
 # reconfiguration window, or an unqualified candidate reaching traffic.
-(cd build && ./bench/bench_lifecycle --quick --out=BENCH_lifecycle.json)
+(cd build && ./bench/bench_lifecycle --quick --out=BENCH_lifecycle.json \
+  && python3 -m json.tool BENCH_lifecycle.json >/dev/null)
 
 echo "== autotune campaign (Pareto front / dominance / surrogate gates) =="
 # Surrogate-guided precision/reuse search on the deployed U-Net; exits
@@ -33,28 +39,29 @@ echo "== autotune campaign (Pareto front / dominance / surrogate gates) =="
 # to dominate the layer_based_config baseline under the Arria-10 budget and
 # the 3 ms deadline, or the surrogate's predicted-vs-measured Spearman rank
 # correlation drops below 0.7.
-(cd build && ./bench/bench_autotune --tune_quick --out=BENCH_autotune.json)
+(cd build && ./bench/bench_autotune --tune_quick --out=BENCH_autotune.json \
+  && python3 -m json.tool BENCH_autotune.json >/dev/null)
 
 echo "== kernel engine gates (bit-identity / speedup / narrow lanes) =="
 # Fast path must stay bit-identical to the reference executor, beat it by
 # >= 8x (committed artifact shows ~17.3x; the lower bar absorbs CI host
 # noise), and prove >= half the MAC layers onto narrow int16 lanes.
 (cd build && ./bench/bench_kernels --min_speedup=8 --min_narrow_fraction=0.5 \
-  --out=BENCH_kernels.json)
+  --out=BENCH_kernels.json && python3 -m json.tool BENCH_kernels.json >/dev/null)
 
 echo "== serving gates (exactness / overload / zero-allocation frames) =="
 # Poisson sweep gates plus the allocation audit: 1024 steady-state frames
 # through assemble -> submit_into -> replica -> slot with exactly 0 heap
 # allocations (counted by util::allocguard's global operator new).
-(cd build && ./bench/bench_serve --replicas=1 --out=BENCH_serve.json)
+(cd build && ./bench/bench_serve --replicas=1 --out=BENCH_serve.json \
+  && python3 -m json.tool BENCH_serve.json >/dev/null)
 
 echo "== cluster gates (multi-process exactness / live resharding) =="
 # An in-process router + replica child processes over both TCP and
 # Unix-domain sockets; exits non-zero on a lost/duplicated/bit-divergent
 # accepted frame or a reshard that fails to drain exactly-once. The >= 3x
 # goodput scaling gate self-skips (recorded in the artifact) on hosts with
-# < 4 hardware threads or < 4 replica processes. json.tool then fails the
-# phase on a malformed artifact, which the exit code alone would not catch.
+# < 4 hardware threads or < 4 replica processes.
 (cd build && ./bench/bench_cluster --quick --out=BENCH_cluster.json \
   && python3 -m json.tool BENCH_cluster.json >/dev/null)
 
