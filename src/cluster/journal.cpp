@@ -81,7 +81,6 @@ void RouterJournal::record_slo(const JournalSlo& s) {
   std::vector<std::uint8_t> p;
   net::put_u64(p, std::bit_cast<std::uint64_t>(s.hard_deadline_ms));
   net::put_u64(p, std::bit_cast<std::uint64_t>(s.best_effort_deadline_ms));
-  net::put_u64(p, std::bit_cast<std::uint64_t>(s.admission_margin));
   append(kSlo, p);
 }
 
@@ -138,12 +137,11 @@ JournalState RouterJournal::replay(const std::string& path) {
         }
       }
       if (!found) nodes.push_back(std::move(n));
-    } else if (type == kSlo && len >= 24) {
+    } else if (type == kSlo && len >= 16) {
       JournalSlo s;
       s.hard_deadline_ms = std::bit_cast<double>(net::get_u64(p.data()));
       s.best_effort_deadline_ms =
           std::bit_cast<double>(net::get_u64(p.data() + 8));
-      s.admission_margin = std::bit_cast<double>(net::get_u64(p.data() + 16));
       state.slo = s;
     } else if (type == kReply && len >= 20) {
       JournalReply r;

@@ -22,7 +22,10 @@
 // Record types:
 //   kNode  — ring membership change: node id, endpoint, alive flag.
 //            Replay is last-writer-wins per node id.
-//   kSlo   — per-tenant SLO config (hard/best-effort budgets + margin).
+//   kSlo   — per-tenant SLO config (hard/best-effort budgets). Replay
+//            reads the first two doubles, so a longer record from an
+//            older router (which appended an admission margin) still
+//            replays.
 //   kReply — one terminal answer: stream, req_id, serialized reply
 //            envelope. Replay refills the dedup windows (bounded, FIFO).
 #pragma once
@@ -45,7 +48,6 @@ struct JournalNode {
 struct JournalSlo {
   double hard_deadline_ms = 3.0;
   double best_effort_deadline_ms = 100.0;
-  double admission_margin = 0.9;
 };
 
 struct JournalReply {

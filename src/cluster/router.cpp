@@ -17,8 +17,6 @@ constexpr std::size_t kMaxHeldPerStream = 256;
 /// Graceful-shutdown drain bound.
 constexpr double kDrainTimeoutMs = 5000.0;
 constexpr std::size_t kRingVnodes = 64;
-/// Seed for each replica connection's round-trip estimator.
-constexpr double kInitialRttEstMs = 2.0;
 /// Slow-consumer defense: a peer whose outbound buffer exceeds this is
 /// dropped.
 constexpr std::size_t kMaxOutbufBytes = 8u << 20;
@@ -38,7 +36,6 @@ RouterConfig apply_journal_slo(RouterConfig cfg) {
     if (st.slo) {
       cfg.hard_deadline_ms = st.slo->hard_deadline_ms;
       cfg.best_effort_deadline_ms = st.slo->best_effort_deadline_ms;
-      cfg.admission_margin = st.slo->admission_margin;
     }
   }
   return cfg;
@@ -60,9 +57,8 @@ Router::Router(RouterConfig cfg)
     journal_ = RouterJournal(cfg_.journal_path);
     // Re-journal the effective SLO so a journal truncated to just this
     // incarnation's records still replays the full config.
-    journal_.record_slo(JournalSlo{cfg_.hard_deadline_ms,
-                                   cfg_.best_effort_deadline_ms,
-                                   cfg_.admission_margin});
+    journal_.record_slo(
+        JournalSlo{cfg_.hard_deadline_ms, cfg_.best_effort_deadline_ms});
   }
   if (!recovered.nodes.empty()) {
     // Recovery mode: the journaled membership IS the fleet — cfg_.replicas
@@ -187,7 +183,6 @@ std::uint64_t Router::do_add_replica(const std::string& endpoint) {
 }
 
 void Router::connect_replica(ReplicaConn& rc, double timeout_ms) {
-  rc.rtt = serve::ServiceEstimator(kInitialRttEstMs);
   rc.fd = connect_to(rc.endpoint, timeout_ms);
   rc.reader = MessageReader();
   rc.outbuf.clear();
@@ -371,22 +366,9 @@ Router::RouteOutcome Router::route_job(InFlight&& inf, bool run_admission,
     st.pinned = true;
   }
   ReplicaConn& rc = *replicas_.find(st.pin)->second;
-  if (run_admission) {
-    if (rc.outstanding.size() >= kMaxOutstandingPerReplica) {
-      *shed_reason = ShedReason::kQueueFull;
-      return RouteOutcome::kShed;
-    }
-    if (inf.job.slo == 0) {
-      // Same RFC-6298 prediction the in-process gateway runs, against the
-      // endpoint's round-trip estimator: backlog x mean + mean + 4 x dev.
-      const double elapsed = now_ms() - tp_ms(inf.arrival);
-      const double predicted = rc.rtt.predicted_ms(rc.outstanding.size());
-      if (elapsed + predicted >
-          cfg_.admission_margin * cfg_.hard_deadline_ms) {
-        *shed_reason = ShedReason::kPredictedLate;
-        return RouteOutcome::kShed;
-      }
-    }
+  if (run_admission && rc.outstanding.size() >= kMaxOutstandingPerReplica) {
+    *shed_reason = ShedReason::kQueueFull;
+    return RouteOutcome::kShed;
   }
   send_job(rc, std::move(inf));
   return RouteOutcome::kSent;
@@ -625,9 +607,6 @@ void Router::handle_submit(ClientConn& c, Submit&& submit) {
   const auto outcome = route_job(std::move(inf), true, &reason);
   if (outcome == RouteOutcome::kShed) {
     switch (reason) {
-      case ShedReason::kPredictedLate:
-        metrics_.record_shed_predicted_late();
-        break;
       case ShedReason::kQueueFull:
         metrics_.record_shed_queue_full();
         break;
@@ -711,7 +690,6 @@ void Router::handle_replica_message(ReplicaConn& rc, const Message& msg) {
     }
     InFlight inf = std::move(it->second);
     rc.outstanding.erase(it);
-    rc.rtt.observe(now_ms() - inf.send_ms);
 
     const double budget = inf.job.slo == 0 ? cfg_.hard_deadline_ms
                                            : cfg_.best_effort_deadline_ms;
@@ -1009,8 +987,7 @@ std::string Router::stats_json_now() {
     out << "{\"node\": " << node
         << ", \"endpoint\": " << util::json_quote(rc->endpoint.str())
         << ", \"outstanding\": " << rc->outstanding.size()
-        << ", \"rtt_est_ms\": "
-        << util::json_double(rc->rtt.est_ms()) << ", \"state\": \"" << state
+        << ", \"state\": \"" << state
         << "\", \"attempts\": " << rc->attempts
         << ", \"next_reconnect_in_ms\": " << util::json_double(next_in)
         << ", \"outbuf_high_water\": " << rc->outbuf_high_water << "}";

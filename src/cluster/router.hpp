@@ -13,12 +13,12 @@
 //    (per-stream FIFO through the replica's kByStream gateway shard), so
 //    per-stream response order equals submit order.
 //
-//  * SLO admission. Hard-real-time submits (slo 0) are admitted against the
-//    same RFC-6298 mathematics the in-process gateway uses — per-replica
-//    round-trip EWMA + deviation, predicted completion vs margin x budget
-//    (serve/estimator.hpp) — and shed kPredictedLate in microseconds when
-//    the cluster cannot make the 3 ms budget. Best-effort submits (slo 1)
-//    are bounded only by the per-replica outstanding cap.
+//  * SLO budgets. The router judges no deadline itself: each job carries
+//    the budget left of its SLO class (3 ms hard-real-time for slo 0,
+//    best-effort for slo 1), and the replica's gateway — the one admission
+//    point — sheds it kPredictedLate against its real queue depth and
+//    service time. The router refuses only on the per-replica outstanding
+//    cap (kQueueFull) and the routing outcomes below.
 //
 //  * Exactly-once. Every accepted job (sent or held) yields exactly one
 //    terminal reply to its client. A job lives in exactly one replica's
@@ -92,7 +92,6 @@
 #include "cluster/ring.hpp"
 #include "net/assembler.hpp"
 #include "net/hub.hpp"
-#include "serve/estimator.hpp"
 #include "serve/metrics.hpp"
 
 namespace reads::cluster {
@@ -108,9 +107,6 @@ struct RouterConfig {
   /// SLO budgets: hard real-time (slo 0) and best-effort (slo 1).
   double hard_deadline_ms = 3.0;
   double best_effort_deadline_ms = 100.0;
-  /// Hard-RT admission: admit only when elapsed + predicted round-trip
-  /// <= margin x budget.
-  double admission_margin = 0.9;
   /// Crash quarantine: reconnect attempts with exponential backoff.
   std::size_t reconnect_attempts = 5;
   double reconnect_backoff_initial_ms = 50.0;
@@ -122,7 +118,7 @@ struct RouterConfig {
   /// already holds a previous incarnation's records, the constructor
   /// recovers: journaled membership replaces `replicas` (unreachable nodes
   /// quarantine instead of throwing), the dedup windows refill, and the
-  /// journaled SLO config overrides the deadline/margin fields.
+  /// journaled SLO config overrides the deadline fields.
   std::string journal_path;
   /// A connection with pending work but no byte-level progress for this
   /// long is stalled: replicas are kicked into the quarantine path,
@@ -187,7 +183,7 @@ class Router {
 
   /// Stats snapshot: {"router": <MetricsSnapshot JSON incl. samples>,
   ///  "cluster_counters": {...}, "nodes": [{"node", "endpoint",
-  ///  "outstanding", "rtt_est_ms", "state"}]}. Blocks for the loop's reply.
+  ///  "outstanding", "state"}]}. Blocks for the loop's reply.
   std::string stats_json();
 
  private:
@@ -221,7 +217,6 @@ class Router {
     Fd fd;
     MessageReader reader;
     std::vector<std::uint8_t> outbuf;
-    serve::ServiceEstimator rtt{1.0};
     std::map<std::uint64_t, InFlight> outstanding;  ///< by gid
     NodeState state = NodeState::kConnected;
     std::size_t attempts = 0;      ///< reconnects tried this quarantine
@@ -260,9 +255,8 @@ class Router {
 
   std::uint64_t do_add_replica(const std::string& endpoint);
   /// (Re)connect `rc` to its endpoint: fresh reader and outbuf, the hello
-  /// queued, the round-trip estimator at its seed, progress stamped. The
-  /// one place a replica connection starts. Throws when the connect fails
-  /// (the estimator is reseeded either way).
+  /// queued, progress stamped. The one place a replica connection starts.
+  /// Throws when the connect fails.
   void connect_replica(ReplicaConn& rc, double timeout_ms);
   void do_remove_replica(ReplicaConn& rc);
   void finish_remove(std::uint64_t node, bool ok);
@@ -274,9 +268,9 @@ class Router {
   void handle_submit(ClientConn& c, Submit&& submit);
   void handle_replica_message(ReplicaConn& rc, const Message& msg);
 
-  /// Route (or hold, or shed) one accepted job. `admitted` jobs bypass the
-  /// SLO admission check (held flushes and crash redispatches were already
-  /// accepted and must not be silently re-judged).
+  /// Route (or hold, or shed) one accepted job. `run_admission` applies the
+  /// per-replica outstanding cap; held flushes and crash redispatches pass
+  /// false (they were already accepted and must not be re-judged).
   enum class RouteOutcome : std::uint8_t { kSent, kHeld, kShed };
   RouteOutcome route_job(InFlight&& inflight, bool run_admission,
                          ShedReason* shed_reason);

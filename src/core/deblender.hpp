@@ -59,9 +59,8 @@ struct Decision {
 };
 
 /// Trip logic alone: sum the per-monitor MI/RR probabilities and pick the
-/// mitigation target against `trip_threshold`. Shared by the blocking
-/// DeblendingSystem::process path and the gateway-served path
-/// (core/serving.hpp); timing is left for the caller to fill.
+/// mitigation target against `trip_threshold`; timing is left for the
+/// caller to fill.
 Decision decide(tensor::Tensor probabilities, double trip_threshold);
 
 struct DeblendConfig {

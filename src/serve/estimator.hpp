@@ -1,17 +1,16 @@
-// RFC-6298-style service-time / round-trip estimator.
+// A replica's RFC-6298-style per-frame service-time estimator.
 //
 // One EWMA for the mean and one for the mean absolute deviation, exactly
 // the SRTT/RTTVAR shape of RFC 6298 with the gateway's historical gains
-// (alpha 0.2, beta 0.25). Extracted from Replica so the cluster router can
-// run the same admission mathematics per replica *endpoint* (round-trip
-// time over a socket) that the in-process gateway runs per replica thread
-// (service time per frame) — predicted completion everywhere is
+// (alpha 0.2, beta 0.25). Each serve::Replica owns one and folds in every
+// batch's per-frame service time; the gateway's deadline admission (the
+// one admission point, also for cluster ticks) reads it as
 //   backlog x mean + mean + 4 x deviation,
 // i.e. admission is gated on a high quantile, not the mean.
 //
-// Fields are atomics with relaxed ordering: writers are single (the replica
-// worker / the router event loop) and readers only need a recent value, not
-// a synchronized pair.
+// Fields are atomics with relaxed ordering: the replica worker is the one
+// writer, and gateway readers only need a recent value, not a synchronized
+// pair.
 #pragma once
 
 #include <algorithm>
@@ -33,14 +32,6 @@ class ServiceEstimator {
   explicit ServiceEstimator(double initial_ms = 1.0) noexcept
       : est_ms_(std::max(1e-6, initial_ms)),
         var_ms_(kInitialVarFrac * std::max(1e-6, initial_ms)) {}
-
-  ServiceEstimator(const ServiceEstimator& other) noexcept
-      : est_ms_(other.est_ms()), var_ms_(other.var_ms()) {}
-  ServiceEstimator& operator=(const ServiceEstimator& other) noexcept {
-    est_ms_.store(other.est_ms(), std::memory_order_relaxed);
-    var_ms_.store(other.var_ms(), std::memory_order_relaxed);
-    return *this;
-  }
 
   /// Fold one observation (ms) into the mean and deviation EWMAs. The
   /// deviation is measured against the *pre-update* mean, as in RFC 6298.

@@ -120,8 +120,7 @@ class Replica {
   }
 
   /// EWMA per-frame service time and its mean deviation (ms), updated after
-  /// every batch (shared shape with the cluster router's per-endpoint
-  /// round-trip estimators; see serve/estimator.hpp).
+  /// every batch (see serve/estimator.hpp).
   const ServiceEstimator& estimator() const noexcept { return estimator_; }
 
   /// True from first frame of a batch until its responses are delivered.

@@ -14,8 +14,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -34,6 +36,7 @@
 #include "cluster/router.hpp"
 #include "net/hub.hpp"
 #include "net/packet.hpp"
+#include "net/wire.hpp"
 #include "serve/backend.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -642,6 +645,76 @@ TEST(RouterCluster, MalformedTickIsShedNotServed) {
   EXPECT_EQ(shed.reason, cluster::ShedReason::kBadFrame);
 }
 
+// The replica's gateway is the one admission point for hard-RT ticks: the
+// router stamps the remaining budget and forwards. An idle replica never
+// sheds (work-conservation floor), so serial hard-RT ticks are all served.
+TEST(RouterCluster, HardRtTicksReachAnIdleReplica) {
+  ReplicaProc a(kMonitors, 0us);
+  RouterRun run(router_config({a.endpoint}));
+  cluster::ClusterClient client(run.router.bound().str());
+
+  Ledger led;
+  for (std::uint32_t seq = 0; seq < 20; ++seq) {
+    submit_tick(client, led, 5, seq, /*slo=*/0);
+    drain_all(client, led);  // one at a time: the replica is idle each time
+  }
+  EXPECT_EQ(led.results, 20u);
+  EXPECT_EQ(led.sheds, 0u);
+  EXPECT_EQ(led.mismatched, 0u);
+  const auto stats = run.router.stats_json();
+  EXPECT_EQ(scan_counter(stats, "predicted_late"), 0u);
+  EXPECT_EQ(scan_counter(stats, "replica_sheds"), 0u);
+}
+
+// A hard-RT tick behind a busy backend is shed by the replica's gateway,
+// and that shed reaches the client exactly once through the router.
+TEST(RouterCluster, BusyReplicaShedsHardRtTickExactlyOnce) {
+  ReplicaProc a(kMonitors, 200ms);
+  RouterRun run(router_config({a.endpoint}));
+  cluster::ClusterClient client(run.router.bound().str());
+  const auto before = scan_counter(run.router.stats_json(), "replica_sheds");
+
+  // The best-effort tick occupies the replica's only backend for ~200 ms.
+  // Wait until it is in service: between the queue pop and the start of
+  // service the gateway still sees an idle replica and would admit.
+  Ledger led;
+  submit_tick(client, led, 2, 0, /*slo=*/1);
+  auto& worker = a.server->gateway().replica(0);
+  const auto t_busy = Clock::now();
+  while (!worker.busy() && elapsed_ms(t_busy) < 10000.0) {
+    std::this_thread::sleep_for(100us);
+  }
+  ASSERT_TRUE(worker.busy());
+  const auto hard = make_tick(2, 1, /*slo=*/0);
+  ASSERT_TRUE(client.submit(hard));
+  ++led.submitted;
+
+  std::optional<cluster::Shed> hard_shed;
+  const auto t0 = Clock::now();
+  while (led.terminal() < led.submitted && elapsed_ms(t0) < 30000.0) {
+    auto msg = client.poll(100.0);
+    if (!msg) continue;
+    note_reply(led, *msg);
+    if (msg->type == cluster::MsgType::kShed) {
+      hard_shed = cluster::decode_shed(msg->payload);
+    }
+  }
+  // Nothing further may arrive for either tick.
+  while (auto msg = client.poll(300.0)) note_reply(led, *msg);
+
+  ASSERT_TRUE(hard_shed.has_value());
+  EXPECT_EQ(hard_shed->id, hard.req_id);
+  EXPECT_EQ(hard_shed->reason, cluster::ShedReason::kPredictedLate);
+  EXPECT_EQ(led.replies[hard.req_id], 1);
+  EXPECT_EQ(led.results, 1u);
+  EXPECT_EQ(led.sheds, 1u);
+  EXPECT_EQ(led.duplicated(), 0u);
+  EXPECT_EQ(led.mismatched, 0u);
+  const auto stats = run.router.stats_json();
+  EXPECT_EQ(scan_counter(stats, "replica_sheds"), before + 1);
+  EXPECT_EQ(scan_counter(stats, "predicted_late"), 0u);
+}
+
 TEST(RouterCluster, LiveReshardingDrainsExactlyOnce) {
   ReplicaProc a(kMonitors, 200us);
   ReplicaProc b(kMonitors, 200us);
@@ -834,7 +907,7 @@ TEST(RouterJournal, RecordReplayRoundTrips) {
     ASSERT_TRUE(j.open());
     j.record_node({1, "tcp:127.0.0.1:9001", true});
     j.record_node({2, "tcp:127.0.0.1:9002", true});
-    j.record_slo({2.5, 80.0, 0.8});
+    j.record_slo({2.5, 80.0});
     j.record_node({2, "", false});  // removed: last writer wins
     j.record_node({3, "uds:/tmp/r3.sock", true});
     j.record_reply(5, 42, {1, 2, 3, 4});
@@ -850,12 +923,41 @@ TEST(RouterJournal, RecordReplayRoundTrips) {
   ASSERT_TRUE(state.slo.has_value());
   EXPECT_DOUBLE_EQ(state.slo->hard_deadline_ms, 2.5);
   EXPECT_DOUBLE_EQ(state.slo->best_effort_deadline_ms, 80.0);
-  EXPECT_DOUBLE_EQ(state.slo->admission_margin, 0.8);
   ASSERT_EQ(state.replies.size(), 2u);
   EXPECT_EQ(state.replies[0].stream, 5u);
   EXPECT_EQ(state.replies[0].req_id, 42u);
   EXPECT_EQ(state.replies[0].reply, (std::vector<std::uint8_t>{1, 2, 3, 4}));
   EXPECT_EQ(state.replies[1].req_id, 43u);
+  ::unlink(path.c_str());
+}
+
+// Older routers wrote a third double (an admission margin) into kSlo.
+// Replay reads the two budgets and ignores the rest.
+TEST(RouterJournal, ThreeFieldSloRecordStillReplays) {
+  const auto path = journal_path("slo3");
+  ::unlink(path.c_str());
+  constexpr std::uint8_t kSloType = 2;
+  std::vector<std::uint8_t> payload;
+  for (const double v : {2.5, 80.0, 0.8}) {
+    net::put_u64(payload, std::bit_cast<std::uint64_t>(v));
+  }
+  net::Crc32 crc;
+  crc.add_byte(kSloType);
+  for (const auto b : payload) crc.add_byte(b);
+  std::vector<std::uint8_t> rec;
+  net::put_u8(rec, kSloType);
+  net::put_u32(rec, static_cast<std::uint32_t>(payload.size()));
+  rec.insert(rec.end(), payload.begin(), payload.end());
+  net::put_u32(rec, crc.value());
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(rec.data(), 1, rec.size(), f), rec.size());
+  std::fclose(f);
+
+  const auto state = cluster::RouterJournal::replay(path);
+  ASSERT_TRUE(state.slo.has_value());
+  EXPECT_DOUBLE_EQ(state.slo->hard_deadline_ms, 2.5);
+  EXPECT_DOUBLE_EQ(state.slo->best_effort_deadline_ms, 80.0);
   ::unlink(path.c_str());
 }
 

@@ -4,10 +4,9 @@
 // response, bit-identical to direct single-threaded inference.
 //
 // The pure-concurrency suites here (BoundedQueue*, Replica*, GatewayTest*,
-// ServeMetrics*) run under ThreadSanitizer via tools/check.sh; the
-// DeblendServing integration suite needs the pretrained model cache and
-// runs in the plain/ASan builds only. Timing-dependent tests assert logical
-// properties (counts, batch bounds, no loss), never wall-clock bounds.
+// ServeMetrics*) run under ThreadSanitizer via tools/check.sh.
+// Timing-dependent tests assert logical properties (counts, batch bounds,
+// no loss), never wall-clock bounds.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,9 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "blm/generator.hpp"
-#include "blm/machine.hpp"
-#include "core/serving.hpp"
 #include "hls/firmware.hpp"
 #include "hls/precision.hpp"
 #include "hls/profiler.hpp"
@@ -757,41 +753,6 @@ TEST(ServeMetrics, MergeAggregatesPerProcessSnapshotsExactly) {
   EXPECT_EQ(acc.arrived, 3u);
   EXPECT_EQ(acc.e2e_ms.total(), 3u);
   EXPECT_EQ(acc.replicas.size(), 2u);
-}
-
-// ------------------------------------------------- DeblendServing (heavy)
-
-TEST(DeblendServing, GatewayDecisionsMatchDirectQuantizedPath) {
-  core::GatewayDeblendConfig cfg;
-  cfg.replicas = 2;
-  cfg.gateway.deadline_ms = 0.0;  // functional test: no shedding
-  cfg.gateway.max_batch = 2;
-  auto server = core::GatewayDeblender::build(cfg);
-
-  const auto& system = server.system();
-  blm::FrameGenerator gen(blm::MachineConfig::fermilab_like(),
-                          system.config().seed + 99);
-
-  for (int i = 0; i < 6; ++i) {
-    const auto frame = gen.next();
-    auto ticket = server.submit(frame.raw, static_cast<std::uint64_t>(i));
-    ASSERT_TRUE(ticket.admitted);
-    const auto resp = ticket.response.get();
-    const auto direct = system.quantized().forward(
-        system.standardizer().transform(frame.raw));
-    EXPECT_EQ(resp.output, direct) << "frame " << i;
-
-    const auto decision = server.decide(resp);
-    const auto expected =
-        core::decide(direct, system.config().trip_threshold);
-    EXPECT_EQ(decision.target, expected.target);
-    EXPECT_DOUBLE_EQ(decision.mi_score, expected.mi_score);
-    EXPECT_DOUBLE_EQ(decision.rr_score, expected.rr_score);
-  }
-  server.stop();
-  const auto snap = server.gateway().metrics().snapshot();
-  EXPECT_EQ(snap.completed, 6u);
-  EXPECT_EQ(snap.sheds(), 0u);
 }
 
 // -------------------------------------------- hot-swap / shadow rollout

@@ -88,7 +88,7 @@ cmake -B build-tsan -S . -DREADS_TSAN=ON >/dev/null
 cmake --build build-tsan -j"$(nproc)" \
   --target test_serve test_util test_fault test_lifecycle test_cluster \
   test_autotune
-# Model-cache-backed integration tests (DeblendServing, FaultPipeline) are
+# Model-cache-backed integration tests (FaultPipeline) are
 # covered by the plain and ASan runs; under TSan we run the
 # pure-concurrency suites, including the scheduled-crash recovery path,
 # the lifecycle registry/requalifier publication races, the router's
