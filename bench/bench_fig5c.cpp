@@ -41,7 +41,7 @@ void distribution(const char* name, const reads::hls::FirmwareModel& fw,
             << util::Table::fmt(pct.percentile(99.97), 3) << " ms\n";
   std::cout << "throughput (back-to-back): "
             << util::Table::fmt(1e3 / stats.mean(), 0) << " fps\n";
-  util::Histogram hist(stats.min() * 0.98, stats.max() * 1.02, 24);
+  util::Histogram hist;
   for (double v : pct.values()) hist.add(v);
   std::cout << hist.ascii(44) << "\n";
 }

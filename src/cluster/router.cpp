@@ -50,7 +50,7 @@ Router::Router(RouterConfig cfg)
       listener_(listen_on(cfg_.listen)),
       wake_(make_wake_pipe()),
       ring_(kRingVnodes),
-      metrics_(1, cfg_.hard_deadline_ms) {
+      metrics_(0) {
   JournalState recovered;
   if (!cfg_.journal_path.empty()) {
     recovered = RouterJournal::replay(cfg_.journal_path);
@@ -696,8 +696,9 @@ void Router::handle_replica_message(ReplicaConn& rc, const Message& msg) {
     const double e2e = now_ms() - tp_ms(inf.arrival);
     const double queue = std::max(0.0, inf.send_ms - tp_ms(inf.arrival));
     const bool miss = e2e > budget;
-    metrics_.record_batch(0, 0.0, std::span<const double>(&queue, 1),
-                          std::span<const double>(&e2e, 1), miss ? 1 : 0);
+    metrics_.record_completions(std::span<const double>(&queue, 1),
+                                std::span<const double>(&e2e, 1),
+                                miss ? 1 : 0);
 
     r.id = inf.req_id;
     r.deadline_met = miss ? 0 : 1;

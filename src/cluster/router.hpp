@@ -181,9 +181,12 @@ class Router {
   /// node is unknown.
   bool remove_replica(std::uint64_t node);
 
-  /// Stats snapshot: {"router": <MetricsSnapshot JSON incl. samples>,
-  ///  "cluster_counters": {...}, "nodes": [{"node", "endpoint",
-  ///  "outstanding", "state"}]}. Blocks for the loop's reply.
+  /// Stats snapshot: {"router": <MetricsSnapshot JSON incl. samples, with
+  ///  an empty "replicas" array>, "cluster_counters": {...},
+  ///  "dedup_entries", "client_outbuf_high_water", "nodes": [{"node",
+  ///  "endpoint", "outstanding", "state", "attempts",
+  ///  "next_reconnect_in_ms", "outbuf_high_water"}]}. Blocks for the loop's
+  ///  reply.
   std::string stats_json();
 
  private:

@@ -18,6 +18,10 @@ namespace {
 /// when every backend is unhealthy at once).
 constexpr std::size_t kMaxRedispatch = 8;
 
+/// Admit only when predicted completion <= margin * budget; the headroom
+/// absorbs service-time jitter between prediction and execution.
+constexpr double kAdmissionMargin = 0.9;
+
 /// Deterministic mirror selection: a pure function of the request id, so a
 /// replayed stream mirrors exactly the same frames regardless of timing.
 bool mirror_selected(std::uint64_t id, double fraction) noexcept {
@@ -113,7 +117,7 @@ std::string_view to_string(RejectReason reason) noexcept {
 
 Gateway::Gateway(std::vector<std::unique_ptr<Backend>> backends,
                  GatewayConfig cfg)
-    : cfg_(cfg), metrics_(backends.size(), std::max(cfg.deadline_ms, 1.0)) {
+    : cfg_(cfg), metrics_(backends.size()) {
   if (backends.empty()) {
     throw std::invalid_argument("Gateway: need at least one backend");
   }
@@ -406,7 +410,7 @@ RejectReason Gateway::admit(Tensor& frame, std::uint64_t stream,
   const bool idle =
       shards_[shard]->size() == 0 && !replicas_[shard]->busy();
   if (cfg_.admission_control && has_deadline && !idle &&
-      predicted_completion_ms(shard) > cfg_.admission_margin * deadline_ms) {
+      predicted_completion_ms(shard) > kAdmissionMargin * deadline_ms) {
     metrics_.record_shed_predicted_late();
     return RejectReason::kPredictedLate;
   }

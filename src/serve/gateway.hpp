@@ -49,9 +49,6 @@ struct GatewayConfig {
   double deadline_ms = 3.0;
   /// Master switch for predicted-late shedding.
   bool admission_control = true;
-  /// Admit only when predicted completion <= margin * budget; the headroom
-  /// absorbs service-time jitter between prediction and execution.
-  double admission_margin = 0.9;
   /// EWMA seed until each replica has observed real service times.
   double initial_service_est_ms = 2.0;
   ShardPolicy sharding = ShardPolicy::kLeastLoaded;

@@ -5,39 +5,7 @@
 
 namespace reads::serve {
 
-namespace {
-// Latency histograms cover [0, 4 deadlines): admission keeps accepted
-// latency near or under one deadline, so four covers the interesting tail
-// while the overflow counter still catches pathological stragglers.
-constexpr double kDeadlineSpan = 4.0;
-constexpr std::size_t kLatencyBins = 80;
-
-bool same_layout(const util::Histogram& a, const util::Histogram& b) {
-  return a.bins() == b.bins() && a.bin_lo(0) == b.bin_lo(0) &&
-         a.bin_hi(a.bins() - 1) == b.bin_hi(b.bins() - 1);
-}
-
-/// Snapshot-level histogram fold. A default-constructed MetricsSnapshot
-/// carries a 1-bin placeholder histogram; adopting the first real layout it
-/// meets lets callers start a cluster aggregation from an empty snapshot.
-/// Two *populated* histograms with different layouts cannot be combined.
-void fold_hist(util::Histogram& into, const util::Histogram& from) {
-  if (!same_layout(into, from)) {
-    if (into.total() == 0) {
-      into = from;
-      return;
-    }
-    if (from.total() == 0) return;
-  }
-  into.merge(from);  // layout mismatch of populated histograms throws here
-}
-
-}  // namespace
-
-Metrics::Metrics(std::size_t replicas, double deadline_ms)
-    : replicas_(replicas),
-      queue_ms_(0.0, kDeadlineSpan * deadline_ms, kLatencyBins),
-      e2e_ms_(0.0, kDeadlineSpan * deadline_ms, kLatencyBins) {}
+Metrics::Metrics(std::size_t replicas) : replicas_(replicas) {}
 
 void Metrics::reserve_e2e_samples(std::size_t n) {
   std::lock_guard lock(dist_mutex_);
@@ -56,7 +24,13 @@ void Metrics::record_batch(std::size_t replica, double busy_ms,
   std::size_t seen = r.max_batch.load(kRelaxed);
   while (seen < n && !r.max_batch.compare_exchange_weak(seen, n, kRelaxed)) {
   }
-  completed_.fetch_add(n, kRelaxed);
+  record_completions(frame_queue_ms, frame_e2e_ms, deadline_misses);
+}
+
+void Metrics::record_completions(std::span<const double> frame_queue_ms,
+                                 std::span<const double> frame_e2e_ms,
+                                 std::size_t deadline_misses) {
+  completed_.fetch_add(frame_e2e_ms.size(), kRelaxed);
   deadline_misses_.fetch_add(deadline_misses, kRelaxed);
 
   std::lock_guard lock(dist_mutex_);
@@ -111,15 +85,16 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   redispatched += other.redispatched;
   replicas.insert(replicas.end(), other.replicas.begin(),
                   other.replicas.end());
-  fold_hist(queue_ms, other.queue_ms);
-  fold_hist(e2e_ms, other.e2e_ms);
+  queue_ms.merge(other.queue_ms);
+  e2e_ms.merge(other.e2e_ms);
   e2e_samples.merge(other.e2e_samples);
 }
 
 std::string MetricsSnapshot::to_json(double wall_s, bool include_samples) {
-  // All doubles go through json_double (shortest round-trip form): the
-  // cluster report re-parses these snapshots with from_json, and derived
-  // rates recomputed from the parsed counters must re-emit byte-identically.
+  // All doubles go through json_double (17 significant digits, enough to
+  // round-trip): the cluster report re-parses these snapshots with
+  // from_json, and derived rates recomputed from the parsed counters must
+  // re-emit byte-identically.
   std::ostringstream out;
   out << "{\"arrived\": " << arrived << ", \"admitted\": " << admitted
       << ", \"completed\": " << completed

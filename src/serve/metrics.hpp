@@ -45,8 +45,8 @@ struct MetricsSnapshot {
   std::size_t restarts = 0;
   std::size_t redispatched = 0;
   std::vector<ReplicaSnapshot> replicas;
-  util::Histogram queue_ms{0.0, 1.0, 1};
-  util::Histogram e2e_ms{0.0, 1.0, 1};
+  util::Histogram queue_ms;
+  util::Histogram e2e_ms;
   util::Percentiles e2e_samples;
   std::size_t sheds() const noexcept {
     return shed_predicted_late + shed_queue_full + shed_shutdown;
@@ -66,9 +66,8 @@ struct MetricsSnapshot {
   /// counters sum, per-replica rows CONCATENATE (each serving process owns
   /// distinct replicas, so a router snapshot with zero replicas plus N
   /// single-replica process snapshots yields N rows), latency histograms
-  /// merge bin-for-bin (layouts must match unless one side is empty —
-  /// std::invalid_argument otherwise), and retained e2e samples append so
-  /// merged percentiles are exact.
+  /// merge exactly (one layout), and retained e2e samples append so merged
+  /// percentiles are exact.
   void merge(const MetricsSnapshot& other);
 
   /// JSON object (schema: DESIGN.md §7) with counters, shed/goodput rates,
@@ -82,16 +81,15 @@ struct MetricsSnapshot {
   /// Parse a to_json() export back into a snapshot (derived rates are
   /// recomputed, "e2e_values" restores the percentile samples when
   /// present). Throws std::invalid_argument on malformed input.
-  /// from_json(to_json(w, true)) round-trips exactly, histogram
-  /// under/overflow tallies included.
+  /// from_json(to_json(w, true)) round-trips exactly, histogram end
+  /// buckets included.
   static MetricsSnapshot from_json(const std::string& json);
 };
 
 class Metrics {
  public:
-  /// Histogram ranges scale with the deadline so the interesting region
-  /// (0 .. a few deadlines) keeps bin resolution.
-  Metrics(std::size_t replicas, double deadline_ms);
+  /// `replicas` per-replica rows; the router, which runs no backend, has 0.
+  explicit Metrics(std::size_t replicas);
 
   void record_arrival() noexcept { arrived_.fetch_add(1, kRelaxed); }
   void record_admitted() noexcept { admitted_.fetch_add(1, kRelaxed); }
@@ -120,19 +118,25 @@ class Metrics {
   }
   void record_redispatched() noexcept { redispatched_.fetch_add(1, kRelaxed); }
 
-  /// One completed micro-batch on `replica`: per-frame queue/e2e latencies
-  /// plus the batch's busy time. Takes the distribution lock once. Spans so
-  /// the replica hands over its reused scratch arrays without copying.
+  /// One completed micro-batch on `replica`: its busy time and row counters,
+  /// then record_completions for its frames.
   void record_batch(std::size_t replica, double busy_ms,
                     std::span<const double> frame_queue_ms,
                     std::span<const double> frame_e2e_ms,
                     std::size_t deadline_misses);
 
-  /// Pre-grow the retained e2e percentile samples. The histograms are
-  /// fixed-bin (never allocate), but Percentiles retains every sample in a
-  /// growing vector; a zero-allocation measurement window must reserve its
-  /// expected frame count up front or the gate would charge the serving
-  /// path for the sample vector's doubling.
+  /// Completed frames' per-frame queue/e2e latencies and deadline misses.
+  /// Takes the distribution lock once. Spans so the replica hands over its
+  /// reused scratch arrays without copying.
+  void record_completions(std::span<const double> frame_queue_ms,
+                          std::span<const double> frame_e2e_ms,
+                          std::size_t deadline_misses);
+
+  /// Pre-grow the retained e2e percentile samples. The histograms keep
+  /// their counts inline (never allocate), but Percentiles retains every
+  /// sample in a growing vector; a zero-allocation measurement window must
+  /// reserve its expected frame count up front or the gate would charge the
+  /// serving path for the sample vector's doubling.
   void reserve_e2e_samples(std::size_t n);
 
   MetricsSnapshot snapshot() const;

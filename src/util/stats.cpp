@@ -1,6 +1,7 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
@@ -113,106 +114,67 @@ std::string Percentiles::summary_json(std::initializer_list<double> percents) {
   return out.str();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins, 0) {
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must exceed lo");
-  if (bins == 0) throw std::invalid_argument("Histogram: need at least one bin");
+namespace {
+
+// An in-range double's exponent field and top mantissa bits, read as one
+// integer, count buckets from 2^kMinExp: bucket i's lower edge is the double
+// whose bits are (kFirstBucket + i) << kBucketShift.
+static_assert(std::has_single_bit(Histogram::kSubBuckets));
+constexpr int kBucketShift = 52 - std::countr_zero(Histogram::kSubBuckets);
+constexpr std::uint64_t kFirstBucket =
+    static_cast<std::uint64_t>(1023 + Histogram::kMinExp)
+    << std::countr_zero(Histogram::kSubBuckets);
+
+}  // namespace
+
+double Histogram::bucket_lo(std::size_t i) noexcept {
+  return std::bit_cast<double>((kFirstBucket + i) << kBucketShift);
 }
 
-void Histogram::reset() noexcept {
-  std::fill(bins_.begin(), bins_.end(), std::size_t{0});
-  total_ = 0;
-  underflow_ = 0;
-  overflow_ = 0;
+std::size_t Histogram::bucket_of(double x) noexcept {
+  // NaN fails both comparisons, so it lands with +inf in the last bucket.
+  if (!(x < bucket_lo(kBuckets))) return kBuckets - 1;
+  if (!(x >= bucket_lo(0))) return 0;
+  return static_cast<std::size_t>(
+      (std::bit_cast<std::uint64_t>(x) >> kBucketShift) - kFirstBucket);
 }
 
-void Histogram::add(double x) noexcept {
-  ++total_;
-  // Out-of-range samples are tracked only by the underflow/overflow
-  // counters; folding them into the edge bins as well would double-count
-  // them against total() and skew the edge bars.
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::size_t>(frac * static_cast<double>(bins_.size()));
-  if (idx >= bins_.size()) idx = bins_.size() - 1;  // guard fp edge
-  ++bins_[idx];
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (lo_ != other.lo_ || hi_ != other.hi_ ||
-      bins_.size() != other.bins_.size()) {
-    throw std::invalid_argument("Histogram::merge: layout mismatch");
-  }
-  for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
+void Histogram::merge(const Histogram& other) noexcept {
+  for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
   total_ += other.total_;
 }
 
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(bins_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) / static_cast<double>(bins_.size());
-}
-
 std::string Histogram::ascii(std::size_t width) const {
-  std::size_t peak = std::max(underflow_, overflow_);
-  for (auto c : bins_) peak = std::max(peak, c);
+  const std::size_t peak = *std::max_element(counts_.begin(), counts_.end());
   std::ostringstream out;
   out.setf(std::ios::fixed);
   out.precision(4);
-  const auto row = [&](const std::string& label, std::size_t count) {
-    const auto bar = peak == 0 ? std::size_t{0} : count * width / peak;
-    out << label << ' ' << std::string(std::max<std::size_t>(bar, 1), '#')
-        << ' ' << count << '\n';
-  };
-  if (underflow_ > 0) {
-    std::ostringstream label;
-    label.setf(std::ios::fixed);
-    label.precision(4);
-    label << "< " << lo_ << "        ";
-    row(label.str(), underflow_);
-  }
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    if (bins_[i] == 0) continue;
-    std::ostringstream label;
-    label.setf(std::ios::fixed);
-    label.precision(4);
-    label << '[' << bin_lo(i) << ", " << bin_hi(i) << ")";
-    row(label.str(), bins_[i]);
-  }
-  if (overflow_ > 0) {
-    std::ostringstream label;
-    label.setf(std::ios::fixed);
-    label.precision(4);
-    label << ">= " << hi_ << "       ";
-    row(label.str(), overflow_);
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    if (counts_[i] == 0) continue;
+    const auto bar = counts_[i] * width / peak;
+    out << '[' << bucket_lo(i) << ", " << bucket_hi(i) << ") "
+        << std::string(std::max<std::size_t>(bar, 1), '#') << ' '
+        << counts_[i] << '\n';
   }
   return out.str();
 }
 
 std::string Histogram::to_json() const {
-  std::ostringstream out;
-  out << "{\"lo\": ";
-  append_double(out, lo_);
-  out << ", \"hi\": ";
-  append_double(out, hi_);
-  out << ", \"bins\": [";
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    if (i) out << ", ";
-    out << bins_[i];
+  std::ostringstream lo;
+  std::ostringstream hi;
+  std::ostringstream counts;
+  const char* sep = "";
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    if (counts_[i] == 0) continue;
+    lo << sep << json_double(bucket_lo(i));
+    hi << sep << json_double(bucket_hi(i));
+    counts << sep << counts_[i];
+    sep = ", ";
   }
-  out << "], \"underflow\": " << underflow_ << ", \"overflow\": " << overflow_
-      << ", \"total\": " << total_ << "}";
+  std::ostringstream out;
+  out << "{\"lo\": [" << lo.str() << "], \"hi\": [" << hi.str()
+      << "], \"counts\": [" << counts.str() << "], \"total\": " << total_
+      << "}";
   return out.str();
 }
 
@@ -257,7 +219,10 @@ double JsonScan::number(const std::string& key, std::size_t from) const {
 }
 
 std::uint64_t JsonScan::as_count(double v, const std::string& key) const {
-  if (v < 0.0 || v != std::floor(v)) fail("key '" + key + "' is not a count");
+  // The upper bound also keeps the uint64 conversion defined (inf, 1e300).
+  if (!(v >= 0.0 && v < 0x1p64) || v != std::floor(v)) {
+    fail("key '" + key + "' is not a count");
+  }
   return static_cast<std::uint64_t>(v);
 }
 
@@ -314,20 +279,28 @@ std::string JsonScan::enclosed(std::size_t pos) const {
 }
 
 Histogram Histogram::from_json(const std::string& json) {
+  const auto bad = [](const char* msg) {
+    throw std::invalid_argument(std::string("stats JSON: histogram ") + msg);
+  };
   const JsonScan scan(json, "stats");
-  const double lo = scan.number("lo");
-  const double hi = scan.number("hi");
-  const auto bins = scan.counts("bins");
-  Histogram h(lo, hi, bins.size());  // validates hi > lo, bins > 0
-  h.bins_.assign(bins.begin(), bins.end());
-  h.underflow_ = scan.count("underflow");
-  h.overflow_ = scan.count("overflow");
-  h.total_ = scan.count("total");
-  std::size_t in_range = 0;
-  for (auto c : bins) in_range += c;
-  if (in_range + h.underflow_ + h.overflow_ != h.total_) {
-    throw std::invalid_argument("stats JSON: histogram totals inconsistent");
+  const auto lo = scan.numbers("lo");
+  const auto hi = scan.numbers("hi");
+  const auto counts = scan.counts("counts");
+  if (hi.size() != lo.size() || counts.size() != lo.size()) {
+    bad("arrays differ in length");
   }
+  Histogram h;
+  std::size_t next = 0;  // buckets are listed once each, ascending
+  for (std::size_t k = 0; k < lo.size(); ++k) {
+    const std::size_t i = bucket_of(lo[k]);
+    if (bucket_lo(i) != lo[k]) bad("lo is not a bucket edge");
+    if (hi[k] != bucket_hi(i)) bad("hi does not close its bucket");
+    if (i < next) bad("bucket listed twice or out of order");
+    h.counts_[i] = counts[k];
+    h.total_ += counts[k];
+    next = i + 1;
+  }
+  if (scan.count("total") != h.total_) bad("total does not match its counts");
   return h;
 }
 

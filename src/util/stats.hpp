@@ -1,6 +1,7 @@
 // Streaming statistics and histograms used by the latency/accuracy harnesses.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -78,55 +79,57 @@ class Percentiles {
   bool sorted_ = false;
 };
 
-/// Fixed-bin histogram over [lo, hi); out-of-range samples are counted by
-/// the underflow/overflow tallies (and rendered as explicit `< lo` / `>= hi`
-/// rows by ascii()) so nothing is silently dropped — and edge bins hold only
-/// in-range samples.
+/// Log-bucketed histogram with one fixed layout, so every latency fits and
+/// any two histograms merge. Each octave [2^e, 2^(e+1)) for e in
+/// [kMinExp, kMaxExp) is split into kSubBuckets equal buckets, each at most
+/// 1/kSubBuckets of its lower edge wide; with values in ms that spans ~1 us
+/// to ~70 min. Bucket 0 also takes every value below 2^kMinExp (zero and
+/// negatives included); the last bucket also takes everything at or above
+/// 2^kMaxExp, +inf and NaN. The counts live inline: nothing allocates.
 class Histogram {
  public:
-  Histogram(double lo, double hi, std::size_t bins);
+  static constexpr int kMinExp = -10;
+  static constexpr int kMaxExp = 22;
+  static constexpr std::size_t kSubBuckets = 32;
+  static constexpr std::size_t kBuckets =
+      static_cast<std::size_t>(kMaxExp - kMinExp) * kSubBuckets;
 
-  void add(double x) noexcept;
+  void add(double x) noexcept {
+    ++counts_[bucket_of(x)];
+    ++total_;
+  }
 
-  /// Zero every bin and the under/overflow tallies in place; the bin layout
-  /// (lo, hi, bin count) is preserved and no memory is released, so swap
-  /// epochs can re-arm histograms on the hot path without reallocation.
-  void reset() noexcept;
+  /// Index of the bucket x lands in, read from the IEEE-754 exponent field
+  /// and the top mantissa bits.
+  static std::size_t bucket_of(double x) noexcept;
+  /// Edges of bucket i (i < kBuckets): an in-range x lies in
+  /// [bucket_lo(bucket_of(x)), bucket_hi(bucket_of(x))).
+  static double bucket_lo(std::size_t i) noexcept;
+  static double bucket_hi(std::size_t i) noexcept { return bucket_lo(i + 1); }
 
-  std::size_t bin_count(std::size_t i) const { return bins_.at(i); }
-  std::size_t bins() const noexcept { return bins_.size(); }
-  double bin_lo(std::size_t i) const noexcept;
-  double bin_hi(std::size_t i) const noexcept;
+  std::size_t count(std::size_t i) const { return counts_.at(i); }
   std::size_t total() const noexcept { return total_; }
-  std::size_t underflow() const noexcept { return underflow_; }
-  std::size_t overflow() const noexcept { return overflow_; }
 
-  /// Render an ASCII bar chart (one line per non-empty bin).
+  /// Render an ASCII bar chart (one line per non-empty bucket).
   std::string ascii(std::size_t width = 50) const;
 
-  /// JSON object carrying the full state, including the underflow/overflow
-  /// tallies:
-  ///   {"lo": .., "hi": .., "bins": [..], "underflow": n, "overflow": n,
-  ///    "total": n}
-  /// from_json(to_json()) reconstructs an identical histogram (round-trip
-  /// regression-tested); from_json throws std::invalid_argument on
-  /// malformed input or inconsistent totals.
+  /// The non-empty buckets as parallel flat arrays:
+  ///   {"lo": [..], "hi": [..], "counts": [..], "total": n}
+  /// from_json(to_json()) re-emits byte-identically (round-trip
+  /// regression-tested); from_json throws std::invalid_argument on malformed
+  /// input, edges that are not this layout's, a bucket listed twice or out
+  /// of order, or a total that does not match the counts.
   std::string to_json() const;
   static Histogram from_json(const std::string& json);
 
-  /// Add `other`'s bins and underflow/overflow/total tallies into this
-  /// histogram. Both must share the exact layout (lo, hi, bin count) —
-  /// cross-process aggregation only makes sense bin-for-bin — otherwise
-  /// std::invalid_argument.
-  void merge(const Histogram& other);
+  /// Add `other`'s counts into this histogram.
+  void merge(const Histogram& other) noexcept;
+
+  bool operator==(const Histogram&) const = default;
 
  private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> bins_;
+  std::array<std::size_t, kBuckets> counts_{};
   std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
 };
 
 /// The double at max_digits10 (17) significant digits, enough to

@@ -38,6 +38,7 @@
 #include "net/packet.hpp"
 #include "net/wire.hpp"
 #include "serve/backend.hpp"
+#include "serve/metrics.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -1250,6 +1251,43 @@ TEST(RouterAdmin, StatsReplyDoesNotDropInterleavedResults) {
   ASSERT_TRUE(msg.has_value());  // the result survived the admin exchange
   ASSERT_EQ(msg->type, cluster::MsgType::kResult);
   EXPECT_EQ(cluster::decode_result(msg->payload).id, tick.req_id);
+}
+
+// The router runs no backend: its stats carry no replica row, and every
+// answered tick lands in its e2e histogram, however late.
+TEST(RouterAdmin, StatsCountEveryAnsweredTickWithoutAReplicaRow) {
+  ReplicaProc a(kMonitors, 50ms);
+  RouterRun run(router_config({a.endpoint}));
+  cluster::ClusterClient client(run.router.bound().str());
+
+  constexpr std::size_t kTicks = 4;
+  Ledger led;
+  for (std::uint32_t seq = 0; seq < kTicks; ++seq) {
+    submit_tick(client, led, 3, seq);
+    drain_all(client, led);
+  }
+  ASSERT_EQ(led.results, kTicks);
+
+  const std::string stats = run.router.stats_json();
+  const util::JsonScan scan(stats, "stats");
+  const std::string router = scan.enclosed(scan.value_pos("router"));
+  EXPECT_NE(router.find("\"replicas\": []"), std::string::npos) << router;
+  const auto snap = serve::MetricsSnapshot::from_json(router);
+  EXPECT_TRUE(snap.replicas.empty());
+  EXPECT_EQ(snap.completed, kTicks);
+  EXPECT_EQ(snap.e2e_ms.total(), kTicks);
+  EXPECT_EQ(snap.queue_ms.total(), kTicks);
+  // Each best-effort tick waited out the 50 ms backend, many times the
+  // 3 ms deadline, and still lies inside the bucket it was counted in.
+  ASSERT_EQ(snap.e2e_samples.count(), kTicks);
+  for (const double e2e : snap.e2e_samples.values()) {
+    EXPECT_GE(e2e, 50.0);
+    const std::size_t b = util::Histogram::bucket_of(e2e);
+    EXPECT_LE(util::Histogram::bucket_lo(b), e2e);
+    EXPECT_LT(e2e, util::Histogram::bucket_hi(b));
+    EXPECT_GT(snap.e2e_ms.count(b), 0u);
+  }
+  EXPECT_EQ(snap.e2e_ms.count(util::Histogram::kBuckets - 1), 0u);
 }
 
 TEST(RouterAdmin, StatsJsonEscapesOutsideEndpointBytes) {

@@ -14,6 +14,7 @@
 #include <future>
 #include <map>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -28,6 +29,8 @@
 #include "serve/queue.hpp"
 #include "serve/replica.hpp"
 #include "util/rng.hpp"
+
+#include "mutate.hpp"
 
 namespace {
 
@@ -203,7 +206,7 @@ serve::Request make_request(std::uint64_t id, const Tensor& frame,
 }
 
 TEST(Replica, DrainsQueuedFramesIntoMicroBatches) {
-  serve::Metrics metrics(1, 3.0);
+  serve::Metrics metrics(1);
   BoundedQueue<serve::Request> shard(16);
   const auto frame = test_frame(8, 1);
   constexpr std::size_t kFrames = 9;
@@ -238,7 +241,7 @@ TEST(Replica, DrainsQueuedFramesIntoMicroBatches) {
 }
 
 TEST(Replica, ExpiredDeadlinesSuppressBatchGrowth) {
-  serve::Metrics metrics(1, 3.0);
+  serve::Metrics metrics(1);
   BoundedQueue<serve::Request> shard(16);
   const auto frame = test_frame(8, 2);
   // Deadlines already in the past: growing a batch can only add delay for
@@ -291,7 +294,7 @@ class FlakyBackend final : public serve::Backend {
 };
 
 TEST(Replica, BackendFaultRetriesLocallyWithoutLosingFrames) {
-  serve::Metrics metrics(1, 3.0);
+  serve::Metrics metrics(1);
   BoundedQueue<serve::Request> shard(16);
   SyntheticBackend oracle;
   constexpr std::size_t kFrames = 6;
@@ -327,7 +330,7 @@ TEST(Replica, BackendFaultRetriesLocallyWithoutLosingFrames) {
 }
 
 TEST(Replica, FaultStreakQuarantinesBacksOffAndRestarts) {
-  serve::Metrics metrics(1, 3.0);
+  serve::Metrics metrics(1);
   BoundedQueue<serve::Request> shard(16);
   SyntheticBackend oracle;
   constexpr std::size_t kFrames = 5;
@@ -629,7 +632,7 @@ TEST(GatewayTest, QuantizedBackendMatchesDirectModel) {
 // --------------------------------------------------------- ServeMetrics
 
 TEST(ServeMetrics, SnapshotAndJsonCarryAllStages) {
-  serve::Metrics metrics(2, 3.0);
+  serve::Metrics metrics(2);
   metrics.record_arrival();
   metrics.record_arrival();
   metrics.record_arrival();
@@ -667,7 +670,7 @@ TEST(ServeMetrics, SnapshotAndJsonCarryAllStages) {
 }
 
 TEST(ServeMetrics, JsonRoundTripsExactlyIncludingHistogramTails) {
-  serve::Metrics metrics(2, 3.0);
+  serve::Metrics metrics(2);
   for (int i = 0; i < 5; ++i) metrics.record_arrival();
   for (int i = 0; i < 4; ++i) metrics.record_admitted();
   metrics.record_shed_predicted_late();
@@ -675,16 +678,17 @@ TEST(ServeMetrics, JsonRoundTripsExactlyIncludingHistogramTails) {
   metrics.record_quarantine(0);
   metrics.record_restart(0);
   metrics.record_redispatched();
-  // One latency beyond the histogram range (overflow tally) and one below
-  // zero (underflow tally): the wire snapshot must carry both, or a merged
-  // cluster report would silently shrink its totals.
+  // One latency beyond the histogram range (top end bucket) and one below
+  // zero (bottom end bucket): the wire snapshot must carry both, or a
+  // merged cluster report would silently shrink its totals.
   const double queue_ms[] = {0.25, -1.0};
   const double e2e_ms[] = {1e9, 2.25};
   metrics.record_batch(1, 3.5, queue_ms, e2e_ms, 1);
+  constexpr std::size_t kTop = util::Histogram::kBuckets - 1;
 
   auto snap = metrics.snapshot();
-  EXPECT_EQ(snap.e2e_ms.overflow(), 1u);
-  EXPECT_EQ(snap.queue_ms.underflow(), 1u);
+  EXPECT_EQ(snap.e2e_ms.count(kTop), 1u);
+  EXPECT_EQ(snap.queue_ms.count(0), 1u);
 
   const auto json = snap.to_json(2.0, /*include_samples=*/true);
   auto back = serve::MetricsSnapshot::from_json(json);
@@ -701,17 +705,19 @@ TEST(ServeMetrics, JsonRoundTripsExactlyIncludingHistogramTails) {
   EXPECT_EQ(back.replicas[1].frames, snap.replicas[1].frames);
   EXPECT_NEAR(back.replicas[1].busy_ms, snap.replicas[1].busy_ms, 1e-12);
   EXPECT_EQ(back.e2e_ms.total(), snap.e2e_ms.total());
-  EXPECT_EQ(back.e2e_ms.overflow(), 1u);
-  EXPECT_EQ(back.queue_ms.underflow(), 1u);
+  EXPECT_EQ(back.e2e_ms, snap.e2e_ms);
+  EXPECT_EQ(back.queue_ms, snap.queue_ms);
+  EXPECT_EQ(back.e2e_ms.count(kTop), 1u);
+  EXPECT_EQ(back.queue_ms.count(0), 1u);
   // Strongest form: the re-parsed snapshot re-exports byte-identically.
   EXPECT_EQ(back.to_json(2.0, true), json);
 }
 
 TEST(ServeMetrics, MergeAggregatesPerProcessSnapshotsExactly) {
-  // Two "processes", one replica each, same deadline (same histogram
-  // layout) — exactly the shape the cluster stats path merges.
-  serve::Metrics a(1, 3.0);
-  serve::Metrics b(1, 3.0);
+  // Two "processes", one replica each — exactly the shape the cluster
+  // stats path merges.
+  serve::Metrics a(1);
+  serve::Metrics b(1);
   a.record_arrival();
   a.record_arrival();
   a.record_admitted();
@@ -745,14 +751,39 @@ TEST(ServeMetrics, MergeAggregatesPerProcessSnapshotsExactly) {
   // Percentiles over the union of retained samples are exact: the median
   // of {1, 3, 5} is 3, which neither process saw as its own median.
   EXPECT_NEAR(merged.e2e_samples.median(), 3.0, 1e-12);
+  // Histograms merge exactly: one histogram of the union.
+  util::Histogram e2e;
+  for (double v : {1.0, 3.0, 5.0}) e2e.add(v);
+  EXPECT_EQ(merged.e2e_ms, e2e);
+}
 
-  // Merging into a default-constructed snapshot adopts the layout (the
-  // cluster report starts from an empty accumulator).
-  serve::MetricsSnapshot acc;
-  acc.merge(merged);
-  EXPECT_EQ(acc.arrived, 3u);
-  EXPECT_EQ(acc.e2e_ms.total(), 3u);
-  EXPECT_EQ(acc.replicas.size(), 2u);
+// Replica stats replies cross a socket. Damaged copies of a real wire
+// snapshot must parse or throw std::invalid_argument; nothing else may
+// happen.
+TEST(ServeMetrics, MutatedJsonParsesOrThrowsInvalidArgument) {
+  serve::Metrics metrics(2);
+  for (int i = 0; i < 6; ++i) metrics.record_arrival();
+  for (int i = 0; i < 5; ++i) metrics.record_admitted();
+  metrics.record_shed_queue_full();
+  metrics.record_backend_fault(1);
+  const double queue_ms[] = {0.0, 0.125, 2.5};
+  const double e2e_ms[] = {0.75, 3.25, 120.0};
+  metrics.record_batch(0, 2.0, queue_ms, e2e_ms, 2);
+  metrics.record_batch(1, 1.5, std::span(queue_ms, 2), std::span(e2e_ms, 2),
+                       1);
+  const std::string valid = metrics.snapshot().to_json(1.0, true);
+
+  util::Xoshiro256 rng(0x5A75u);
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 1000; ++iter) {
+    const std::string bytes = reads::test::mutate(valid, rng);
+    try {
+      (void)serve::MetricsSnapshot::from_json(bytes);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 // -------------------------------------------- hot-swap / shadow rollout

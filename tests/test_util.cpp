@@ -2,8 +2,10 @@
 // stats, percentiles, histograms, thread pool, tables, CLI parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -14,6 +16,8 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
+
+#include "mutate.hpp"
 
 namespace {
 
@@ -129,83 +133,183 @@ TEST(Percentiles, ThrowsOnEmpty) {
 }
 
 TEST(Histogram, BinningAndOutOfRangeCounters) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-1.0);   // underflow — counter only, not folded into bin 0
-  h.add(100.0);  // overflow — counter only, not folded into bin 9
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
+  Histogram h;
+  h.add(1.0);
+  h.add(2.9);
+  constexpr std::size_t kLast = Histogram::kBuckets - 1;
+  // Below 2^kMinExp, zero and negatives included: bucket 0.
+  for (double v : {0.0, -0.0, -1.0, -std::numeric_limits<double>::infinity(),
+                   std::ldexp(1.0, Histogram::kMinExp - 1),
+                   std::numeric_limits<double>::denorm_min()}) {
+    EXPECT_EQ(Histogram::bucket_of(v), 0u) << v;
+    h.add(v);
+  }
+  // At or above 2^kMaxExp, +inf and NaN: the last bucket.
+  for (double v : {std::ldexp(1.0, Histogram::kMaxExp), 1e300,
+                   std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN(),
+                   -std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(Histogram::bucket_of(v), kLast) << v;
+    h.add(v);
+  }
+  EXPECT_EQ(h.total(), 13u);
+  EXPECT_EQ(h.count(0), 6u);
+  EXPECT_EQ(h.count(kLast), 5u);
+  EXPECT_EQ(h.count(Histogram::bucket_of(1.0)), 1u);
+  EXPECT_EQ(h.count(Histogram::bucket_of(2.9)), 1u);
+  EXPECT_EQ(Histogram::bucket_lo(0), std::ldexp(1.0, Histogram::kMinExp));
+  EXPECT_EQ(Histogram::bucket_hi(kLast), std::ldexp(1.0, Histogram::kMaxExp));
 }
 
-// Regression: out-of-range samples used to be counted twice — once in the
-// underflow/overflow tallies AND once in the edge bins — so bin sums
-// exceeded total(). The invariant is sum(bins) + underflow + overflow ==
-// total, and the ascii rendering reports the out-of-range rows explicitly.
+TEST(Histogram, InRangeValuesLieInsideTheirBucket) {
+  // Every bucket edge, the double just below it, and random values over
+  // the whole range.
+  const auto expect_inside = [](double v) {
+    const std::size_t b = Histogram::bucket_of(v);
+    ASSERT_LT(b, Histogram::kBuckets) << v;
+    EXPECT_LE(Histogram::bucket_lo(b), v) << v;
+    EXPECT_LT(v, Histogram::bucket_hi(b)) << v;
+  };
+  for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+    EXPECT_EQ(Histogram::bucket_of(Histogram::bucket_lo(b)), b);
+    expect_inside(std::nextafter(Histogram::bucket_hi(b), 0.0));
+  }
+  Xoshiro256 rng(91);
+  for (int i = 0; i < 100'000; ++i) {
+    expect_inside(std::exp2(rng.uniform(Histogram::kMinExp,
+                                        Histogram::kMaxExp)));
+  }
+}
+
+TEST(Histogram, NoBucketIsWiderThanItsShareOfItsLowerEdge) {
+  for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+    const double lo = Histogram::bucket_lo(b);
+    const double hi = Histogram::bucket_hi(b);
+    EXPECT_LT(lo, hi) << b;
+    EXPECT_LE(hi - lo, lo / static_cast<double>(Histogram::kSubBuckets)) << b;
+    if (b > 0) {
+      EXPECT_EQ(Histogram::bucket_hi(b - 1), lo) << b;
+    }
+  }
+}
+
+// Every sample is counted once: out-of-range samples sit in the end
+// buckets, not beside them, so the counts sum to total().
 TEST(Histogram, OutOfRangeSamplesAreNotDoubleCounted) {
-  Histogram h(0.0, 1.0, 4);
+  Histogram h;
   for (int i = 0; i < 7; ++i) h.add(-0.5);
-  for (int i = 0; i < 3; ++i) h.add(2.0);
+  for (int i = 0; i < 3; ++i) h.add(1e12);
   h.add(0.1);
   h.add(0.9);
-  std::size_t in_bins = 0;
-  for (std::size_t b = 0; b < h.bins(); ++b) in_bins += h.bin_count(b);
-  EXPECT_EQ(in_bins, 2u);
-  EXPECT_EQ(in_bins + h.underflow() + h.overflow(), h.total());
+  std::size_t in_buckets = 0;
+  for (std::size_t b = 0; b < Histogram::kBuckets; ++b) in_buckets += h.count(b);
+  EXPECT_EQ(in_buckets, h.total());
+  EXPECT_EQ(h.total(), 12u);
   const std::string chart = h.ascii();
-  EXPECT_NE(chart.find("< 0.0000"), std::string::npos);
-  EXPECT_NE(chart.find(">= 1.0000"), std::string::npos);
+  EXPECT_EQ(std::count(chart.begin(), chart.end(), '\n'), 4);
   EXPECT_NE(chart.find(" 7\n"), std::string::npos);
   EXPECT_NE(chart.find(" 3\n"), std::string::npos);
 }
 
-TEST(Histogram, RejectsDegenerateRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
+TEST(Histogram, MergeEqualsOneHistogramOfTheUnion) {
+  Histogram a;
+  Histogram b;
+  Histogram both;
+  Xoshiro256 rng(5);
+  for (int i = 0; i < 2000; ++i) {
+    const double v = rng.lognormal(0.0, 3.0) - 0.01;  // some below range
+    (i % 3 == 0 ? a : b).add(v);
+    both.add(v);
+  }
+  a.merge(b);
+  EXPECT_EQ(a, both);
+  EXPECT_EQ(a.to_json(), both.to_json());
 }
 
 TEST(Histogram, JsonRoundTripPreservesEverything) {
-  Histogram h(0.25, 4.75, 9);
+  Histogram h;
   Xoshiro256 rng(77);
-  for (int i = 0; i < 500; ++i) h.add(rng.normal(2.5, 2.0));  // spills both ends
+  for (int i = 0; i < 500; ++i) h.add(rng.normal(2.5, 2.0));  // some <= 0
   h.add(-100.0);
   h.add(1e9);
-  ASSERT_GT(h.underflow(), 0u);
-  ASSERT_GT(h.overflow(), 0u);
+  ASSERT_GT(h.count(0), 0u);
+  ASSERT_GT(h.count(Histogram::kBuckets - 1), 0u);
 
   const auto json = h.to_json();
   const auto back = Histogram::from_json(json);
-  EXPECT_EQ(back.bins(), h.bins());
-  EXPECT_EQ(back.total(), h.total());
-  EXPECT_EQ(back.underflow(), h.underflow());
-  EXPECT_EQ(back.overflow(), h.overflow());
-  for (std::size_t i = 0; i < h.bins(); ++i) {
-    EXPECT_EQ(back.bin_count(i), h.bin_count(i)) << "bin " << i;
-    EXPECT_DOUBLE_EQ(back.bin_lo(i), h.bin_lo(i));
-    EXPECT_DOUBLE_EQ(back.bin_hi(i), h.bin_hi(i));
-  }
+  EXPECT_EQ(back, h);
   // Re-serializing the reconstruction is byte-identical: the export uses
   // round-trip-exact float formatting, so to_json is a fixed point.
   EXPECT_EQ(back.to_json(), json);
+  EXPECT_EQ(Histogram::from_json(Histogram{}.to_json()), Histogram{});
 }
 
 TEST(Histogram, FromJsonRejectsMalformed) {
-  EXPECT_THROW(Histogram::from_json("not json"), std::invalid_argument);
-  EXPECT_THROW(Histogram::from_json("{\"lo\": 0.0, \"hi\": 1.0}"),
-               std::invalid_argument);
-  // Totals that do not match the bin contents must be rejected, not trusted.
-  EXPECT_THROW(Histogram::from_json(
-                   "{\"lo\": 0, \"hi\": 1, \"bins\": [1, 2], "
-                   "\"underflow\": 0, \"overflow\": 0, \"total\": 99}"),
-               std::invalid_argument);
-  // Degenerate ranges are invalid through this door too.
-  EXPECT_THROW(Histogram::from_json(
-                   "{\"lo\": 1, \"hi\": 1, \"bins\": [0], "
-                   "\"underflow\": 0, \"overflow\": 0, \"total\": 0}"),
-               std::invalid_argument);
+  const auto rejects = [](const std::string& json) {
+    EXPECT_THROW(Histogram::from_json(json), std::invalid_argument) << json;
+  };
+  rejects("not json");
+  rejects("{\"lo\": [1], \"hi\": [1.03125]}");
+  // A valid two-bucket export: [1, 1.03125) holds 2, [2, 2.0625) holds 1.
+  const std::string ok =
+      "{\"lo\": [1, 2], \"hi\": [1.03125, 2.0625], \"counts\": [2, 1], "
+      "\"total\": 3}";
+  EXPECT_EQ(Histogram::from_json(ok).count(Histogram::bucket_of(1.0)), 2u);
+  // Arrays of different lengths.
+  rejects("{\"lo\": [1, 2], \"hi\": [1.03125], \"counts\": [2, 1], "
+          "\"total\": 3}");
+  rejects("{\"lo\": [1, 2], \"hi\": [1.03125, 2.0625], \"counts\": [3], "
+          "\"total\": 3}");
+  // A lo that is not a bucket edge, in range or out of it.
+  rejects("{\"lo\": [1.01], \"hi\": [1.03125], \"counts\": [1], "
+          "\"total\": 1}");
+  rejects("{\"lo\": [0], \"hi\": [0.0009765625], \"counts\": [1], "
+          "\"total\": 1}");
+  rejects("{\"lo\": [8388608], \"hi\": [8650752], \"counts\": [1], "
+          "\"total\": 1}");
+  rejects("{\"lo\": [nan], \"hi\": [nan], \"counts\": [1], \"total\": 1}");
+  // A wrong hi.
+  rejects("{\"lo\": [1], \"hi\": [1.0625], \"counts\": [1], \"total\": 1}");
+  // A bucket listed twice, or out of order.
+  rejects("{\"lo\": [1, 1], \"hi\": [1.03125, 1.03125], \"counts\": [1, 1], "
+          "\"total\": 2}");
+  rejects("{\"lo\": [2, 1], \"hi\": [2.0625, 1.03125], \"counts\": [1, 2], "
+          "\"total\": 3}");
+  // A count that is negative, fractional or beyond 64 bits.
+  rejects("{\"lo\": [1], \"hi\": [1.03125], \"counts\": [-1], \"total\": 1}");
+  rejects("{\"lo\": [1], \"hi\": [1.03125], \"counts\": [1.5], "
+          "\"total\": 1}");
+  rejects("{\"lo\": [1], \"hi\": [1.03125], \"counts\": [1e300], "
+          "\"total\": 1}");
+  // A total that does not match the counts.
+  rejects("{\"lo\": [1, 2], \"hi\": [1.03125, 2.0625], \"counts\": [2, 1], "
+          "\"total\": 99}");
+  rejects("{\"lo\": [], \"hi\": [], \"counts\": [], \"total\": 1}");
+}
+
+// Histogram snapshots cross a socket inside replica stats replies. Damaged
+// copies of a real export must parse (into something that re-exports
+// consistently) or throw std::invalid_argument; nothing else may happen.
+TEST(Histogram, MutatedJsonParsesOrThrowsInvalidArgument) {
+  Histogram h;
+  Xoshiro256 values(3);
+  for (int i = 0; i < 200; ++i) h.add(values.lognormal(0.5, 2.0));
+  h.add(-1.0);
+  h.add(1e30);
+  const std::string valid = h.to_json();
+
+  Xoshiro256 rng(0xF1A7u);
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 1000; ++iter) {
+    const std::string bytes = reads::test::mutate(valid, rng);
+    try {
+      const auto back = Histogram::from_json(bytes);
+      EXPECT_EQ(Histogram::from_json(back.to_json()), back) << bytes;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(JsonScan, MissingKeyAndNonCountsThrow) {
@@ -391,34 +495,6 @@ TEST(Percentiles, ResetDropsSamplesAndKeepsCapacity) {
   p.add(2.0);
   p.add(8.0);
   EXPECT_DOUBLE_EQ(p.percentile(100.0), 8.0);
-}
-
-TEST(Histogram, ResetZeroesBinsAndOutOfRangeCounters) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-3.0);   // underflow
-  h.add(42.0);   // overflow
-  h.add(1.0);
-  h.add(9.5);
-  ASSERT_EQ(h.total(), 4u);
-  ASSERT_EQ(h.underflow(), 1u);
-  ASSERT_EQ(h.overflow(), 1u);
-
-  h.reset();
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-  for (std::size_t i = 0; i < h.bins(); ++i) {
-    EXPECT_EQ(h.bin_count(i), 0u);
-  }
-  // The bin layout survives: the same samples land in the same bins.
-  EXPECT_EQ(h.bins(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-  h.add(1.0);
-  h.add(-3.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.total(), 2u);
 }
 
 }  // namespace

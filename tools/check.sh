@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 verification: plain Release build + ctest, then an ASan/UBSan
-# build + ctest (READS_SANITIZE=ON), then a ThreadSanitizer build
-# (READS_TSAN=ON) of the concurrency-heavy targets running the serve/queue/
-# thread-pool tests. Run from the repo root:
+# Tier-1 verification: plain Release build + ctest and the bench gates,
+# then a 5 s bit-exact audit run of each control-tick benchmark workload
+# (perfbench/run.py, as CI runs it), then an ASan/UBSan build + ctest
+# (READS_SANITIZE=ON), then a ThreadSanitizer build (READS_TSAN=ON) of the
+# concurrency-heavy targets running the serve/queue/thread-pool tests. Run
+# from the repo root:
 #
 #   tools/check.sh [extra ctest args...]
 #
-# Build trees: build/ (plain), build-asan/ and build-tsan/ (sanitized).
-# All are incremental across runs.
+# Build trees: build/ (plain), build-perfbench/ (control-tick benchmark),
+# build-asan/ and build-tsan/ (sanitized). All are incremental across runs.
 #
 # Every bench phase also runs its artifact through python3 -m json.tool,
 # which fails the phase on malformed JSON that the exit code alone would
@@ -77,6 +79,14 @@ echo "== chaos-cluster gates (network faults / failover / exactly-once) =="
 # (bench/cluster_harness.*): replica/router roles, oracle, audit, fleet.
 (cd build && ./bench/bench_chaos_cluster --quick --out=BENCH_chaos_cluster.json \
   && python3 -m json.tool BENCH_chaos_cluster.json >/dev/null)
+
+echo "== control-tick benchmark runs (bit-exact audit per workload) =="
+# run.py exits non-zero when a run's audit reads correct: false.
+# 5 s is the shortest run that fills cluster_uds's 1,000-tick window.
+for w in edge_nominal edge_overload cluster_uds; do
+  CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+    --workload "$w" --seed 1 --seconds 5 --trace 0 || exit 1
+done
 
 echo "== sanitizer build (address,undefined) =="
 cmake -B build-asan -S . -DREADS_SANITIZE=ON >/dev/null
