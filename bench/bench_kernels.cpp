@@ -8,9 +8,11 @@
 //                   [--min_narrow_fraction=0.0]
 //
 // Emits one JSON object (schema documented in DESIGN.md §5b) to stdout and
-// to --out; exits non-zero if the fast path diverges from the reference,
-// the speedup falls below --min_speedup, or fewer than
-// --min_narrow_fraction of the MAC layers run on narrow lanes.
+// to --out, with one row per firmware layer timed through
+// forward_raw_profiled; exits non-zero if the fast path diverges from the
+// reference, the speedup falls below --min_speedup, fewer than
+// --min_narrow_fraction of the MAC layers run on narrow lanes, or the
+// per-layer rows do not sum to within 5% of the frame they split.
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -123,6 +125,33 @@ int main(int argc, char** argv) {
     (void)sink;
   });
 
+  // Per-layer split: the fast path with each layer timed, best rep by the
+  // whole-frame wall time measured around the same timed calls. One extra
+  // untimed pass counts the MAC layers' input sparsity.
+  const auto& fw = qm.firmware();
+  std::vector<double> layer_ns;
+  double prof_s = 1e300;
+  for (int r = -warmup; r < reps; ++r) {
+    std::vector<double> ns(fw.layers.size(), 0.0);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const auto& f : raw) {
+      volatile std::int64_t sink = qm.forward_raw_profiled(f, ns).back();
+      (void)sink;
+    }
+    const double s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (r >= 0 && s < prof_s) {
+      prof_s = s;
+      layer_ns = std::move(ns);
+    }
+  }
+  std::vector<hls::MacInputs> mac_inputs(fw.layers.size());
+  {
+    std::vector<double> ns(fw.layers.size(), 0.0);
+    for (const auto& f : raw) (void)qm.forward_raw_profiled(f, ns, mac_inputs);
+  }
+
   const double n = static_cast<double>(frames);
   const double fast_ms = fast_t.best / n * 1e3;
   const double ref_ms = ref_t.best / n * 1e3;
@@ -132,7 +161,6 @@ int main(int argc, char** argv) {
 
   // Per-layer lane report from the range prover.
   const auto& lanes = qm.lanes();
-  const auto& fw = qm.firmware();
   const double narrow_fraction =
       lanes.mac_layers == 0 ? 0.0
                             : static_cast<double>(lanes.narrow_layers) /
@@ -148,6 +176,45 @@ int main(int argc, char** argv) {
                << hls::to_string(lanes.decisions[i].lane) << "\"}";
   }
   lanes_json << "]";
+
+  // Per-layer table. A 16-lane vector MAC is one listed input term times
+  // one 16-output block (the narrow AVX-512 lane's unit of work).
+  const double prof_ns = prof_s / n * 1e9;
+  double layer_sum_ns = 0.0;
+  for (const double ns : layer_ns) layer_sum_ns += ns / n;
+  std::ostringstream layers_json;
+  layers_json << "[";
+  for (std::size_t i = 1; i < fw.layers.size(); ++i) {
+    const auto& l = fw.layers[i];
+    const auto& in = mac_inputs[i];
+    const double ns = layer_ns[i] / n;
+    if (i > 1) layers_json << ", ";
+    layers_json << "{\"layer\": \"" << l.name << "\", \"kind\": \""
+                << hls::to_string(l.kind)
+                << "\", \"ns_per_frame\": " << util::Table::fmt(ns, 0)
+                << ", \"share\": "
+                << util::Table::fmt(
+                       layer_sum_ns > 0.0 ? ns / layer_sum_ns : 0.0, 4);
+    if (in.macs > 0) {
+      const double macs = static_cast<double>(in.macs) / n;
+      const double blocks = static_cast<double>((l.out_channels + 15) / 16);
+      layers_json
+          << ", \"macs\": " << util::Table::fmt(macs, 0)
+          << ", \"nonzero_input_frac\": "
+          << util::Table::fmt(static_cast<double>(in.nonzero_inputs) /
+                                  static_cast<double>(in.inputs),
+                              3)
+          << ", \"vector_macs_per_frame\": "
+          << util::Table::fmt(
+                 static_cast<double>(in.listed_terms) / n * blocks, 0)
+          << ", \"gmac_per_s\": "
+          << util::Table::fmt(ns > 0.0 ? macs / ns : 0.0, 2);
+    }
+    layers_json << "}";
+  }
+  layers_json << "]";
+  const double layer_gap =
+      prof_ns > 0.0 ? std::abs(layer_sum_ns - prof_ns) / prof_ns : 1.0;
 
   std::ostringstream json;
   json << "{\"bench\": \"kernels\""
@@ -172,7 +239,11 @@ int main(int argc, char** argv) {
        << ", \"mac_layers\": " << lanes.mac_layers
        << ", \"narrow_layers\": " << lanes.narrow_layers
        << ", \"narrow_fraction\": " << util::Table::fmt(narrow_fraction, 3)
-       << ", \"lanes\": " << lanes_json.str() << "}";
+       << ", \"lanes\": " << lanes_json.str()
+       << ", \"profiled_ms_per_frame\": " << util::Table::fmt(prof_ns * 1e-6, 4)
+       << ", \"layer_sum_ms_per_frame\": "
+       << util::Table::fmt(layer_sum_ns * 1e-6, 4)
+       << ", \"layers\": " << layers_json.str() << "}";
 
   std::cout << json.str() << "\n";
   std::ofstream(out_path) << json.str() << "\n";
@@ -185,6 +256,14 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: speedup " << util::Table::fmt(speedup, 3)
               << "x below required " << util::Table::fmt(min_speedup, 3)
               << "x\n";
+    return 1;
+  }
+  if (layer_gap > 0.05) {
+    std::cerr << "FAIL: per-layer rows sum to "
+              << util::Table::fmt(layer_sum_ns * 1e-6, 4) << " ms, "
+              << util::Table::fmt(layer_gap * 100.0, 1)
+              << "% off the profiled frame's "
+              << util::Table::fmt(prof_ns * 1e-6, 4) << " ms\n";
     return 1;
   }
   if (narrow_fraction < min_narrow_fraction) {

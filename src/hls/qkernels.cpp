@@ -124,7 +124,48 @@ void conv1d_acc_i16_dp_scalar(const std::int16_t* x, const std::uint16_t* nz,
   }
 }
 
+void pack_i16_scalar(const std::int64_t* in, std::size_t positions,
+                     std::size_t in_ch, std::size_t in_stride, bool pairs,
+                     std::int16_t* x16, std::uint16_t* nz,
+                     std::uint16_t* nnz) {
+  const std::size_t list_stride = nz_stride(in_stride, pairs);
+  for (std::size_t p = 0; p < positions; ++p) {
+    const std::int64_t* src = in + p * in_ch;
+    std::int16_t* dst = x16 + p * in_stride;
+    for (std::size_t i = 0; i < in_ch; ++i) {
+      dst[i] = static_cast<std::int16_t>(src[i]);
+    }
+    std::fill(dst + in_ch, dst + in_stride, std::int16_t{0});
+    // Branch-free compaction: every index is written, and the count only
+    // advances past the nonzero ones.
+    std::uint16_t* list = nz + p * list_stride;
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < list_stride; ++j) {
+      list[n] = static_cast<std::uint16_t>(j);
+      const bool live =
+          pairs ? (dst[2 * j] | dst[2 * j + 1]) != 0 : dst[j] != 0;
+      n += static_cast<std::size_t>(live);
+    }
+    nnz[p] = static_cast<std::uint16_t>(n);
+  }
+}
+
 namespace hd = ::reads::hls::detail;
+
+void maxpool_i64_scalar(const std::int64_t* in, std::int64_t* out,
+                        std::size_t positions, std::size_t ch,
+                        std::size_t factor, const hd::Requant& rq,
+                        std::size_t& saturations) {
+  for (std::size_t p = 0; p < positions; ++p) {
+    for (std::size_t c = 0; c < ch; ++c) {
+      std::int64_t m = in[(p * factor) * ch + c];
+      for (std::size_t d = 1; d < factor; ++d) {
+        m = std::max(m, in[(p * factor + d) * ch + c]);
+      }
+      out[p * ch + c] = rq.apply(m, saturations);
+    }
+  }
+}
 
 void requant_i64_scalar(const std::int64_t* in, std::int64_t* out,
                         std::size_t n, const hd::Requant& rq, bool relu,
@@ -169,6 +210,14 @@ void conv1d_acc_i16_avx512(const std::int16_t* x, const std::uint16_t* nz,
                            std::size_t positions, std::size_t in_ch,
                            std::size_t in_stride, std::size_t out_ch,
                            std::size_t out_pad, std::size_t k, int shift);
+void pack_i16_avx512(const std::int64_t* in, std::size_t positions,
+                     std::size_t in_ch, std::size_t in_stride, bool pairs,
+                     std::int16_t* x16, std::uint16_t* nz,
+                     std::uint16_t* nnz);
+void maxpool_i64_avx512(const std::int64_t* in, std::int64_t* out,
+                        std::size_t positions, std::size_t ch,
+                        std::size_t factor, const hd::Requant& rq,
+                        std::size_t& saturations);
 #endif
 #if defined(READS_QKERNELS_VNNI)
 void conv1d_acc_i16_dp_vnni(const std::int16_t* x, const std::uint16_t* nz,
@@ -197,6 +246,12 @@ using RequantFn = void (*)(const std::int64_t*, std::int64_t*, std::size_t,
 using FinalizeFn = void (*)(const std::int32_t*, std::int64_t*, std::size_t,
                             std::size_t, std::size_t, const hd::Accum&,
                             std::size_t&, std::size_t&);
+using PackFn = void (*)(const std::int64_t*, std::size_t, std::size_t,
+                        std::size_t, bool, std::int16_t*, std::uint16_t*,
+                        std::uint16_t*);
+using MaxPoolFn = void (*)(const std::int64_t*, std::int64_t*, std::size_t,
+                           std::size_t, std::size_t, const hd::Requant&,
+                           std::size_t&);
 
 struct Dispatch {
   KernelFn fn = conv1d_acc_scalar;
@@ -207,24 +262,31 @@ struct Dispatch {
   const char* narrow_dp_name = "scalar";
   RequantFn requant = requant_i64_scalar;
   FinalizeFn finalize = finalize_i32_scalar;
+  PackFn pack = pack_i16_scalar;
+  MaxPoolFn maxpool = maxpool_i64_scalar;
 };
 
 Dispatch resolve() {
   Dispatch d;
 #if defined(__GNUC__) && defined(__x86_64__)
-  // avx512f is the foundation bit: dq/vl extend it, they do not imply it,
-  // and a CPU reporting extensions without the foundation must not take
-  // the 512-bit paths.
+  // avx512f is the foundation bit: dq/vl/bw extend it, they do not imply
+  // it, and a CPU reporting extensions without the foundation must not take
+  // the 512-bit paths. The AVX-512 file is built with -mavx512bw (vpmaddwd
+  // on zmm, vptestmw), so the compiler may use BW instructions anywhere in
+  // it: every kernel it holds needs the bw bit, not only the narrow lane.
   const bool f = __builtin_cpu_supports("avx512f");
 #if defined(READS_QKERNELS_AVX512)
   if (f && __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512vl")) {
+      __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx512bw")) {
     d.fn = conv1d_acc_avx512;
     d.name = "avx512";
     d.narrow = conv1d_acc_i16_avx512;
     d.narrow_name = "avx512";
     d.requant = requant_i64_avx512;
     d.finalize = finalize_i32_avx512;
+    d.pack = pack_i16_avx512;
+    d.maxpool = maxpool_i64_avx512;
   }
 #endif
 #if defined(READS_QKERNELS_VNNI)
@@ -258,26 +320,10 @@ void conv1d_acc(const std::int64_t* x, const std::int64_t* wtr,
 void pack_i16(const std::int64_t* in, std::size_t positions,
               std::size_t in_ch, std::size_t in_stride, bool pairs,
               std::int16_t* x16, std::uint16_t* nz, std::uint16_t* nnz) {
-  const std::size_t list_stride = nz_stride(in_stride, pairs);
-  for (std::size_t p = 0; p < positions; ++p) {
-    const std::int64_t* src = in + p * in_ch;
-    std::int16_t* dst = x16 + p * in_stride;
-    for (std::size_t i = 0; i < in_ch; ++i) {
-      dst[i] = static_cast<std::int16_t>(src[i]);
-    }
-    std::fill(dst + in_ch, dst + in_stride, std::int16_t{0});
-    // Branch-free compaction: every index is written, and the count only
-    // advances past the nonzero ones.
-    std::uint16_t* list = nz + p * list_stride;
-    std::size_t n = 0;
-    for (std::size_t j = 0; j < list_stride; ++j) {
-      list[n] = static_cast<std::uint16_t>(j);
-      const bool live =
-          pairs ? (dst[2 * j] | dst[2 * j + 1]) != 0 : dst[j] != 0;
-      n += static_cast<std::size_t>(live);
-    }
-    nnz[p] = static_cast<std::uint16_t>(n);
-  }
+  // The pair lists feed only the dot-product lane, which no deployed layer
+  // takes; they stay on the portable body.
+  const auto fn = pairs ? detail::pack_i16_scalar : detail::dispatch().pack;
+  fn(in, positions, in_ch, in_stride, pairs, x16, nz, nnz);
 }
 
 void conv1d_acc_i16(const std::int16_t* x, const std::uint16_t* nz,
@@ -314,6 +360,19 @@ void requant_i64(const std::int64_t* in, std::int64_t* out, std::size_t n,
     return;
   }
   detail::dispatch().requant(in, out, n, rq, relu, saturations);
+}
+
+void maxpool_i64(const std::int64_t* in, std::int64_t* out,
+                 std::size_t positions, std::size_t ch, std::size_t factor,
+                 const reads::hls::detail::Requant& rq,
+                 std::size_t& saturations) {
+  // Same degenerate bands as requant_i64.
+  if (rq.shift <= -63 || rq.shift >= 64) {
+    detail::maxpool_i64_scalar(in, out, positions, ch, factor, rq,
+                               saturations);
+    return;
+  }
+  detail::dispatch().maxpool(in, out, positions, ch, factor, rq, saturations);
 }
 
 void finalize_i32(const std::int32_t* acc, std::int64_t* out,

@@ -56,8 +56,12 @@ void conv1d_acc(const std::int64_t* x, const std::int64_t* wtr,
 /// the inputs that are not zero. Without `pairs` the list
 /// holds channel indices (row stride in_stride); with `pairs` it holds
 /// indices of channel pairs (2j, 2j+1) with a nonzero half (row stride
-/// in_stride / 2, for the dot-product lane). nnz[p] is row p's list length.
-/// The values must already fit int16 (the range prover's certificate).
+/// in_stride / 2, for the dot-product lane). nnz[p] is row p's list length;
+/// list slots past it are unspecified. The values must already fit int16
+/// (the range prover's certificate). The AVX-512 variant handles 16
+/// channels per step — two vpmovqw narrowings, a vptestmw nonzero mask and
+/// a vpcompressd of the channel indices — for the channel lists; the pair
+/// lists (which no deployed layer uses) stay scalar.
 void pack_i16(const std::int64_t* in, std::size_t positions,
               std::size_t in_ch, std::size_t in_stride, bool pairs,
               std::int16_t* x16, std::uint16_t* nz, std::uint16_t* nnz);
@@ -74,7 +78,7 @@ constexpr std::size_t nz_stride(std::size_t in_stride, bool pairs) noexcept {
 /// `bias_acc`/`acc` are out_pad-stride int32. Only listed inputs are
 /// multiplied. The AVX-512 variant computes all out_pad lanes; only the
 /// first out_ch of each row are meaningful. `shift` in [0, 31] is applied
-/// per product (vpmulld/vpsrad — products fit int32 by the prover's int16
+/// per product (vpmaddwd/vpsravd — products fit int32 by the prover's int16
 /// bounds).
 void conv1d_acc_i16(const std::int16_t* x, const std::uint16_t* nz,
                     const std::uint16_t* nnz, const std::int16_t* wtr,
@@ -109,6 +113,16 @@ void requant_i64(const std::int64_t* in, std::int64_t* out, std::size_t n,
                  const reads::hls::detail::Requant& rq, bool relu,
                  std::size_t& saturations);
 
+/// MaxPool write-out: out[p*ch + c] = rq.apply(max over d < factor of
+/// in[(p*factor + d)*ch + c]), with saturations counted exactly as the
+/// scalar per-element loop does. The AVX-512 variant takes the max over 8
+/// int64 lanes at a time and reuses requant_i64's vector requant; the same
+/// degenerate shift bands (<= -63, >= 64) run the scalar loop.
+void maxpool_i64(const std::int64_t* in, std::int64_t* out,
+                 std::size_t positions, std::size_t ch, std::size_t factor,
+                 const reads::hls::detail::Requant& rq,
+                 std::size_t& saturations);
+
 /// Finalize a narrow int32 accumulator block into int64 activations:
 /// out[p*out_ch + o] = ac.finalize(acc[p*acc_stride + o]) for o < out_ch,
 /// with wrap (overflow) and saturation events counted exactly as the scalar
@@ -125,5 +139,21 @@ const char* variant() noexcept;
 const char* narrow_variant() noexcept;
 /// Same for the dot-product kernel ("avx512-vnni"/"scalar").
 const char* narrow_dp_variant() noexcept;
+
+namespace detail {
+/// The portable bodies of pack_i16 and conv1d_acc_i16, whatever the host
+/// supports, so tests on AVX-512 hosts still check the path every other
+/// host runs.
+void pack_i16_scalar(const std::int64_t* in, std::size_t positions,
+                     std::size_t in_ch, std::size_t in_stride, bool pairs,
+                     std::int16_t* x16, std::uint16_t* nz,
+                     std::uint16_t* nnz);
+void conv1d_acc_i16_scalar(const std::int16_t* x, const std::uint16_t* nz,
+                           const std::uint16_t* nnz, const std::int16_t* wtr,
+                           const std::int32_t* bias_acc, std::int32_t* acc,
+                           std::size_t positions, std::size_t in_ch,
+                           std::size_t in_stride, std::size_t out_ch,
+                           std::size_t out_pad, std::size_t k, int shift);
+}  // namespace detail
 
 }  // namespace reads::hls::kernels

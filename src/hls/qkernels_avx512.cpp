@@ -1,7 +1,8 @@
-// AVX-512 variant of the transposed-weight Conv1D/Dense accumulator kernel.
-// This translation unit is compiled with -mavx512f -mavx512dq -mavx512vl
-// (see src/hls/CMakeLists.txt) and is only ever called after a runtime
-// __builtin_cpu_supports check in qkernels.cpp.
+// AVX-512 variants of the quantized executor's kernels: the wide and narrow
+// Conv1D/Dense accumulators, pack_i16, MaxPool and the requant/finalize
+// write-outs. This translation unit is compiled with -mavx512f -mavx512dq
+// -mavx512vl -mavx512bw (see src/hls/CMakeLists.txt) and is only ever
+// called after a runtime __builtin_cpu_supports check in qkernels.cpp.
 //
 // All lane arithmetic is exact int64 (vpmullq products fit comfortably:
 // |w|, |x| < 2^24, so |w*x| < 2^48; vpsraq is the same floor shift as the
@@ -213,6 +214,13 @@ namespace {
 // (pad columns carry zero weights), so no masked tail is needed. The input
 // loop walks the row's nonzero list, so its trip count is the only
 // data-dependent control flow.
+//
+// Per 16 lanes the MAC is 4 uops: vpmovsxwd (weight load), vpmaddwd,
+// vpsravd, vpaddd. The activation is broadcast as the 32-bit lane (x, 0)
+// — its low int16 half x, its high half 0 — so vpmaddwd's pair sum
+// lo(w)*x + hi(w)*0 is exactly the product w*x, which fits int32 by the
+// prover's int16 bounds (even -32768 * -32768 = 2^30). vpmulld (2 uops)
+// and a shift by an xmm count (2 uops) cost 6.
 template <int NB>
 void narrow_block_pass(const std::int16_t* x, const std::uint16_t* nz,
                        const std::uint16_t* nnz, const std::int16_t* wtr,
@@ -221,7 +229,7 @@ void narrow_block_pass(const std::int16_t* x, const std::uint16_t* nz,
                        std::size_t in_stride, std::size_t out_pad,
                        std::size_t ob, std::ptrdiff_t kk, int shift) {
   const auto pad = kk / 2;
-  const __m128i shift_cnt = _mm_cvtsi32_si128(shift);
+  const __m512i shift_cnt = _mm512_set1_epi32(shift);
   for (std::ptrdiff_t p = 0; p < pos; ++p) {
     __m512i accv[NB];
     for (int b = 0; b < NB; ++b) {
@@ -238,16 +246,16 @@ void narrow_block_pass(const std::int16_t* x, const std::uint16_t* nz,
           wtr + static_cast<std::size_t>(dk) * in_ch * out_pad + ob;
       for (std::size_t j = 0; j < count; ++j) {
         const std::size_t i = list[j];
-        const __m512i xvec = _mm512_set1_epi32(xq[i]);
+        const __m512i xvec =
+            _mm512_set1_epi32(static_cast<std::uint16_t>(xq[i]));
         const std::int16_t* wrow = wdk + i * out_pad;
         for (int b = 0; b < NB; ++b) {
           const __m512i w = _mm512_cvtepi16_epi32(_mm256_loadu_si256(
               reinterpret_cast<const __m256i*>(wrow + 16 * b)));
-          // Products fit int32 by the prover's int16 bounds, so the low
-          // 32 bits of vpmulld are the exact product; vpsrad is the same
-          // floor shift as the scalar `>>`.
+          // (w, sign(w)) . (x, 0) = w*x exactly; vpsravd is the same floor
+          // shift as the scalar `>>`.
           const __m512i term =
-              _mm512_sra_epi32(_mm512_mullo_epi32(w, xvec), shift_cnt);
+              _mm512_srav_epi32(_mm512_madd_epi16(w, xvec), shift_cnt);
           accv[b] = _mm512_add_epi32(accv[b], term);
         }
       }
@@ -290,6 +298,79 @@ void conv1d_acc_i16_avx512(const std::int16_t* x, const std::uint16_t* nz,
     default:
       break;
   }
+}
+
+void pack_i16_avx512(const std::int64_t* in, std::size_t positions,
+                     std::size_t in_ch, std::size_t in_stride,
+                     bool /*pairs*/, std::int16_t* x16, std::uint16_t* nz,
+                     std::uint16_t* nnz) {
+  // Channel lists only: the wrapper sends pair lists to the scalar body.
+  // Each step narrows 16 channels with two vpmovqw (the same truncation as
+  // static_cast<int16_t>; the prover guarantees it loses nothing), stores
+  // them up to in_stride (lanes past in_ch load as zero, so the pad columns
+  // are written zero), and appends the nonzero lanes' indices to the row's
+  // list with vpcompressd + a masked vpmovdw of popcount entries: nothing is
+  // written past the list's end.
+  const __m512i iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                         11, 12, 13, 14, 15);
+  for (std::size_t p = 0; p < positions; ++p) {
+    const std::int64_t* src = in + p * in_ch;
+    std::int16_t* dst = x16 + p * in_stride;
+    std::uint16_t* list = nz + p * in_stride;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < in_stride; i += 16) {
+      const std::size_t live =
+          i < in_ch ? std::min<std::size_t>(16, in_ch - i) : 0;
+      const std::size_t span = std::min<std::size_t>(16, in_stride - i);
+      const auto lo_m = static_cast<__mmask8>(
+          (1u << std::min<std::size_t>(live, 8)) - 1u);
+      const auto hi_m =
+          static_cast<__mmask8>((1u << (live > 8 ? live - 8 : 0)) - 1u);
+      const __m128i lo =
+          _mm512_cvtepi64_epi16(_mm512_maskz_loadu_epi64(lo_m, src + i));
+      const __m128i hi =
+          _mm512_cvtepi64_epi16(_mm512_maskz_loadu_epi64(hi_m, src + i + 8));
+      const __m256i v =
+          _mm256_inserti128_si256(_mm256_castsi128_si256(lo), hi, 1);
+      _mm256_mask_storeu_epi16(dst + i,
+                               static_cast<__mmask16>((1u << span) - 1u), v);
+      const __mmask16 m = _mm256_test_epi16_mask(v, v);
+      const __m512i idx = _mm512_maskz_compress_epi32(
+          m, _mm512_add_epi32(iota, _mm512_set1_epi32(static_cast<int>(i))));
+      const auto cnt = static_cast<unsigned>(__builtin_popcount(m));
+      _mm512_mask_cvtepi32_storeu_epi16(
+          list + n, static_cast<__mmask16>((1u << cnt) - 1u), idx);
+      n += cnt;
+    }
+    nnz[p] = static_cast<std::uint16_t>(n);
+  }
+}
+
+void maxpool_i64_avx512(const std::int64_t* in, std::int64_t* out,
+                        std::size_t positions, std::size_t ch,
+                        std::size_t factor, const hd::Requant& rq,
+                        std::size_t& saturations) {
+  const RQ8 r8(rq);  // |shift| < 63 (the wrapper routes shift <= -63 away)
+  std::size_t sat = 0;
+  for (std::size_t p = 0; p < positions; ++p) {
+    const std::int64_t* rows = in + p * factor * ch;
+    std::int64_t* yp = out + p * ch;
+    for (std::size_t c = 0; c < ch; c += 8) {
+      // Lanes past ch load as zero and are neither stored nor counted.
+      const auto live = static_cast<__mmask8>(
+          (1u << std::min<std::size_t>(8, ch - c)) - 1u);
+      __m512i v = _mm512_maskz_loadu_epi64(live, rows + c);
+      for (std::size_t d = 1; d < factor; ++d) {
+        v = _mm512_max_epi64(
+            v, _mm512_maskz_loadu_epi64(live, rows + d * ch + c));
+      }
+      __mmask8 m;
+      v = requant8(v, r8, m);
+      sat += static_cast<std::size_t>(__builtin_popcount(m & live));
+      _mm512_mask_storeu_epi64(yp + c, live, v);
+    }
+  }
+  saturations += sat;
 }
 
 }  // namespace reads::hls::kernels::detail

@@ -1,6 +1,7 @@
 #include "hls/qmodel.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
@@ -234,6 +235,59 @@ std::vector<std::int64_t> QuantizedModel::forward_raw(
   return {out, out + fw_.output_values};
 }
 
+std::vector<std::int64_t> QuantizedModel::forward_raw_profiled(
+    const std::vector<std::int64_t>& input_raw, std::span<double> layer_ns,
+    std::span<MacInputs> inputs) const {
+  if (input_raw.size() != fw_.input_values) {
+    throw std::invalid_argument("QuantizedModel: raw input size mismatch");
+  }
+  if (layer_ns.size() != fw_.layers.size() ||
+      (!inputs.empty() && inputs.size() != fw_.layers.size())) {
+    throw std::invalid_argument("QuantizedModel: profile size mismatch");
+  }
+  auto& arena = util::ScratchArena::local();
+  util::ArenaScope scope(arena);
+  arena.require<std::int64_t>(act_words_ + narrow_words_);
+  auto block = arena.alloc<std::int64_t>(act_words_);
+  std::copy(input_raw.begin(), input_raw.end(), block.data());
+  std::int64_t* acts = block.data();
+  for (std::size_t i = 1; i < fw_.layers.size(); ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    run_layer_fast(i, acts, nullptr);
+    const auto t1 = std::chrono::steady_clock::now();
+    layer_ns[i] += std::chrono::duration<double, std::nano>(t1 - t0).count();
+  }
+  // Every layer's output slab is still in the block: count each MAC layer's
+  // input rows, weighting a row by the taps that read it ('same' padding:
+  // edge rows are read by fewer).
+  for (std::size_t i = 1; i < inputs.size(); ++i) {
+    const auto& l = fw_.layers[i];
+    if (l.kind != LayerKind::kDense && l.kind != LayerKind::kConv1D) continue;
+    const std::int64_t* in0 = acts + act_offset_[l.inputs[0]];
+    const auto k = static_cast<std::ptrdiff_t>(
+        l.kind == LayerKind::kDense ? 1 : l.kernel);
+    const auto pos = static_cast<std::ptrdiff_t>(l.positions);
+    for (std::ptrdiff_t q = 0; q < pos; ++q) {
+      const std::int64_t* row =
+          in0 + static_cast<std::size_t>(q) * l.in_channels;
+      const std::uint64_t nonzero =
+          l.in_channels - static_cast<std::uint64_t>(std::count(
+                              row, row + l.in_channels, std::int64_t{0}));
+      std::uint64_t taps = 0;
+      for (std::ptrdiff_t dk = 0; dk < k; ++dk) {
+        const std::ptrdiff_t p = q - dk + k / 2;
+        taps += static_cast<std::uint64_t>(p >= 0 && p < pos);
+      }
+      inputs[i].inputs += l.in_channels;
+      inputs[i].nonzero_inputs += nonzero;
+      inputs[i].macs += taps * l.in_channels * l.out_channels;
+      inputs[i].listed_terms += taps * nonzero;
+    }
+  }
+  const std::int64_t* out = acts + act_offset_.back();
+  return {out, out + fw_.output_values};
+}
+
 const std::int64_t* QuantizedModel::execute(std::int64_t* acts,
                                             ForwardStats* stats) const {
   for (std::size_t i = 1; i < fw_.layers.size(); ++i) {
@@ -349,16 +403,8 @@ void QuantizedModel::run_layer_fast(std::size_t idx, std::int64_t* acts,
 
     case LayerKind::kMaxPool: {
       const Requant rq(in_frac, l.quant.activation);
-      const std::size_t ch = l.out_channels;
-      for (std::size_t p = 0; p < l.positions; ++p) {
-        for (std::size_t c = 0; c < ch; ++c) {
-          std::int64_t m = in0[(p * l.factor) * ch + c];
-          for (std::size_t d = 1; d < l.factor; ++d) {
-            m = std::max(m, in0[(p * l.factor + d) * ch + c]);
-          }
-          out[p * ch + c] = rq.apply(m, sat);
-        }
-      }
+      kernels::maxpool_i64(in0, out, l.positions, l.out_channels, l.factor,
+                           rq, sat);
       break;
     }
 

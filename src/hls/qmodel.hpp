@@ -48,6 +48,17 @@ struct ForwardStats {
   }
 };
 
+/// What one MAC (Dense/Conv1D) layer's input presents to the kernels,
+/// summed over QuantizedModel::forward_raw_profiled calls.
+struct MacInputs {
+  std::uint64_t inputs = 0;          ///< input activations (positions x in)
+  std::uint64_t nonzero_inputs = 0;  ///< ... of which nonzero
+  std::uint64_t macs = 0;            ///< multiply-accumulates, valid taps only
+  /// (position, tap, input) terms whose input is nonzero: what the narrow
+  /// kernels issue, each as one broadcast over the padded outputs.
+  std::uint64_t listed_terms = 0;
+};
+
 class QuantizedModel {
  public:
   explicit QuantizedModel(FirmwareModel firmware);
@@ -81,6 +92,16 @@ class QuantizedModel {
   std::vector<std::int64_t> forward_raw(
       const std::vector<std::int64_t>& input_raw,
       ForwardStats* stats = nullptr) const;
+
+  /// forward_raw() with each layer timed: layer i's wall time in ns is added
+  /// to layer_ns[i] (one entry per firmware layer; entry 0, the input node,
+  /// stays 0). With `inputs` (same size), each MAC layer's input sparsity is
+  /// added to inputs[i], counted after the last layer ran, outside every
+  /// timed region. Opt-in instrumentation for per-layer tables: forward_raw()
+  /// runs the same layer code without the clock reads.
+  std::vector<std::int64_t> forward_raw_profiled(
+      const std::vector<std::int64_t>& input_raw, std::span<double> layer_ns,
+      std::span<MacInputs> inputs = {}) const;
 
   /// The original (seed) executor: per-layer vectors, naive per-output
   /// loops. Kept as the bit-exactness oracle for the blocked kernels and as

@@ -307,6 +307,47 @@ TEST(KernelEquivalence, FinalizeI32MatchesScalarFinalize) {
   }
 }
 
+// Naive int64 'same' convolution: the exact sum the narrow kernels must
+// reproduce, with w in (k, in, out) layout and x in (positions, in) rows.
+std::vector<std::int64_t> conv_ref(const std::vector<std::int64_t>& x,
+                                   const std::vector<std::int64_t>& w,
+                                   const std::vector<std::int32_t>& bias,
+                                   std::size_t positions, std::size_t in_ch,
+                                   std::size_t out_ch, std::size_t k,
+                                   int shift) {
+  std::vector<std::int64_t> y(positions * out_ch);
+  const auto pad = static_cast<std::ptrdiff_t>(k / 2);
+  for (std::size_t p = 0; p < positions; ++p) {
+    for (std::size_t o = 0; o < out_ch; ++o) {
+      std::int64_t want = bias[o];
+      for (std::size_t dk = 0; dk < k; ++dk) {
+        const std::ptrdiff_t q = static_cast<std::ptrdiff_t>(p + dk) - pad;
+        if (q < 0 || q >= static_cast<std::ptrdiff_t>(positions)) continue;
+        for (std::size_t i = 0; i < in_ch; ++i) {
+          want += (w[(dk * in_ch + i) * out_ch + o] *
+                   x[static_cast<std::size_t>(q) * in_ch + i]) >>
+                  shift;
+        }
+      }
+      y[p * out_ch + o] = want;
+    }
+  }
+  return y;
+}
+
+// (k, in, out) int64 weights -> the kNarrow32 plan layout (k, in, out_pad).
+std::vector<std::int16_t> narrow_weights(const std::vector<std::int64_t>& w,
+                                         std::size_t in_ch, std::size_t out_ch,
+                                         std::size_t out_pad, std::size_t k) {
+  std::vector<std::int16_t> wtr(k * in_ch * out_pad, 0);
+  for (std::size_t r = 0; r < k * in_ch; ++r) {
+    for (std::size_t o = 0; o < out_ch; ++o) {
+      wtr[r * out_pad + o] = static_cast<std::int16_t>(w[r * out_ch + o]);
+    }
+  }
+  return wtr;
+}
+
 TEST(KernelEquivalence, NarrowConvMatchesInt64OnSparsityGrid) {
   // pack_i16 + the dispatched narrow kernels against a naive int64 'same'
   // convolution, across input sparsity (the nonzero lists are the only
@@ -382,24 +423,11 @@ TEST(KernelEquivalence, NarrowConvMatchesInt64OnSparsityGrid) {
                       bias.data(), acc.data(), positions, in_ch, in_stride,
                       out_ch, out_pad, k, shift);
                 }
-                const auto pad = static_cast<std::ptrdiff_t>(k / 2);
+                const auto want =
+                    conv_ref(x, w, bias, positions, in_ch, out_ch, k, shift);
                 for (std::size_t p = 0; p < positions; ++p) {
                   for (std::size_t o = 0; o < out_ch; ++o) {
-                    std::int64_t want = bias[o];
-                    for (std::size_t dk = 0; dk < k; ++dk) {
-                      const std::ptrdiff_t q =
-                          static_cast<std::ptrdiff_t>(p + dk) - pad;
-                      if (q < 0 ||
-                          q >= static_cast<std::ptrdiff_t>(positions)) {
-                        continue;
-                      }
-                      for (std::size_t i = 0; i < in_ch; ++i) {
-                        want += (w[(dk * in_ch + i) * out_ch + o] *
-                                 x[static_cast<std::size_t>(q) * in_ch + i]) >>
-                                shift;
-                      }
-                    }
-                    ASSERT_EQ(acc[p * out_pad + o], want)
+                    ASSERT_EQ(acc[p * out_pad + o], want[p * out_ch + o])
                         << "in_ch=" << in_ch << " out_ch=" << out_ch
                         << " k=" << k << " zero_frac=" << zero_frac
                         << " zero_edges=" << zero_edges << " shift=" << shift
@@ -413,6 +441,217 @@ TEST(KernelEquivalence, NarrowConvMatchesInt64OnSparsityGrid) {
       }
     }
   }
+
+  // int16 extremes: w, x in {-32768, -1, 1, 32767}, so products reach
+  // -32768 * -32768 = 2^30 and the (x, 0) broadcast's sign handling is
+  // exercised at both ends. Each output sums at most `budget` terms of
+  // magnitude <= 2^30 >> shift (+1 for the floor), plus |bias| <= 1, so
+  // every partial sum fits int32 — the prover's precondition. Both the
+  // dispatched and the portable kernel must match the int64 sum.
+  static constexpr std::int64_t kExtremes[] = {-32768, -1, 1, 32767};
+  const auto extreme = [&rng] { return kExtremes[rng.uniform_int(4)]; };
+  for (int shift : {0, 1, 15, 31}) {
+    const std::int64_t term_bound = ((std::int64_t{1} << 30) >> shift) + 1;
+    const std::int64_t budget =
+        (std::int64_t{std::numeric_limits<std::int32_t>::max()} - 1) /
+        term_bound;
+    for (const auto& [in_ch, k] :
+         {std::pair<std::size_t, std::size_t>{1, 1}, {1, 3}, {3, 1}, {17, 3},
+          {77, 1}}) {
+      if (static_cast<std::int64_t>(in_ch * k) > budget) continue;
+      for (std::size_t out_ch : {2u, 46u}) {
+        for (double zero_frac : {0.0, 0.5}) {
+          const std::size_t out_pad = (out_ch + 15) & ~std::size_t{15};
+          std::vector<std::int64_t> w(k * in_ch * out_ch);
+          for (auto& v : w) v = extreme();
+          std::vector<std::int32_t> bias(out_pad, 0);
+          for (std::size_t o = 0; o < out_ch; ++o) {
+            bias[o] = static_cast<std::int32_t>(rng.uniform_int(3)) - 1;
+          }
+          std::vector<std::int64_t> x(positions * in_ch);
+          for (auto& v : x) v = rng.uniform() < zero_frac ? 0 : extreme();
+          const auto wtr = narrow_weights(w, in_ch, out_ch, out_pad, k);
+          std::vector<std::int16_t> x16(positions * in_ch);
+          std::vector<std::uint16_t> nz(positions * in_ch);
+          std::vector<std::uint16_t> nnz(positions);
+          hls::kernels::pack_i16(x.data(), positions, in_ch, in_ch, false,
+                                 x16.data(), nz.data(), nnz.data());
+          const auto want =
+              conv_ref(x, w, bias, positions, in_ch, out_ch, k, shift);
+          for (bool scalar : {false, true}) {
+            std::vector<std::int32_t> acc(positions * out_pad, -7);
+            const auto fn = scalar ? hls::kernels::detail::conv1d_acc_i16_scalar
+                                   : hls::kernels::conv1d_acc_i16;
+            fn(x16.data(), nz.data(), nnz.data(), wtr.data(), bias.data(),
+               acc.data(), positions, in_ch, in_ch, out_ch, out_pad, k,
+               shift);
+            for (std::size_t p = 0; p < positions; ++p) {
+              for (std::size_t o = 0; o < out_ch; ++o) {
+                ASSERT_EQ(acc[p * out_pad + o], want[p * out_ch + o])
+                    << "extremes in_ch=" << in_ch << " k=" << k
+                    << " out_ch=" << out_ch << " shift=" << shift
+                    << " zero_frac=" << zero_frac << " scalar=" << scalar
+                    << " p=" << p << " o=" << o;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, ScalarHooksMatchDispatchedPackAndNarrowConv) {
+  // The dispatched pack_i16 / conv1d_acc_i16 (AVX-512 here when the host
+  // has it) against the portable bodies every other host runs, on channel
+  // counts around the 16-lane step, pad columns (in_stride > in_ch),
+  // all-zero rows and rows whose only nonzero is the last channel. pack's
+  // int16 rows (pad columns included), list lengths and listed indices
+  // must agree; conv's first out_ch accumulators per row must agree.
+  util::Xoshiro256 rng(29);
+  const std::size_t positions = 6;
+  for (std::size_t in_ch : {1u, 15u, 16u, 17u, 31u, 77u, 186u}) {
+    for (std::size_t extra : {0u, 1u, 16u}) {
+      const std::size_t in_stride = in_ch + extra;
+      std::vector<std::int64_t> x(positions * in_ch);
+      for (std::size_t p = 0; p < positions; ++p) {
+        for (std::size_t i = 0; i < in_ch; ++i) {
+          std::int64_t v = 0;
+          if (p == 1) {
+            v = 0;  // all-zero row
+          } else if (p == 2) {
+            v = i + 1 == in_ch ? -5 : 0;  // only the last channel
+          } else if (rng.uniform() < 0.5) {
+            v = static_cast<std::int64_t>(rng.uniform_int(65536)) - 32768;
+          }
+          x[p * in_ch + i] = v;
+        }
+      }
+      std::vector<std::int16_t> x16(positions * in_stride, 99);
+      std::vector<std::int16_t> x16_s(positions * in_stride, -99);
+      std::vector<std::uint16_t> nz(positions * in_stride);
+      std::vector<std::uint16_t> nz_s(positions * in_stride);
+      std::vector<std::uint16_t> nnz(positions);
+      std::vector<std::uint16_t> nnz_s(positions);
+      hls::kernels::pack_i16(x.data(), positions, in_ch, in_stride, false,
+                             x16.data(), nz.data(), nnz.data());
+      hls::kernels::detail::pack_i16_scalar(x.data(), positions, in_ch,
+                                            in_stride, false, x16_s.data(),
+                                            nz_s.data(), nnz_s.data());
+      ASSERT_EQ(x16, x16_s) << "in_ch=" << in_ch << " in_stride=" << in_stride;
+      ASSERT_EQ(nnz, nnz_s) << "in_ch=" << in_ch << " in_stride=" << in_stride;
+      EXPECT_EQ(nnz[1], 0u);
+      EXPECT_EQ(nnz[2], 1u);
+      EXPECT_EQ(nz[2 * in_stride], in_ch - 1);
+      for (std::size_t p = 0; p < positions; ++p) {
+        for (std::size_t j = 0; j < nnz[p]; ++j) {
+          ASSERT_EQ(nz[p * in_stride + j], nz_s[p * in_stride + j])
+              << "in_ch=" << in_ch << " p=" << p << " j=" << j;
+        }
+      }
+
+      // |w| <= 64 and |x| <= 2^15, so a term is at most 2^21 >> 9 = 2^12
+      // and 3 * 186 of them stay far inside int32.
+      for (std::size_t out_ch : {3u, 70u}) {
+        const std::size_t k = 3;
+        const int shift = 9;
+        const std::size_t out_pad = (out_ch + 15) & ~std::size_t{15};
+        std::vector<std::int16_t> wtr(k * in_ch * out_pad, 0);
+        for (std::size_t r = 0; r < k * in_ch; ++r) {
+          for (std::size_t o = 0; o < out_ch; ++o) {
+            wtr[r * out_pad + o] =
+                static_cast<std::int16_t>(rng.uniform_int(129)) - 64;
+          }
+        }
+        std::vector<std::int32_t> bias(out_pad, 0);
+        for (std::size_t o = 0; o < out_ch; ++o) {
+          bias[o] = static_cast<std::int32_t>(rng.uniform_int(2001)) - 1000;
+        }
+        std::vector<std::int32_t> acc(positions * out_pad, 5);
+        std::vector<std::int32_t> acc_s(positions * out_pad, -5);
+        hls::kernels::conv1d_acc_i16(x16.data(), nz.data(), nnz.data(),
+                                     wtr.data(), bias.data(), acc.data(),
+                                     positions, in_ch, in_stride, out_ch,
+                                     out_pad, k, shift);
+        hls::kernels::detail::conv1d_acc_i16_scalar(
+            x16.data(), nz.data(), nnz.data(), wtr.data(), bias.data(),
+            acc_s.data(), positions, in_ch, in_stride, out_ch, out_pad, k,
+            shift);
+        for (std::size_t p = 0; p < positions; ++p) {
+          for (std::size_t o = 0; o < out_ch; ++o) {
+            ASSERT_EQ(acc[p * out_pad + o], acc_s[p * out_pad + o])
+                << "in_ch=" << in_ch << " in_stride=" << in_stride
+                << " out_ch=" << out_ch << " p=" << p << " o=" << o;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, MaxPoolMatchesReferenceWithSaturation) {
+  // maxpool_i64 against the reference executor's MaxPool loop (max over
+  // `factor` rows, then Requant::apply per element): values AND saturation
+  // counts, for narrowing, identity and widening shifts and the degenerate
+  // bands the wrapper keeps scalar, on inputs large enough to saturate and
+  // channel counts around the 8-lane step.
+  util::Xoshiro256 rng(31);
+  const std::size_t positions = 5;
+  for (int from_frac : {30, 9, 2, -5, -70, 80}) {  // shift = from_frac - 9
+    const Requant rq = make_requant(from_frac, 16, 7);
+    for (std::size_t factor : {1u, 2u, 3u}) {
+      for (std::size_t ch : {1u, 7u, 8u, 9u, 21u}) {
+        std::vector<std::int64_t> in(positions * factor * ch);
+        for (auto& v : in) {
+          const auto u = rng();
+          v = static_cast<std::int64_t>(u) >> (u % 60);
+        }
+        in[0] = std::numeric_limits<std::int64_t>::max();
+        in[in.size() - 1] = std::numeric_limits<std::int64_t>::min();
+        std::vector<std::int64_t> out(positions * ch, -77);
+        std::size_t sat = 0;
+        hls::kernels::maxpool_i64(in.data(), out.data(), positions, ch, factor,
+                                  rq, sat);
+        std::size_t sat_ref = 0;
+        for (std::size_t p = 0; p < positions; ++p) {
+          for (std::size_t c = 0; c < ch; ++c) {
+            std::int64_t m = in[(p * factor) * ch + c];
+            for (std::size_t d = 1; d < factor; ++d) {
+              m = std::max(m, in[(p * factor + d) * ch + c]);
+            }
+            ASSERT_EQ(out[p * ch + c], rq.apply(m, sat_ref))
+                << "shift=" << rq.shift << " factor=" << factor
+                << " ch=" << ch << " p=" << p << " c=" << c;
+          }
+        }
+        EXPECT_EQ(sat, sat_ref) << "shift=" << rq.shift << " factor=" << factor
+                                << " ch=" << ch;
+        if (rq.shift < 0 && rq.shift > -63) {
+          EXPECT_GT(sat_ref, 0u) << "widening inputs must saturate";
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, Avx512HostTakesTheAvx512Lanes) {
+  // Every bit-identity test passes on the portable kernels too, so a build
+  // that silently lost its AVX-512 file (a missing -mavx512bw in the
+  // compiler check) or a wrong dispatch condition would go unnoticed
+  // without this: on a host reporting avx512f/dq/vl/bw the quantized
+  // kernels must report the AVX-512 variants.
+#if defined(__GNUC__) && defined(__x86_64__)
+  if (!(__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512bw"))) {
+    GTEST_SKIP() << "host lacks avx512f/dq/vl/bw";
+  }
+  EXPECT_STREQ(hls::kernels::narrow_variant(), "avx512");
+  EXPECT_STREQ(hls::kernels::variant(), "avx512");
+#else
+  GTEST_SKIP() << "not an x86-64 GCC/Clang build";
+#endif
 }
 
 // ------------------------------------------------------------ lane prover

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+
+#include "mutate.hpp"
 
 #include "net/acnet.hpp"
 #include "net/assembler.hpp"
@@ -12,6 +15,7 @@
 #include "net/hub.hpp"
 #include "net/packet.hpp"
 #include "net/wire.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -490,6 +494,69 @@ TEST(PacketDecoder, ChunkedStreamFeedsAssemblerToIdenticalFrame) {
   const auto got = chunked.assemble(1, rebuilt);
   ASSERT_TRUE(got.complete());
   EXPECT_EQ(got.raw, want.raw);
+}
+
+TEST(PacketDecoder, MutatedTickYieldsOriginalFrameOrCountedDamage) {
+  // 1,000 seeded flip/insert/delete mutations of a real encoded tick (the
+  // seven hub packets of the 260-monitor ring), each fed in random chunks
+  // through PacketDecoder -> FrameAssembler. Only two outcomes are allowed:
+  // the original frame bit-for-bit, or an incomplete frame whose damage is
+  // on record — refused packets in AssemblerCounters, a broken decoder, or
+  // the bytes of a truncated packet still pending in the decoder. A
+  // complete frame with other values, or a missing hub nobody counted,
+  // fails the test.
+  const std::uint32_t seq = 42;
+  const auto layout = net::hub_layout(260, 7);
+  util::Xoshiro256 frame_rng(5);
+  std::vector<double> readings(260);
+  for (auto& r : readings) r = 105'000.0 + 15'000.0 * frame_rng.uniform();
+  std::vector<net::Delivery> pristine;
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t h = 0; h < layout.size(); ++h) {
+    net::BlmHub hub(static_cast<std::uint8_t>(h), layout[h].first,
+                    layout[h].second, net::LinkParams{}, 11 + h);
+    auto d = hub.transmit(seq, readings);
+    ASSERT_FALSE(d.dropped);
+    net::append_packet(bytes, d.packet);
+    pristine.push_back(net::Delivery{d.packet, 25.0, false});
+  }
+  const net::AssemblerParams params{};  // 260 monitors, 7 hubs
+  const auto want = net::FrameAssembler(params).assemble(seq, pristine);
+  ASSERT_TRUE(want.complete());
+
+  const std::string valid(bytes.begin(), bytes.end());
+  util::Xoshiro256 rng(2024);
+  std::size_t intact = 0;
+  std::size_t damaged = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    const std::string m = test::mutate(valid, rng);
+    net::PacketDecoder dec;
+    std::vector<net::Delivery> ds;
+    for (std::size_t off = 0; off < m.size();) {
+      const std::size_t len =
+          std::min<std::size_t>(m.size() - off, 1 + rng.uniform_int(300));
+      dec.feed(reinterpret_cast<const std::uint8_t*>(m.data()) + off, len);
+      off += len;
+      while (auto p = dec.next()) {
+        ds.push_back(net::Delivery{std::move(*p), 25.0, false});
+      }
+    }
+    net::FrameAssembler assembler(params);
+    const auto got = assembler.assemble(seq, ds);
+    if (got.complete()) {
+      ASSERT_EQ(got.raw, want.raw) << "trial " << trial
+                                   << ": a complete frame with other values";
+      ++intact;
+      continue;
+    }
+    ASSERT_TRUE(assembler.counters().total_rejects() > 0 || dec.broken() ||
+                dec.pending_bytes() > 0)
+        << "trial " << trial << ": " << got.packets_missing
+        << " hubs missing and no damage counted";
+    ++damaged;
+  }
+  EXPECT_EQ(intact + damaged, 1000u);
+  EXPECT_GT(damaged, 0u);
 }
 
 }  // namespace
