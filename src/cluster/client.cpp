@@ -92,26 +92,6 @@ std::optional<Message> ClusterClient::wait_for(MsgType type,
   }
 }
 
-std::uint64_t ClusterClient::add_replica(const std::string& endpoint,
-                                         double timeout_ms) {
-  std::vector<std::uint8_t> out;
-  append_add_replica(out, AddReplica{endpoint});
-  if (!send(out)) return 0;
-  auto msg = wait_for(MsgType::kAdminOk, timeout_ms);
-  if (!msg) return 0;
-  return decode_admin_ok(msg->payload).token;
-}
-
-bool ClusterClient::remove_replica(std::uint64_t node, double timeout_ms) {
-  std::vector<std::uint8_t> out;
-  append_remove_replica(out, RemoveReplica{node});
-  if (!send(out)) return false;
-  auto msg = wait_for(MsgType::kAdminOk, timeout_ms);
-  if (!msg) return false;
-  const auto ok = decode_admin_ok(msg->payload);
-  return ok.token == node && ok.info == "drained";
-}
-
 std::string ClusterClient::stats(double timeout_ms) {
   std::vector<std::uint8_t> out;
   append_stats_request(out);

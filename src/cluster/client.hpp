@@ -3,8 +3,8 @@
 //
 // One connection, blocking convenience calls on top of the nonblocking io
 // layer: submit() writes a kSubmit envelope, poll() reassembles whatever
-// the router answers, and the admin helpers (add/remove replica, stats,
-// shutdown) each send a request and wait for the matching reply type.
+// the router answers, and the admin helpers (stats, shutdown) send a
+// request and, for stats, wait for the matching reply type.
 // Interleaved non-matching messages (results racing an admin reply on a
 // shared connection) are buffered in arrival order and handed back by the
 // next poll() — waiting for one reply type never loses another.
@@ -48,16 +48,7 @@ class ClusterClient {
   /// nullopt on timeout or a dead connection.
   std::optional<Message> poll(double timeout_ms);
 
-  // ---- admin conveniences (dedicated admin connection only) --------------
-
-  /// Returns the new node id, 0 when the router could not connect to it
-  /// (or the wait timed out).
-  std::uint64_t add_replica(const std::string& endpoint, double timeout_ms);
-
-  /// True once the router acknowledged the drained removal. The reply is
-  /// deferred until every in-flight job on the node settled, so the
-  /// timeout must cover a full drain.
-  bool remove_replica(std::uint64_t node, double timeout_ms);
+  // ---- admin conveniences -------------------------------------------------
 
   /// Router stats JSON; empty string on timeout.
   std::string stats(double timeout_ms);

@@ -4,13 +4,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <span>
 #include <system_error>
 
-#include "net/packet.hpp"
+#include "cluster/protocol.hpp"
 #include "net/wire.hpp"
 
 namespace reads::cluster {
@@ -18,21 +17,9 @@ namespace reads::cluster {
 namespace {
 
 constexpr std::uint8_t kNode = 1;
-constexpr std::uint8_t kSlo = 2;
+// Type 2 is taken: older journals hold SLO records there, which replay
+// skips like any unknown type (budgets come from RouterConfig alone).
 constexpr std::uint8_t kReply = 3;
-
-std::uint32_t record_crc(std::uint8_t type, const std::uint8_t* payload,
-                         std::size_t len) noexcept {
-  net::Crc32 crc;
-  crc.add_byte(type);
-  for (std::size_t i = 0; i < len; ++i) crc.add_byte(payload[i]);
-  return crc.value();
-}
-
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  net::put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
 
 }  // namespace
 
@@ -54,7 +41,7 @@ void RouterJournal::append(std::uint8_t type,
   net::put_u8(rec, type);
   net::put_u32(rec, static_cast<std::uint32_t>(payload.size()));
   rec.insert(rec.end(), payload.begin(), payload.end());
-  net::put_u32(rec, record_crc(type, payload.data(), payload.size()));
+  net::put_u32(rec, seal_crc(type, payload.data(), payload.size()));
   // One write(2) per record: O_APPEND makes the append atomic enough for a
   // single-writer journal, and a record torn by a mid-write kill fails its
   // CRC on replay.
@@ -75,13 +62,6 @@ void RouterJournal::record_node(const JournalNode& n) {
   net::put_u8(p, n.alive ? 1 : 0);
   put_string(p, n.endpoint);
   append(kNode, p);
-}
-
-void RouterJournal::record_slo(const JournalSlo& s) {
-  std::vector<std::uint8_t> p;
-  net::put_u64(p, std::bit_cast<std::uint64_t>(s.hard_deadline_ms));
-  net::put_u64(p, std::bit_cast<std::uint64_t>(s.best_effort_deadline_ms));
-  append(kSlo, p);
 }
 
 void RouterJournal::record_reply(std::uint64_t stream, std::uint64_t req_id,
@@ -110,22 +90,24 @@ JournalState RouterJournal::replay(const std::string& path) {
   // Membership is last-writer-wins per node; dead nodes drop out.
   std::vector<JournalNode> nodes;
   std::size_t off = 0;
+  // Every length is widened to size_t before it is added to: a u32 length
+  // near 2^32 must not wrap past the bounds check.
   while (bytes.size() - off >= 9) {
     const std::uint8_t type = bytes[off];
-    const std::uint32_t len = net::get_u32(bytes.data() + off + 1);
-    if (bytes.size() - off < 9u + len) break;  // torn tail record
+    const std::size_t len = net::get_u32(bytes.data() + off + 1);
+    if (bytes.size() - off < 9 + len) break;  // torn tail record
     const std::uint8_t* payload = bytes.data() + off + 5;
     const std::uint32_t crc = net::get_u32(payload + len);
-    if (crc != record_crc(type, payload, len)) break;
-    off += 9u + len;
+    if (crc != seal_crc(type, payload, len)) break;
+    off += 9 + len;
 
     const std::span<const std::uint8_t> p(payload, len);
     if (type == kNode && len >= 13) {
       JournalNode n;
       n.node = net::get_u64(p.data());
       n.alive = p[8] != 0;
-      const std::uint32_t slen = net::get_u32(p.data() + 9);
-      if (13u + slen > len) break;
+      const std::size_t slen = net::get_u32(p.data() + 9);
+      if (13 + slen > len) break;
       n.endpoint.assign(reinterpret_cast<const char*>(p.data() + 13), slen);
       state.max_node_id = std::max(state.max_node_id, n.node);
       bool found = false;
@@ -137,18 +119,12 @@ JournalState RouterJournal::replay(const std::string& path) {
         }
       }
       if (!found) nodes.push_back(std::move(n));
-    } else if (type == kSlo && len >= 16) {
-      JournalSlo s;
-      s.hard_deadline_ms = std::bit_cast<double>(net::get_u64(p.data()));
-      s.best_effort_deadline_ms =
-          std::bit_cast<double>(net::get_u64(p.data() + 8));
-      state.slo = s;
     } else if (type == kReply && len >= 20) {
       JournalReply r;
       r.stream = net::get_u64(p.data());
       r.req_id = net::get_u64(p.data() + 8);
-      const std::uint32_t rlen = net::get_u32(p.data() + 16);
-      if (20u + rlen > len) break;
+      const std::size_t rlen = net::get_u32(p.data() + 16);
+      if (20 + rlen > len) break;
       r.reply.assign(p.data() + 20, p.data() + 20 + rlen);
       state.replies.push_back(std::move(r));
     }

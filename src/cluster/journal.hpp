@@ -3,17 +3,18 @@
 // The router's hard problem after a SIGKILL is not its own state — jobs in
 // flight re-execute bit-identically anywhere — it is the promises it made
 // to *other* processes: which replicas form the ring (so a restart can
-// re-register them without an operator), which (stream, req_id) ticks were
-// already answered (so a reconnecting client's resubmission is deduped to
-// the stored reply instead of double-answered), and which SLO budgets were
-// configured. RouterJournal persists exactly that minimal set as an
-// append-only record stream:
+// re-register them without an operator) and which (stream, req_id) ticks
+// were already answered (so a reconnecting client's resubmission is deduped
+// to the stored reply instead of double-answered). The SLO budgets are not
+// journaled: every incarnation takes them from its own RouterConfig.
+// RouterJournal persists exactly that minimal set as an append-only record
+// stream:
 //
 //   [type : u8] [len : u32 LE] [payload : len bytes] [crc : u32 LE]
 //
-// with a CRC-32 (net::Crc32) over type + payload per record. Records are
-// write(2)-appended with no fsync: the threat model is process death
-// (SIGKILL, OOM-kill, crash) — the page cache survives all of those —
+// sealed like an envelope (cluster::seal_crc: CRC-32 over type + payload).
+// Records are write(2)-appended with no fsync: the threat model is process
+// death (SIGKILL, OOM-kill, crash) — the page cache survives all of those —
 // not kernel or power failure, which for an edge control rack is the
 // facility-wide machine-protection system's problem, not the router's.
 // Replay stops at the first short or CRC-failing record, so a record torn
@@ -22,16 +23,13 @@
 // Record types:
 //   kNode  — ring membership change: node id, endpoint, alive flag.
 //            Replay is last-writer-wins per node id.
-//   kSlo   — per-tenant SLO config (hard/best-effort budgets). Replay
-//            reads the first two doubles, so a longer record from an
-//            older router (which appended an admission margin) still
-//            replays.
+//   (type 2 is taken: older journals hold SLO records there, which
+//    replay skips like any unknown type; the records around them recover)
 //   kReply — one terminal answer: stream, req_id, serialized reply
 //            envelope. Replay refills the dedup windows (bounded, FIFO).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,11 +43,6 @@ struct JournalNode {
   bool alive = true;
 };
 
-struct JournalSlo {
-  double hard_deadline_ms = 3.0;
-  double best_effort_deadline_ms = 100.0;
-};
-
 struct JournalReply {
   std::uint64_t stream = 0;
   std::uint64_t req_id = 0;
@@ -59,7 +52,6 @@ struct JournalReply {
 /// Everything a replay recovered, in record order.
 struct JournalState {
   std::vector<JournalNode> nodes;    ///< last-writer-wins, alive only
-  std::optional<JournalSlo> slo;     ///< last kSlo record
   std::vector<JournalReply> replies;
   std::uint64_t max_node_id = 0;     ///< highest node id ever journaled
 };
@@ -75,7 +67,6 @@ class RouterJournal {
   const std::string& path() const noexcept { return path_; }
 
   void record_node(const JournalNode& n);
-  void record_slo(const JournalSlo& s);
   void record_reply(std::uint64_t stream, std::uint64_t req_id,
                     const std::vector<std::uint8_t>& reply);
 

@@ -20,11 +20,6 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
 /// Bounds-checked forward reader over a payload span.
 struct Cursor {
   std::span<const std::uint8_t> data;
@@ -94,15 +89,6 @@ namespace {
 /// with retained latency samples, a few MB at bench scale.
 constexpr std::size_t kMaxPayload = 64u << 20;
 
-/// Envelope seal: CRC-32 over the type byte followed by the payload.
-std::uint32_t envelope_crc(std::uint8_t type, const std::uint8_t* payload,
-                           std::size_t len) noexcept {
-  net::Crc32 crc;
-  crc.add_byte(type);
-  for (std::size_t i = 0; i < len; ++i) crc.add_byte(payload[i]);
-  return crc.value();
-}
-
 void patch_u32(std::vector<std::uint8_t>& out, std::size_t at,
                std::uint32_t v) noexcept {
   out[at] = static_cast<std::uint8_t>(v & 0xFFu);
@@ -112,6 +98,19 @@ void patch_u32(std::vector<std::uint8_t>& out, std::size_t at,
 }
 
 }  // namespace
+
+std::uint32_t seal_crc(std::uint8_t type, const std::uint8_t* payload,
+                       std::size_t len) noexcept {
+  net::Crc32 crc;
+  crc.add_byte(type);
+  for (std::size_t i = 0; i < len; ++i) crc.add_byte(payload[i]);
+  return crc.value();
+}
+
+void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
+  put_u32(out, static_cast<std::uint32_t>(s.size()));
+  out.insert(out.end(), s.begin(), s.end());
+}
 
 std::size_t begin_msg(std::vector<std::uint8_t>& out, MsgType type) {
   const std::size_t at = out.size();
@@ -125,8 +124,7 @@ void end_msg(std::vector<std::uint8_t>& out, std::size_t at) {
   const std::size_t payload = out.size() - at - kEnvelopeHeader;
   patch_u32(out, at, static_cast<std::uint32_t>(payload));
   patch_u32(out, at + 5,
-            envelope_crc(out[at + 4], out.data() + at + kEnvelopeHeader,
-                         payload));
+            seal_crc(out[at + 4], out.data() + at + kEnvelopeHeader, payload));
 }
 
 void append_hello(std::vector<std::uint8_t>& out, const Hello& m) {
@@ -172,26 +170,6 @@ void append_shed(std::vector<std::uint8_t>& out, const Shed& m) {
   const auto at = begin_msg(out, MsgType::kShed);
   put_u64(out, m.id);
   put_u8(out, static_cast<std::uint8_t>(m.reason));
-  end_msg(out, at);
-}
-
-void append_add_replica(std::vector<std::uint8_t>& out, const AddReplica& m) {
-  const auto at = begin_msg(out, MsgType::kAddReplica);
-  put_string(out, m.endpoint);
-  end_msg(out, at);
-}
-
-void append_remove_replica(std::vector<std::uint8_t>& out,
-                           const RemoveReplica& m) {
-  const auto at = begin_msg(out, MsgType::kRemoveReplica);
-  put_u64(out, m.node);
-  end_msg(out, at);
-}
-
-void append_admin_ok(std::vector<std::uint8_t>& out, const AdminOk& m) {
-  const auto at = begin_msg(out, MsgType::kAdminOk);
-  put_u64(out, m.token);
-  put_string(out, m.info);
   end_msg(out, at);
 }
 
@@ -273,31 +251,6 @@ Shed decode_shed(std::span<const std::uint8_t> payload) {
   return m;
 }
 
-AddReplica decode_add_replica(std::span<const std::uint8_t> payload) {
-  Cursor c{payload};
-  AddReplica m;
-  m.endpoint = c.str();
-  c.done();
-  return m;
-}
-
-RemoveReplica decode_remove_replica(std::span<const std::uint8_t> payload) {
-  Cursor c{payload};
-  RemoveReplica m;
-  m.node = c.u64();
-  c.done();
-  return m;
-}
-
-AdminOk decode_admin_ok(std::span<const std::uint8_t> payload) {
-  Cursor c{payload};
-  AdminOk m;
-  m.token = c.u64();
-  m.info = c.str();
-  c.done();
-  return m;
-}
-
 StatsReply decode_stats_reply(std::span<const std::uint8_t> payload) {
   Cursor c{payload};
   StatsReply m;
@@ -325,7 +278,7 @@ bool MessageReader::feed(std::span<const std::uint8_t> bytes) {
     const std::uint8_t type = buf_[off + 4];
     const std::uint32_t wire_crc = net::get_u32(buf_.data() + off + 5);
     if (wire_crc !=
-        envelope_crc(type, buf_.data() + off + kEnvelopeHeader, len)) {
+        seal_crc(type, buf_.data() + off + kEnvelopeHeader, len)) {
       // One flipped bit anywhere in the envelope (header or payload) lands
       // here: latch broken instead of handing a mis-framed or silently
       // altered message upward.

@@ -26,10 +26,10 @@
 //   router -> client   kResult | kShed  (exactly one per accepted submit)
 //   router -> replica  kHello, kJob (one jumbo whole-ring packet)
 //   replica -> router  kResult | kShed  (exactly one per job)
-//   admin  -> router   kAddReplica / kRemoveReplica / kStatsRequest /
-//                      kShutdown; router answers kAdminOk / kStatsReply
-//     (kRemoveReplica's kAdminOk is deferred until the node is fully
-//      drained — the reply IS the exactly-once handoff acknowledgement).
+//   admin  -> router   kStatsRequest / kShutdown; router answers
+//                      kStatsReply
+// Membership is not on the wire: it changes only through the router's
+// in-process Router::add_replica / remove_replica.
 #pragma once
 
 #include <cstddef>
@@ -55,9 +55,7 @@ enum class MsgType : std::uint8_t {
   kJob = 3,
   kResult = 4,
   kShed = 5,
-  kAddReplica = 6,
-  kRemoveReplica = 7,
-  kAdminOk = 8,
+  // 6-8 are taken: older peers sent wire membership messages with them.
   kStatsRequest = 9,
   kStatsReply = 10,
   kShutdown = 11,
@@ -115,19 +113,6 @@ struct Shed {
   ShedReason reason = ShedReason::kQueueFull;
 };
 
-struct AddReplica {
-  std::string endpoint;  ///< "tcp:host:port" / "uds:path"
-};
-
-struct RemoveReplica {
-  std::uint64_t node = 0;
-};
-
-struct AdminOk {
-  std::uint64_t token = 0;  ///< echoes the request's identifying value
-  std::string info;
-};
-
 struct StatsReply {
   std::string json;
 };
@@ -140,15 +125,19 @@ struct StatsReply {
 std::size_t begin_msg(std::vector<std::uint8_t>& out, MsgType type);
 void end_msg(std::vector<std::uint8_t>& out, std::size_t at);
 
+/// The seal of an envelope and of a journal record: CRC-32 (net::Crc32)
+/// over the type byte followed by the payload.
+std::uint32_t seal_crc(std::uint8_t type, const std::uint8_t* payload,
+                       std::size_t len) noexcept;
+
+/// A string as [len : u32 LE] [bytes], the encoding of every string field.
+void put_string(std::vector<std::uint8_t>& out, const std::string& s);
+
 void append_hello(std::vector<std::uint8_t>& out, const Hello& m);
 void append_submit(std::vector<std::uint8_t>& out, const Submit& m);
 void append_job(std::vector<std::uint8_t>& out, const Job& m);
 void append_result(std::vector<std::uint8_t>& out, const Result& m);
 void append_shed(std::vector<std::uint8_t>& out, const Shed& m);
-void append_add_replica(std::vector<std::uint8_t>& out, const AddReplica& m);
-void append_remove_replica(std::vector<std::uint8_t>& out,
-                           const RemoveReplica& m);
-void append_admin_ok(std::vector<std::uint8_t>& out, const AdminOk& m);
 void append_stats_request(std::vector<std::uint8_t>& out);
 void append_stats_reply(std::vector<std::uint8_t>& out, const StatsReply& m);
 void append_shutdown(std::vector<std::uint8_t>& out);
@@ -163,9 +152,6 @@ Submit decode_submit(std::span<const std::uint8_t> payload);
 Job decode_job(std::span<const std::uint8_t> payload);
 Result decode_result(std::span<const std::uint8_t> payload);
 Shed decode_shed(std::span<const std::uint8_t> payload);
-AddReplica decode_add_replica(std::span<const std::uint8_t> payload);
-RemoveReplica decode_remove_replica(std::span<const std::uint8_t> payload);
-AdminOk decode_admin_ok(std::span<const std::uint8_t> payload);
 StatsReply decode_stats_reply(std::span<const std::uint8_t> payload);
 
 /// One reassembled envelope.

@@ -20,25 +20,12 @@ constexpr std::size_t kRingVnodes = 64;
 /// Slow-consumer defense: a peer whose outbound buffer exceeds this is
 /// dropped.
 constexpr std::size_t kMaxOutbufBytes = 8u << 20;
+/// Connect budget for a new or journal-recovered replica.
+constexpr double kConnectTimeoutMs = 2000.0;
 
 double tp_ms(std::chrono::steady_clock::time_point t) noexcept {
   return std::chrono::duration<double, std::milli>(t.time_since_epoch())
       .count();
-}
-
-/// The journaled SLO config must win before `metrics_` is built from the
-/// deadline fields, so it is applied to the config on the way into the
-/// member-initializer list (the membership/reply replay happens in the
-/// constructor body, where members exist).
-RouterConfig apply_journal_slo(RouterConfig cfg) {
-  if (!cfg.journal_path.empty()) {
-    const JournalState st = RouterJournal::replay(cfg.journal_path);
-    if (st.slo) {
-      cfg.hard_deadline_ms = st.slo->hard_deadline_ms;
-      cfg.best_effort_deadline_ms = st.slo->best_effort_deadline_ms;
-    }
-  }
-  return cfg;
 }
 
 }  // namespace
@@ -46,7 +33,7 @@ RouterConfig apply_journal_slo(RouterConfig cfg) {
 double Router::now_ms() noexcept { return tp_ms(Clock::now()); }
 
 Router::Router(RouterConfig cfg)
-    : cfg_(apply_journal_slo(std::move(cfg))),
+    : cfg_(std::move(cfg)),
       listener_(listen_on(cfg_.listen)),
       wake_(make_wake_pipe()),
       ring_(kRingVnodes),
@@ -55,10 +42,6 @@ Router::Router(RouterConfig cfg)
   if (!cfg_.journal_path.empty()) {
     recovered = RouterJournal::replay(cfg_.journal_path);
     journal_ = RouterJournal(cfg_.journal_path);
-    // Re-journal the effective SLO so a journal truncated to just this
-    // incarnation's records still replays the full config.
-    journal_.record_slo(
-        JournalSlo{cfg_.hard_deadline_ms, cfg_.best_effort_deadline_ms});
   }
   if (!recovered.nodes.empty()) {
     // Recovery mode: the journaled membership IS the fleet — cfg_.replicas
@@ -153,9 +136,6 @@ void Router::process_commands() {
       case Command::Kind::kStats:
         cmd.stats_result.set_value(stats_json_now());
         break;
-      case Command::Kind::kStop:
-        begin_shutdown();
-        break;
     }
   }
 }
@@ -166,7 +146,7 @@ std::uint64_t Router::do_add_replica(const std::string& endpoint) {
   auto rc = std::make_unique<ReplicaConn>();
   try {
     rc->endpoint = Endpoint::parse(endpoint);
-    connect_replica(*rc, cfg_.connect_timeout_ms);
+    connect_replica(*rc, kConnectTimeoutMs);
   } catch (const std::exception&) {
     return 0;
   }
@@ -196,7 +176,7 @@ void Router::recover_replica(std::uint64_t node, const std::string& endpoint) {
   rc->node = node;
   try {
     rc->endpoint = Endpoint::parse(endpoint);
-    connect_replica(*rc, cfg_.connect_timeout_ms);
+    connect_replica(*rc, kConnectTimeoutMs);
     replicas_.emplace(node, std::move(rc));
     ring_.add(node);
   } catch (const std::exception&) {
@@ -226,11 +206,6 @@ void Router::finish_remove(std::uint64_t node, bool ok) {
   if (rc.remove_promise) {
     rc.remove_promise->set_value(ok);
     rc.remove_promise.reset();
-  }
-  if (rc.remove_waiter_client != 0) {
-    std::vector<std::uint8_t> out;
-    append_admin_ok(out, AdminOk{node, ok ? "drained" : "dropped"});
-    send_to_client(rc.remove_waiter_client, out);
   }
   if (journal_.open()) {
     journal_.record_node(JournalNode{node, std::string(), false});
@@ -635,35 +610,6 @@ void Router::handle_client_message(ClientConn& c, const Message& msg) {
     case MsgType::kSubmit:
       handle_submit(c, decode_submit(msg.payload));
       break;
-    case MsgType::kAddReplica: {
-      const auto add = decode_add_replica(msg.payload);
-      const std::uint64_t node = do_add_replica(add.endpoint);
-      std::vector<std::uint8_t> out;
-      append_admin_ok(out, AdminOk{node, node ? add.endpoint
-                                              : "connect failed"});
-      send_to_client(c.id, out);
-      break;
-    }
-    case MsgType::kRemoveReplica: {
-      const auto rem = decode_remove_replica(msg.payload);
-      auto it = replicas_.find(rem.node);
-      if (it == replicas_.end()) {
-        std::vector<std::uint8_t> out;
-        append_admin_ok(out, AdminOk{0, "unknown node"});
-        send_to_client(c.id, out);
-        break;
-      }
-      ReplicaConn& rc = *it->second;
-      rc.remove_waiter_client = c.id;
-      if (rc.state == NodeState::kReconnecting) {
-        finished_removes_.push_back(rc.node);
-      } else {
-        // The kAdminOk reply is deferred until the node is fully drained:
-        // the acknowledgement IS the exactly-once handoff confirmation.
-        do_remove_replica(rc);
-      }
-      break;
-    }
     case MsgType::kStatsRequest: {
       std::vector<std::uint8_t> out;
       append_stats_reply(out, StatsReply{stats_json_now()});
@@ -797,7 +743,6 @@ void Router::read_replica(ReplicaConn& rc) {
 }
 
 void Router::check_stalls() {
-  if (cfg_.stall_timeout_ms <= 0.0) return;
   const double now = now_ms();
   for (auto& [node, rcp] : replicas_) {
     ReplicaConn& rc = *rcp;

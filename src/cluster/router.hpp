@@ -31,8 +31,9 @@
 //    enters draining — new jobs are held, bounded — and the pin moves only
 //    when the old replica has answered everything; held jobs then flush in
 //    order to the new owner, admission bypassed (they were already
-//    accepted). kRemoveReplica's kAdminOk is sent only when the node is
-//    fully drained.
+//    accepted). Membership changes only through add_replica /
+//    remove_replica; remove_replica returns only when the node is fully
+//    drained.
 //
 //  * Crash recovery. A replica connection dying removes the node from the
 //    ring, redispatches its outstanding jobs to the new owners, and
@@ -53,13 +54,13 @@
 //    the new connection instead of re-executing. At-least-once on the
 //    wire, exactly-once in effect.
 //
-//  * Survivable restart. With a journal_path configured, ring membership,
-//    the dedup windows, and the SLO config ride a write-ahead journal
-//    (journal.hpp); a SIGKILLed router restarts on the same endpoint,
-//    re-registers the journaled replicas (unreachable ones enter the
-//    quarantine/backoff path instead of failing construction), and serves
-//    resubmissions from the recovered dedup state — clients just
-//    reconnect and resume.
+//  * Survivable restart. With a journal_path configured, ring membership
+//    and the dedup windows ride a write-ahead journal (journal.hpp); the
+//    SLO budgets always come from the RouterConfig. A SIGKILLed router
+//    restarts on the same endpoint, re-registers the journaled replicas
+//    (unreachable ones enter the quarantine/backoff path instead of
+//    failing construction), and serves resubmissions from the recovered
+//    dedup state — clients just reconnect and resume.
 //
 //  * Slow-consumer defense. Per-connection write buffers are bounded
 //    (overflow drops the peer — resubmission makes the replies
@@ -111,18 +112,17 @@ struct RouterConfig {
   std::size_t reconnect_attempts = 5;
   double reconnect_backoff_initial_ms = 50.0;
   double reconnect_backoff_max_ms = 1000.0;
-  double connect_timeout_ms = 2000.0;
   /// Per-stream assembly parameters (monitors/hubs/validation gauntlet).
   net::AssemblerParams assembler;
   /// Write-ahead journal path (empty = no persistence). When the file
   /// already holds a previous incarnation's records, the constructor
   /// recovers: journaled membership replaces `replicas` (unreachable nodes
-  /// quarantine instead of throwing), the dedup windows refill, and the
-  /// journaled SLO config overrides the deadline fields.
+  /// quarantine instead of throwing) and the dedup windows refill. The
+  /// deadline fields above always apply.
   std::string journal_path;
   /// A connection with pending work but no byte-level progress for this
   /// long is stalled: replicas are kicked into the quarantine path,
-  /// clients are dropped. 0 disables.
+  /// clients are dropped.
   double stall_timeout_ms = 2000.0;
 };
 
@@ -170,7 +170,8 @@ class Router {
     wake_.wake();
   }
 
-  // ---- thread-safe admin API (mirrors the wire admin messages) ----------
+  // ---- thread-safe admin API: the one membership path --------------------
+  // (the wire admin messages are stats and shutdown only)
 
   /// Connect and add a replica; blocks until the ring changed. Returns the
   /// node id, or 0 when the connect failed.
@@ -224,9 +225,8 @@ class Router {
     NodeState state = NodeState::kConnected;
     std::size_t attempts = 0;      ///< reconnects tried this quarantine
     double next_reconnect_ms = 0;  ///< steady ms
-    /// Deferred kRemoveReplica acknowledgements (admin client id + local
-    /// promise), fulfilled when the drain completes.
-    std::uint64_t remove_waiter_client = 0;
+    /// remove_replica's deferred acknowledgement, fulfilled when the drain
+    /// completes.
     std::optional<std::promise<bool>> remove_promise;
     std::size_t outbuf_high_water = 0;
     double last_progress_ms = 0.0;  ///< steady ms of last byte in/out
@@ -243,7 +243,7 @@ class Router {
   };
 
   struct Command {
-    enum class Kind : std::uint8_t { kAdd, kRemove, kStats, kStop } kind;
+    enum class Kind : std::uint8_t { kAdd, kRemove, kStats } kind;
     std::string endpoint;
     std::uint64_t node = 0;
     std::promise<std::uint64_t> add_result;

@@ -34,6 +34,7 @@
 #include "cluster/resilient_client.hpp"
 #include "cluster/ring.hpp"
 #include "cluster/router.hpp"
+#include "mutate.hpp"
 #include "net/hub.hpp"
 #include "net/packet.hpp"
 #include "net/wire.hpp"
@@ -323,21 +324,31 @@ TEST(ClusterProtocol, FuzzedCorruptionNeverMisframesOrHangs) {
 }
 
 TEST(ClusterProtocol, AdminCodecsRoundTrip) {
+  // The wire admin is stats and shutdown only; their type values stay
+  // where they were when membership messages still held 6-8.
+  EXPECT_EQ(static_cast<int>(cluster::MsgType::kStatsRequest), 9);
+  EXPECT_EQ(static_cast<int>(cluster::MsgType::kStatsReply), 10);
+  EXPECT_EQ(static_cast<int>(cluster::MsgType::kShutdown), 11);
   std::vector<std::uint8_t> bytes;
-  cluster::append_add_replica(bytes, {"tcp:127.0.0.1:9000"});
-  cluster::append_remove_replica(bytes, {17});
-  cluster::append_admin_ok(bytes, {17, "drained"});
+  cluster::append_stats_request(bytes);
   cluster::append_stats_reply(bytes, {"{\"ok\": true}"});
+  cluster::append_shutdown(bytes);
   cluster::MessageReader reader;
   ASSERT_TRUE(reader.feed(bytes.data(), bytes.size()));
-  EXPECT_EQ(cluster::decode_add_replica(reader.next()->payload).endpoint,
-            "tcp:127.0.0.1:9000");
-  EXPECT_EQ(cluster::decode_remove_replica(reader.next()->payload).node, 17u);
-  const auto ok = cluster::decode_admin_ok(reader.next()->payload);
-  EXPECT_EQ(ok.token, 17u);
-  EXPECT_EQ(ok.info, "drained");
-  EXPECT_EQ(cluster::decode_stats_reply(reader.next()->payload).json,
+  auto request = reader.next();
+  ASSERT_TRUE(request.has_value());
+  EXPECT_EQ(request->type, cluster::MsgType::kStatsRequest);
+  EXPECT_TRUE(request->payload.empty());
+  auto reply = reader.next();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, cluster::MsgType::kStatsReply);
+  EXPECT_EQ(cluster::decode_stats_reply(reply->payload).json,
             "{\"ok\": true}");
+  auto shutdown = reader.next();
+  ASSERT_TRUE(shutdown.has_value());
+  EXPECT_EQ(shutdown->type, cluster::MsgType::kShutdown);
+  EXPECT_TRUE(shutdown->payload.empty());
+  EXPECT_FALSE(reader.next().has_value());
 }
 
 // ---- shared cluster harness ---------------------------------------------
@@ -908,7 +919,6 @@ TEST(RouterJournal, RecordReplayRoundTrips) {
     ASSERT_TRUE(j.open());
     j.record_node({1, "tcp:127.0.0.1:9001", true});
     j.record_node({2, "tcp:127.0.0.1:9002", true});
-    j.record_slo({2.5, 80.0});
     j.record_node({2, "", false});  // removed: last writer wins
     j.record_node({3, "uds:/tmp/r3.sock", true});
     j.record_reply(5, 42, {1, 2, 3, 4});
@@ -921,9 +931,6 @@ TEST(RouterJournal, RecordReplayRoundTrips) {
   EXPECT_EQ(state.nodes[1].node, 3u);
   EXPECT_EQ(state.nodes[1].endpoint, "uds:/tmp/r3.sock");
   EXPECT_EQ(state.max_node_id, 3u);
-  ASSERT_TRUE(state.slo.has_value());
-  EXPECT_DOUBLE_EQ(state.slo->hard_deadline_ms, 2.5);
-  EXPECT_DOUBLE_EQ(state.slo->best_effort_deadline_ms, 80.0);
   ASSERT_EQ(state.replies.size(), 2u);
   EXPECT_EQ(state.replies[0].stream, 5u);
   EXPECT_EQ(state.replies[0].req_id, 42u);
@@ -932,33 +939,219 @@ TEST(RouterJournal, RecordReplayRoundTrips) {
   ::unlink(path.c_str());
 }
 
-// Older routers wrote a third double (an admission margin) into kSlo.
-// Replay reads the two budgets and ignores the rest.
-TEST(RouterJournal, ThreeFieldSloRecordStillReplays) {
-  const auto path = journal_path("slo3");
-  ::unlink(path.c_str());
-  constexpr std::uint8_t kSloType = 2;
+/// One sealed journal record: [type][len][payload][seal_crc].
+std::vector<std::uint8_t> journal_record(
+    std::uint8_t type, const std::vector<std::uint8_t>& payload,
+    std::uint32_t len_field) {
+  std::vector<std::uint8_t> rec;
+  net::put_u8(rec, type);
+  net::put_u32(rec, len_field);
+  rec.insert(rec.end(), payload.begin(), payload.end());
+  net::put_u32(rec,
+               cluster::seal_crc(type, payload.data(), payload.size()));
+  return rec;
+}
+
+/// The SLO record older routers journaled (type 2): hard and best-effort
+/// budgets, then, before the admission margin was dropped, a third double.
+std::vector<std::uint8_t> legacy_slo_record(
+    std::initializer_list<double> fields) {
   std::vector<std::uint8_t> payload;
-  for (const double v : {2.5, 80.0, 0.8}) {
+  for (const double v : fields) {
     net::put_u64(payload, std::bit_cast<std::uint64_t>(v));
   }
-  net::Crc32 crc;
-  crc.add_byte(kSloType);
-  for (const auto b : payload) crc.add_byte(b);
-  std::vector<std::uint8_t> rec;
-  net::put_u8(rec, kSloType);
-  net::put_u32(rec, static_cast<std::uint32_t>(payload.size()));
-  rec.insert(rec.end(), payload.begin(), payload.end());
-  net::put_u32(rec, crc.value());
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  return journal_record(2, payload,
+                        static_cast<std::uint32_t>(payload.size()));
+}
+
+void append_file(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(rec.data(), 1, rec.size(), f), rec.size());
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::vector<std::uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  std::uint8_t buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    bytes.insert(bytes.end(), buf, buf + n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+void write_file(const std::string& path,
+                const std::vector<std::uint8_t>& bytes) {
+  ::unlink(path.c_str());
+  append_file(path, bytes);
+}
+
+bool same_state(const cluster::JournalState& a,
+                const cluster::JournalState& b) {
+  if (a.max_node_id != b.max_node_id || a.nodes.size() != b.nodes.size() ||
+      a.replies.size() != b.replies.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    if (a.nodes[i].node != b.nodes[i].node ||
+        a.nodes[i].endpoint != b.nodes[i].endpoint ||
+        a.nodes[i].alive != b.nodes[i].alive) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < a.replies.size(); ++i) {
+    if (a.replies[i].stream != b.replies[i].stream ||
+        a.replies[i].req_id != b.replies[i].req_id ||
+        a.replies[i].reply != b.replies[i].reply) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Budgets come from RouterConfig alone, so the SLO records older routers
+// journaled (two or three doubles) are skipped, and the records around
+// them still replay.
+TEST(RouterJournal, LegacySloRecordIsSkipped) {
+  const auto path = journal_path("slo-legacy");
+  ::unlink(path.c_str());
+  {
+    cluster::RouterJournal j(path);
+    j.record_node({1, "tcp:127.0.0.1:9001", true});
+  }
+  append_file(path, legacy_slo_record({2.5, 80.0, 0.8}));
+  append_file(path, legacy_slo_record({2.5, 80.0}));
+  {
+    cluster::RouterJournal j(path);
+    j.record_reply(5, 42, {1, 2, 3});
+  }
 
   const auto state = cluster::RouterJournal::replay(path);
-  ASSERT_TRUE(state.slo.has_value());
-  EXPECT_DOUBLE_EQ(state.slo->hard_deadline_ms, 2.5);
-  EXPECT_DOUBLE_EQ(state.slo->best_effort_deadline_ms, 80.0);
+  ASSERT_EQ(state.nodes.size(), 1u);
+  EXPECT_EQ(state.nodes[0].endpoint, "tcp:127.0.0.1:9001");
+  ASSERT_EQ(state.replies.size(), 1u);
+  EXPECT_EQ(state.replies[0].req_id, 42u);
+  EXPECT_EQ(state.replies[0].reply, (std::vector<std::uint8_t>{1, 2, 3}));
+  ::unlink(path.c_str());
+}
+
+TEST(RouterJournal, LengthsNearTwoToThe32DoNotWrap) {
+  // A u32 length within 20 of 2^32 used to wrap the bounds checks (9 + len,
+  // 13 + endpoint length, 20 + reply length) and send replay reading ~4 GiB
+  // past its buffer. Each such record must end replay where it stands.
+  const auto path = journal_path("wrap");
+  ::unlink(path.c_str());
+  {
+    cluster::RouterJournal j(path);
+    j.record_node({1, "tcp:127.0.0.1:9001", true});
+    j.record_reply(5, 42, {1, 2, 3});
+  }
+  const auto good = read_file(path);
+  const auto before = cluster::RouterJournal::replay(path);
+  ASSERT_EQ(before.nodes.size(), 1u);
+  ASSERT_EQ(before.replies.size(), 1u);
+
+  for (const std::uint32_t huge : {0xFFFFFFF7u, 0xFFFFFFF8u, 0xFFFFFFFFu}) {
+    // The record header's length: no seal can follow it.
+    std::vector<std::uint8_t> header = good;
+    net::put_u8(header, 3);
+    net::put_u32(header, huge);
+    header.resize(header.size() + 16, 0);
+
+    // A sealed kNode record whose endpoint length overruns it.
+    std::vector<std::uint8_t> node_payload;
+    net::put_u64(node_payload, 9);
+    net::put_u8(node_payload, 1);
+    net::put_u32(node_payload, huge);
+    node_payload.insert(node_payload.end(), {'t', 'c', 'p', ':', 'x'});
+    std::vector<std::uint8_t> node = good;
+    const auto node_rec = journal_record(
+        1, node_payload, static_cast<std::uint32_t>(node_payload.size()));
+    node.insert(node.end(), node_rec.begin(), node_rec.end());
+
+    // A sealed kReply record whose reply length overruns it.
+    std::vector<std::uint8_t> reply_payload;
+    net::put_u64(reply_payload, 5);
+    net::put_u64(reply_payload, 43);
+    net::put_u32(reply_payload, huge);
+    reply_payload.insert(reply_payload.end(), {7, 7, 7, 7});
+    std::vector<std::uint8_t> reply = good;
+    const auto reply_rec = journal_record(
+        3, reply_payload, static_cast<std::uint32_t>(reply_payload.size()));
+    reply.insert(reply.end(), reply_rec.begin(), reply_rec.end());
+
+    const std::pair<const char*, const std::vector<std::uint8_t>*> cases[] =
+        {{"header", &header}, {"endpoint", &node}, {"reply", &reply}};
+    for (const auto& [site, bytes] : cases) {
+      write_file(path, *bytes);
+      const auto got = cluster::RouterJournal::replay(path);
+      EXPECT_TRUE(same_state(got, before))
+          << "length " << huge << " in the " << site << " length";
+    }
+  }
+  ::unlink(path.c_str());
+}
+
+TEST(RouterJournal, FuzzedJournalReplaysARecordPrefix) {
+  // 1,000 seeded flip/insert/delete mutations of a real journal (node adds
+  // and a removal, replies, a legacy SLO record). The CRC seal and the
+  // bounds checks allow one outcome only: replay returns what the original
+  // journal replays when cut at some record boundary.
+  const auto path = journal_path("fuzz");
+  ::unlink(path.c_str());
+  {
+    cluster::RouterJournal j(path);
+    j.record_node({1, "tcp:127.0.0.1:9001", true});
+    j.record_node({2, "uds:/tmp/r2.sock", true});
+    j.record_reply(5, 42, {1, 2, 3, 4});
+  }
+  append_file(path, legacy_slo_record({3.0, 100.0}));
+  {
+    cluster::RouterJournal j(path);
+    j.record_node({2, "", false});
+    j.record_reply(6, 43, {9, 8});
+    j.record_node({3, "tcp:127.0.0.1:9003", true});
+    j.record_reply(5, 44, {});
+  }
+  const auto original = read_file(path);
+
+  // The replay of every record-boundary prefix, empty journal included.
+  std::vector<cluster::JournalState> prefixes;
+  for (std::size_t off = 0;;) {
+    write_file(path, std::vector<std::uint8_t>(
+                         original.begin(),
+                         original.begin() + static_cast<std::ptrdiff_t>(off)));
+    prefixes.push_back(cluster::RouterJournal::replay(path));
+    if (off == original.size()) break;
+    off += 9 + net::get_u32(original.data() + off + 1);
+  }
+  ASSERT_EQ(prefixes.size(), 9u);  // 8 records
+  ASSERT_EQ(prefixes.back().nodes.size(), 2u);
+  ASSERT_EQ(prefixes.back().replies.size(), 3u);
+
+  const std::string valid(original.begin(), original.end());
+  util::Xoshiro256 rng(23);
+  std::size_t shortened = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    const std::string m = test::mutate(valid, rng);
+    write_file(path, std::vector<std::uint8_t>(m.begin(), m.end()));
+    const auto got = cluster::RouterJournal::replay(path);
+    std::size_t match = prefixes.size();
+    for (std::size_t k = 0; k < prefixes.size(); ++k) {
+      if (same_state(got, prefixes[k])) {
+        match = k;
+        break;
+      }
+    }
+    ASSERT_LT(match, prefixes.size())
+        << "trial " << trial << ": replay is no record prefix";
+    if (!same_state(got, prefixes.back())) ++shortened;
+  }
+  EXPECT_GT(shortened, 0u);
   ::unlink(path.c_str());
 }
 
@@ -988,7 +1181,6 @@ TEST(RouterJournal, MissingFileReplaysEmpty) {
       cluster::RouterJournal::replay(journal_path("never-written"));
   EXPECT_TRUE(state.nodes.empty());
   EXPECT_TRUE(state.replies.empty());
-  EXPECT_FALSE(state.slo.has_value());
 }
 
 // ---- RouterFailover: dedup, rebind, stall defense, journal recovery ------
@@ -1180,6 +1372,38 @@ TEST(RouterFailover, JournalRecoveryServesDedupAcrossRestart) {
   ::unlink(path.c_str());
 }
 
+TEST(RouterFailover, RestartTakesBudgetsFromItsConfigNotAJournaledSlo) {
+  // A journal from an older router may still hold an SLO record. The
+  // restarted router must serve with the budgets its own config gives
+  // (5,000 ms best-effort here), not the journal's 1 us.
+  const auto path = journal_path("config-budgets");
+  ::unlink(path.c_str());
+  ReplicaProc a(kMonitors, 0us);
+  std::string endpoint;
+  {
+    auto cfg = router_config({a.endpoint});
+    cfg.journal_path = path;
+    RouterRun run(std::move(cfg));
+    endpoint = run.router.bound().str();
+  }  // the journal now holds the replica
+  append_file(path, legacy_slo_record({0.001, 0.001}));
+
+  auto cfg = router_config({});
+  cfg.listen = cluster::Endpoint::parse(endpoint);
+  cfg.journal_path = path;
+  RouterRun run(std::move(cfg));
+  cluster::ClusterClient client(endpoint);
+  ASSERT_TRUE(client.submit(make_tick(9, 0)));
+  auto msg = client.poll(10000.0);
+  ASSERT_TRUE(msg && msg->type == cluster::MsgType::kResult);
+  EXPECT_EQ(cluster::decode_result(msg->payload).deadline_met, 1u);
+
+  const auto stats = run.router.stats_json();
+  EXPECT_EQ(scan_counter(stats, "journal_recovered_nodes"), 1u);
+  EXPECT_EQ(scan_counter(stats, "deadline_misses"), 0u);
+  ::unlink(path.c_str());
+}
+
 TEST(RouterFailover, ResilientClientRidesThroughRouterRestart) {
   const auto path = journal_path("resilient");
   ::unlink(path.c_str());
@@ -1291,7 +1515,7 @@ TEST(RouterAdmin, StatsCountEveryAnsweredTickWithoutAReplicaRow) {
 }
 
 TEST(RouterAdmin, StatsJsonEscapesOutsideEndpointBytes) {
-  // A kAddReplica endpoint is outside input, and a UDS path may hold any
+  // An add_replica endpoint is outside input, and a UDS path may hold any
   // byte: a quote or a bracket in it must end neither the endpoint string
   // nor the nodes array.
   const std::string path =

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: plain Release build + ctest and the bench gates,
 # then a 5 s bit-exact audit run of each control-tick benchmark workload
-# (perfbench/run.py, as CI runs it), then an ASan/UBSan build + ctest
-# (READS_SANITIZE=ON), then a ThreadSanitizer build (READS_TSAN=ON) of the
-# concurrency-heavy targets running the serve/queue/thread-pool tests. Run
-# from the repo root:
+# (perfbench/run.py, as CI runs it), then an ASan/UBSan build
+# (READS_SANITIZE=ON) running ctest and the chaos-cluster gates, then a
+# ThreadSanitizer build (READS_TSAN=ON) of the concurrency-heavy targets
+# running the serve/queue/thread-pool tests. Run from the repo root:
 #
 #   tools/check.sh [extra ctest args...]
 #
@@ -93,6 +93,15 @@ echo "== sanitizer build (address,undefined) =="
 cmake -B build-asan -S . -DREADS_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$(nproc)"
 (cd build-asan && ctest --output-on-failure -j"$(nproc)" "$@")
+
+echo "== chaos-cluster gates under ASan/UBSan (journal recovery) =="
+# The router SIGKILL + journal replay of a really killed process, and every
+# socket-fault path, with the sanitizers watching the parsers of outside
+# bytes. It runs from build/ to load the plain benches' model cache, and
+# writes its artifact into build-asan/.
+(cd build && ../build-asan/bench/bench_chaos_cluster --quick \
+  --out=../build-asan/BENCH_chaos_cluster.json \
+  && python3 -m json.tool ../build-asan/BENCH_chaos_cluster.json >/dev/null)
 
 echo "== thread sanitizer build (serve / concurrency tests) =="
 cmake -B build-tsan -S . -DREADS_TSAN=ON >/dev/null
