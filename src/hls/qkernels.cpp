@@ -50,7 +50,11 @@ void conv1d_acc_scalar(const std::int64_t* x, const std::int64_t* wtr,
 // the scalar path at the same width as the SIMD lanes means a prover bug
 // shows up as a sanitizer report in the property tests instead of silently
 // diverging between variants. Only the row's listed nonzero channels are
-// visited.
+// visited. Each output row accumulates in narrow_weights' slot order, so
+// the inner loop runs over one contiguous weight row (and vectorizes), and
+// is put back in natural order once the row is done: in a full 32-output
+// block slot 2j is output ob + j and slot 2j + 1 output ob + 16 + j. Its
+// pad outputs carry zero weights and bias, so they sum to zero.
 void conv1d_acc_i16_scalar(const std::int16_t* x, const std::uint16_t* nz,
                            const std::uint16_t* nnz, const std::int16_t* wtr,
                            const std::int32_t* bias_acc, std::int32_t* acc,
@@ -60,9 +64,17 @@ void conv1d_acc_i16_scalar(const std::int16_t* x, const std::uint16_t* nz,
   const auto pad = static_cast<std::ptrdiff_t>(k / 2);
   const auto pos = static_cast<std::ptrdiff_t>(positions);
   const auto kk = static_cast<std::ptrdiff_t>(k);
+  const std::size_t full = out_pad & ~std::size_t{31};
+  const std::size_t slots = std::max(out_ch, full);
   for (std::ptrdiff_t p = 0; p < pos; ++p) {
     std::int32_t* accp = acc + static_cast<std::size_t>(p) * out_pad;
-    std::copy(bias_acc, bias_acc + out_ch, accp);
+    for (std::size_t ob = 0; ob < full; ob += 32) {
+      for (std::size_t j = 0; j < 16; ++j) {
+        accp[ob + 2 * j] = bias_acc[ob + j];
+        accp[ob + 2 * j + 1] = bias_acc[ob + 16 + j];
+      }
+    }
+    std::copy(bias_acc + full, bias_acc + slots, accp + full);
     const std::ptrdiff_t dk_lo = std::max<std::ptrdiff_t>(0, pad - p);
     const std::ptrdiff_t dk_hi = std::min<std::ptrdiff_t>(kk, pos + pad - p);
     for (std::ptrdiff_t dk = dk_lo; dk < dk_hi; ++dk) {
@@ -76,13 +88,21 @@ void conv1d_acc_i16_scalar(const std::int16_t* x, const std::uint16_t* nz,
         const std::int32_t xv = xq[i];
         const std::int16_t* wrow = wdk + i * out_pad;
         std::size_t o = 0;
-        for (; o + 4 <= out_ch; o += 4) {
+        for (; o + 4 <= slots; o += 4) {
           accp[o + 0] += (wrow[o + 0] * xv) >> shift;
           accp[o + 1] += (wrow[o + 1] * xv) >> shift;
           accp[o + 2] += (wrow[o + 2] * xv) >> shift;
           accp[o + 3] += (wrow[o + 3] * xv) >> shift;
         }
-        for (; o < out_ch; ++o) accp[o] += (wrow[o] * xv) >> shift;
+        for (; o < slots; ++o) accp[o] += (wrow[o] * xv) >> shift;
+      }
+    }
+    for (std::size_t ob = 0; ob < full; ob += 32) {
+      std::int32_t slot[32];
+      std::copy(accp + ob, accp + ob + 32, slot);
+      for (std::size_t j = 0; j < 16; ++j) {
+        accp[ob + j] = slot[2 * j];
+        accp[ob + 16 + j] = slot[2 * j + 1];
       }
     }
   }
@@ -214,6 +234,7 @@ void pack_i16_avx512(const std::int64_t* in, std::size_t positions,
                      std::size_t in_ch, std::size_t in_stride, bool pairs,
                      std::int16_t* x16, std::uint16_t* nz,
                      std::uint16_t* nnz);
+double narrow_peak_gmac_per_s_avx512(int reps);
 void maxpool_i64_avx512(const std::int64_t* in, std::int64_t* out,
                         std::size_t positions, std::size_t ch,
                         std::size_t factor, const hd::Requant& rq,
@@ -309,6 +330,34 @@ const Dispatch& dispatch() {
 
 }  // namespace detail
 
+std::vector<std::int16_t> narrow_weights(const std::int64_t* w,
+                                         std::size_t out_ch, std::size_t k,
+                                         std::size_t in_ch) {
+  const std::size_t out_pad = narrow_out_pad(out_ch);
+  const std::size_t full = out_pad & ~std::size_t{31};
+  std::vector<std::int16_t> wtr(k * in_ch * out_pad);
+  // Written in destination order; the source reads of one row touch one
+  // cache line per output, which the next input channel reuses.
+  std::int16_t* dst = wtr.data();
+  const auto at = [&](std::size_t o, std::size_t r) {
+    return o < out_ch ? static_cast<std::int16_t>(w[o * k * in_ch + r])
+                      : std::int16_t{0};
+  };
+  for (std::size_t dk = 0; dk < k; ++dk) {
+    for (std::size_t c = 0; c < in_ch; ++c) {
+      const std::size_t r = dk * in_ch + c;  // (tap, input) offset in w
+      for (std::size_t ob = 0; ob < full; ob += 32) {
+        for (std::size_t j = 0; j < 16; ++j) {
+          *dst++ = at(ob + j, r);
+          *dst++ = at(ob + 16 + j, r);
+        }
+      }
+      for (std::size_t o = full; o < out_pad; ++o) *dst++ = at(o, r);
+    }
+  }
+  return wtr;
+}
+
 void conv1d_acc(const std::int64_t* x, const std::int64_t* wtr,
                 const std::int64_t* bias_acc, std::int64_t* acc,
                 std::size_t positions, std::size_t in_ch, std::size_t out_ch,
@@ -386,6 +435,16 @@ void finalize_i32(const std::int32_t* acc, std::int64_t* out,
   }
   detail::dispatch().finalize(acc, out, positions, out_ch, acc_stride, ac,
                               overflows, saturations);
+}
+
+double narrow_peak_gmac_per_s(int reps) {
+#if defined(READS_QKERNELS_AVX512)
+  if (detail::dispatch().narrow == detail::conv1d_acc_i16_avx512) {
+    return detail::narrow_peak_gmac_per_s_avx512(reps);
+  }
+#endif
+  (void)reps;
+  return 0.0;
 }
 
 const char* variant() noexcept { return detail::dispatch().name; }

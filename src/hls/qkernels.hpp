@@ -4,7 +4,8 @@
 // work on weights transposed to (k, in, out) layout so the innermost loop
 // runs over *outputs* with a contiguous weight row and a single broadcast
 // activation — block-friendly for both the scalar unrolls and the AVX-512
-// paths.
+// paths. The narrow int16 lane interleaves the two halves of each
+// 32-output block within a row (narrow_weights).
 //
 // Two lane widths exist:
 //  - conv1d_acc: the exact int64 path (8 lanes/vector, vpmullq/vpsraq).
@@ -35,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "hls/accum.hpp"
 
@@ -71,15 +73,34 @@ constexpr std::size_t nz_stride(std::size_t in_stride, bool pairs) noexcept {
   return pairs ? in_stride / 2 : in_stride;
 }
 
+/// Accumulator row stride of the narrow lanes: out_ch rounded up to 16.
+constexpr std::size_t narrow_out_pad(std::size_t out_ch) noexcept {
+  return (out_ch + 15) & ~std::size_t{15};
+}
+
+/// The conv1d_acc_i16 weight layout, built from `w` in the firmware's
+/// (out_ch, k, in_ch) order: k * in_ch rows of narrow_out_pad(out_ch)
+/// int16, one per (tap, input). Within each full 32-output block at `ob`
+/// of a row, element 2j holds output ob + j and element 2j + 1 holds
+/// output ob + 16 + j, so one 64-byte load feeds two vpmaddwd: against
+/// the broadcast (x, 0) it yields the first 16 outputs' products, against
+/// (0, x) the next 16. A trailing 16-output block (out_pad % 32 == 16)
+/// stays in natural order; pad outputs carry zero weights. The values must
+/// already fit int16 (the range prover's certificate).
+std::vector<std::int16_t> narrow_weights(const std::int64_t* w,
+                                         std::size_t out_ch, std::size_t k,
+                                         std::size_t in_ch);
+
 /// Narrow-lane pass for range-prover-certified layers. `x` is (positions,
 /// in_stride) int16 activations with their nonzero lists `nz`/`nnz` from
-/// pack_i16 (channel indices), `wtr` is (k, in_ch, out_pad) int16 with
-/// out_pad a multiple of 16 (pad columns carry zero weights),
-/// `bias_acc`/`acc` are out_pad-stride int32. Only listed inputs are
-/// multiplied. The AVX-512 variant computes all out_pad lanes; only the
-/// first out_ch of each row are meaningful. `shift` in [0, 31] is applied
-/// per product (vpmaddwd/vpsravd — products fit int32 by the prover's int16
-/// bounds).
+/// pack_i16 (channel indices), `wtr` is narrow_weights' layout (out_pad =
+/// narrow_out_pad(out_ch)), `bias_acc`/`acc` are out_pad-stride int32 in
+/// natural output order. Only listed inputs are multiplied. The AVX-512
+/// variant computes all out_pad lanes; only the first out_ch of each row
+/// are meaningful. `shift` in [0, 31] is applied per product
+/// (vpmaddwd/vpsravd — products fit int32 by the prover's int16 bounds).
+/// For k == 3 the AVX-512 variant is input-stationary: each listed input
+/// is broadcast once per row and feeds all three taps.
 void conv1d_acc_i16(const std::int16_t* x, const std::uint16_t* nz,
                     const std::uint16_t* nnz, const std::int16_t* wtr,
                     const std::int32_t* bias_acc, std::int32_t* acc,
@@ -103,9 +124,10 @@ void conv1d_acc_i16_dp(const std::int16_t* x, const std::uint16_t* nz,
 /// Elementwise requant write-out: out[i] = rq.apply(relu ? max(0, in[i]) :
 /// in[i]). These loops (ReLU/Flatten/Concat/UpSample) are half the frame
 /// time once the MACs run narrow, so the AVX-512 variant processes 8 int64
-/// lanes per step and counts saturations by mask popcount — the total is
-/// identical to the scalar per-element count. Widening (rq.shift < 0) runs
-/// vectorized too, saturating against pre-shift thresholds; only the
+/// lanes per step (the last n % 8 under a mask) and counts saturations by
+/// mask popcount — the total is identical to the scalar per-element count.
+/// Widening (rq.shift < 0) runs vectorized too, saturating against
+/// pre-shift thresholds; only the
 /// degenerate bands fall back to the scalar loop — shift <= -63 (every
 /// nonzero input saturates) and shift >= 64 (everything rounds to zero;
 /// the SIMD half-constant 2^(shift-1) would not fit an int64 lane).
@@ -126,12 +148,21 @@ void maxpool_i64(const std::int64_t* in, std::int64_t* out,
 /// Finalize a narrow int32 accumulator block into int64 activations:
 /// out[p*out_ch + o] = ac.finalize(acc[p*acc_stride + o]) for o < out_ch,
 /// with wrap (overflow) and saturation events counted exactly as the scalar
-/// Accum::finalize does. Falls back to scalar only in the degenerate
-/// ac.out.shift bands (<= -63 or >= 64).
+/// Accum::finalize does. The AVX-512 variant runs each row's last
+/// out_ch % 8 lanes under a mask, so pad lanes are neither read nor
+/// counted. Falls back to scalar only in the degenerate ac.out.shift bands
+/// (<= -63 or >= 64).
 void finalize_i32(const std::int32_t* acc, std::int64_t* out,
                   std::size_t positions, std::size_t out_ch,
                   std::size_t acc_stride, const reads::hls::detail::Accum& ac,
                   std::size_t& overflows, std::size_t& saturations);
+
+/// Peak rate, in GMAC/s, of the AVX-512 narrow lane's MAC sequence on this
+/// host (vpmaddwd + vpsravd + vpaddd per 16 lanes, register-resident, 12
+/// independent accumulators), best of `reps` runs of ~0.8 G lane MACs; 0
+/// where the narrow variant is not avx512. bench_kernels reads its MAC
+/// rows against it.
+double narrow_peak_gmac_per_s(int reps);
 
 /// Name of the int64 kernel variant selected at runtime ("avx512"/"scalar").
 const char* variant() noexcept;

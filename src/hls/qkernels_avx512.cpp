@@ -13,8 +13,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "hls/accum.hpp"
 
@@ -143,19 +145,20 @@ void requant_i64_avx512(const std::int64_t* in, std::int64_t* out,
   const RQ8 r8(rq);  // |shift| < 63 (the wrapper routes shift <= -63 away)
   const __m512i zero = _mm512_setzero_si512();
   std::size_t sat = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512i v = _mm512_loadu_si512(in + i);
+  // `live` masks the last n % 8 lanes: lanes past n load as zero and are
+  // neither stored nor counted.
+  const auto step = [&](std::size_t i, __mmask8 live)
+                        __attribute__((always_inline)) {
+    __m512i v = _mm512_maskz_loadu_epi64(live, in + i);
     if (relu) v = _mm512_max_epi64(v, zero);
     __mmask8 m;
     v = requant8(v, r8, m);
-    sat += static_cast<std::size_t>(__builtin_popcount(m));
-    _mm512_storeu_si512(out + i, v);
-  }
-  for (; i < n; ++i) {
-    const std::int64_t v = relu ? std::max<std::int64_t>(0, in[i]) : in[i];
-    out[i] = rq.apply(v, sat);
-  }
+    sat += static_cast<std::size_t>(__builtin_popcount(m & live));
+    _mm512_mask_storeu_epi64(out + i, live, v);
+  };
+  const std::size_t main = n & ~std::size_t{7};
+  for (std::size_t i = 0; i < main; i += 8) step(i, 0xFF);
+  if (n > main) step(main, static_cast<__mmask8>((1u << (n - main)) - 1u));
   saturations += sat;
 }
 
@@ -171,35 +174,38 @@ void finalize_i32_avx512(const std::int32_t* acc, std::int64_t* out,
   const RQ8 r8(ac.out);  // |shift| < 63 (wrapper routes shift <= -63 away)
   std::size_t ovf = 0;
   std::size_t sat = 0;
+  // One 8-lane step: `live` masks the row's last out_ch % 8 lanes, which
+  // load as zero and are neither stored nor counted (the pad lanes of the
+  // out_pad-stride accumulator rows hold whatever the kernel left there).
+  const auto step = [&](const std::int32_t* ap, std::int64_t* yp,
+                        __mmask8 live) __attribute__((always_inline)) {
+    __m512i v = _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(live, ap));
+    if (can_wrap) {
+      const auto w = static_cast<__mmask8>(
+          (_mm512_cmplt_epi64_mask(v, ring_lo) |
+           _mm512_cmplt_epi64_mask(ring_hi, v)) &
+          live);
+      if (w) {
+        // Sign-extend the low ring_bits: identical to the scalar
+        // mask-and-or wrap.
+        const __m512i wr =
+            _mm512_sra_epi64(_mm512_sll_epi64(v, wrap_cnt), wrap_cnt);
+        v = _mm512_mask_mov_epi64(v, w, wr);
+        ovf += static_cast<std::size_t>(__builtin_popcount(w));
+      }
+    }
+    __mmask8 m;
+    v = requant8(v, r8, m);
+    sat += static_cast<std::size_t>(__builtin_popcount(m & live));
+    _mm512_mask_storeu_epi64(yp, live, v);
+  };
   const std::size_t o_main = out_ch & ~std::size_t{7};
+  const auto tail = static_cast<__mmask8>((1u << (out_ch - o_main)) - 1u);
   for (std::size_t p = 0; p < positions; ++p) {
     const std::int32_t* ap = acc + p * acc_stride;
     std::int64_t* yp = out + p * out_ch;
-    std::size_t o = 0;
-    for (; o < o_main; o += 8) {
-      __m512i v = _mm512_cvtepi32_epi64(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ap + o)));
-      if (can_wrap) {
-        const auto w = static_cast<__mmask8>(
-            _mm512_cmplt_epi64_mask(v, ring_lo) |
-            _mm512_cmplt_epi64_mask(ring_hi, v));
-        if (w) {
-          // Sign-extend the low ring_bits: identical to the scalar
-          // mask-and-or wrap.
-          const __m512i wr =
-              _mm512_sra_epi64(_mm512_sll_epi64(v, wrap_cnt), wrap_cnt);
-          v = _mm512_mask_mov_epi64(v, w, wr);
-          ovf += static_cast<std::size_t>(__builtin_popcount(w));
-        }
-      }
-      __mmask8 m;
-      v = requant8(v, r8, m);
-      sat += static_cast<std::size_t>(__builtin_popcount(m));
-      _mm512_storeu_si512(yp + o, v);
-    }
-    for (; o < out_ch; ++o) {
-      yp[o] = ac.finalize(ap[o], ovf, sat);
-    }
+    for (std::size_t o = 0; o < o_main; o += 8) step(ap + o, yp + o, 0xFF);
+    if (tail) step(ap + o_main, yp + o_main, tail);
   }
   overflows += ovf;
   saturations += sat;
@@ -207,63 +213,172 @@ void finalize_i32_avx512(const std::int32_t* acc, std::int64_t* out,
 
 namespace {
 
-// One pass over all positions holding NB 16-lane int32 accumulator vectors
-// (up to 64 outputs) in registers across the whole tap/input-channel loop —
-// the accumulators never round-trip through memory, unlike the int64 kernel
-// above which loads/stores per input channel. out_pad is a multiple of 16
-// (pad columns carry zero weights), so no masked tail is needed. The input
-// loop walks the row's nonzero list, so its trip count is the only
-// data-dependent control flow.
+// The narrow lane's MAC over one weight row of a pass: NP interleaved
+// 32-output blocks, then (T) a trailing natural-order 16-output block, into
+// 2 * NP + T int32 accumulators holding the pass's outputs in natural order.
 //
-// Per 16 lanes the MAC is 4 uops: vpmovsxwd (weight load), vpmaddwd,
-// vpsravd, vpaddd. The activation is broadcast as the 32-bit lane (x, 0)
-// — its low int16 half x, its high half 0 — so vpmaddwd's pair sum
-// lo(w)*x + hi(w)*0 is exactly the product w*x, which fits int32 by the
-// prover's int16 bounds (even -32768 * -32768 = 2^30). vpmulld (2 uops)
-// and a shift by an xmm count (2 uops) cost 6.
-template <int NB>
-void narrow_block_pass(const std::int16_t* x, const std::uint16_t* nz,
-                       const std::uint16_t* nnz, const std::int16_t* wtr,
-                       const std::int32_t* bias_acc, std::int32_t* acc,
-                       std::ptrdiff_t pos, std::size_t in_ch,
-                       std::size_t in_stride, std::size_t out_pad,
-                       std::size_t ob, std::ptrdiff_t kk, int shift) {
+// Per 16 lanes of an interleaved block this is 3 vector uops: vpmaddwd,
+// vpsravd, vpaddd, plus half a 64-byte load. A 32-bit weight lane holds
+// (w[ob+j], w[ob+16+j]) as two int16 halves; against the activation
+// broadcast as (x, 0) vpmaddwd returns w[ob+j]*x, against (0, x) it
+// returns w[ob+16+j]*x. Either product fits int32 by the prover's int16
+// bounds (even -32768 * -32768 = 2^30), so both are exact, and vpsravd by
+// a broadcast count is the same floor shift as the scalar `>>`. The
+// trailing block widens its weights with vpmovsxwd to (w, sign(w)) and
+// takes the (x, 0) product: 4 uops per 16 lanes.
+template <int NP, bool T>
+inline void mac_row(__m512i* accv, const std::int16_t* wrow, __m512i xlo,
+                    __m512i xhi, __m512i shift_cnt) {
+  for (int b = 0; b < NP; ++b) {
+    const __m512i w = _mm512_loadu_si512(wrow + 32 * b);
+    accv[2 * b] = _mm512_add_epi32(
+        accv[2 * b], _mm512_srav_epi32(_mm512_madd_epi16(w, xlo), shift_cnt));
+    accv[2 * b + 1] = _mm512_add_epi32(
+        accv[2 * b + 1],
+        _mm512_srav_epi32(_mm512_madd_epi16(w, xhi), shift_cnt));
+  }
+  if constexpr (T) {
+    const __m512i w = _mm512_cvtepi16_epi32(_mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(wrow + 32 * NP)));
+    accv[2 * NP] = _mm512_add_epi32(
+        accv[2 * NP], _mm512_srav_epi32(_mm512_madd_epi16(w, xlo), shift_cnt));
+  }
+}
+
+inline __m512i broadcast_lo(std::int16_t v) {  // (x, 0) per 32-bit lane
+  return _mm512_set1_epi32(static_cast<std::uint16_t>(v));
+}
+inline __m512i broadcast_hi(std::int16_t v) {  // (0, x) per 32-bit lane
+  return _mm512_set1_epi32(
+      static_cast<int>(static_cast<std::uint32_t>(static_cast<std::uint16_t>(v))
+                       << 16));
+}
+
+template <std::size_t NB>
+inline void load_bias(__m512i* accv, const std::int32_t* bias) {
+  for (std::size_t b = 0; b < NB; ++b) {
+    accv[b] = _mm512_loadu_si512(bias + 16 * b);
+  }
+}
+
+template <std::size_t NB>
+inline void store_row(std::int32_t* dst, const __m512i* accv) {
+  for (std::size_t b = 0; b < NB; ++b) {
+    _mm512_storeu_si512(dst + 16 * b, accv[b]);
+  }
+}
+
+/// Output-stationary pass (any k) over the outputs [ob, ob + 32 * NP + 16 *
+/// T): one accumulator set stays in registers for a whole output row while
+/// its taps' input rows stream past. The input loop walks each row's
+/// nonzero list, so its trip count is the only data-dependent control flow.
+template <int NP, bool T>
+void narrow_pass(const std::int16_t* x, const std::uint16_t* nz,
+                 const std::uint16_t* nnz, const std::int16_t* wtr,
+                 const std::int32_t* bias, std::int32_t* acc,
+                 std::ptrdiff_t pos, std::size_t in_ch, std::size_t in_stride,
+                 std::size_t out_pad, std::ptrdiff_t kk, __m512i shift_cnt) {
+  constexpr std::size_t NB = 2 * NP + (T ? 1 : 0);
   const auto pad = kk / 2;
-  const __m512i shift_cnt = _mm512_set1_epi32(shift);
   for (std::ptrdiff_t p = 0; p < pos; ++p) {
     __m512i accv[NB];
-    for (int b = 0; b < NB; ++b) {
-      accv[b] = _mm512_loadu_si512(bias_acc + ob + 16 * static_cast<std::size_t>(b));
-    }
+    load_bias<NB>(accv, bias);
     const std::ptrdiff_t dk_lo = std::max<std::ptrdiff_t>(0, pad - p);
     const std::ptrdiff_t dk_hi = std::min<std::ptrdiff_t>(kk, pos + pad - p);
     for (std::ptrdiff_t dk = dk_lo; dk < dk_hi; ++dk) {
       const auto q = static_cast<std::size_t>(p + dk - pad);
       const std::int16_t* xq = x + q * in_stride;
       const std::uint16_t* list = nz + q * in_stride;
-      const std::size_t count = nnz[q];
       const std::int16_t* wdk =
-          wtr + static_cast<std::size_t>(dk) * in_ch * out_pad + ob;
-      for (std::size_t j = 0; j < count; ++j) {
+          wtr + static_cast<std::size_t>(dk) * in_ch * out_pad;
+      for (std::size_t j = 0; j < nnz[q]; ++j) {
         const std::size_t i = list[j];
-        const __m512i xvec =
-            _mm512_set1_epi32(static_cast<std::uint16_t>(xq[i]));
-        const std::int16_t* wrow = wdk + i * out_pad;
-        for (int b = 0; b < NB; ++b) {
-          const __m512i w = _mm512_cvtepi16_epi32(_mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(wrow + 16 * b)));
-          // (w, sign(w)) . (x, 0) = w*x exactly; vpsravd is the same floor
-          // shift as the scalar `>>`.
-          const __m512i term =
-              _mm512_srav_epi32(_mm512_madd_epi16(w, xvec), shift_cnt);
-          accv[b] = _mm512_add_epi32(accv[b], term);
-        }
+        mac_row<NP, T>(accv, wdk + i * out_pad, broadcast_lo(xq[i]),
+                       broadcast_hi(xq[i]), shift_cnt);
       }
     }
-    std::int32_t* accp = acc + static_cast<std::size_t>(p) * out_pad + ob;
-    for (int b = 0; b < NB; ++b) {
-      _mm512_storeu_si512(accp + 16 * static_cast<std::size_t>(b), accv[b]);
+    store_row<NB>(acc + static_cast<std::size_t>(p) * out_pad, accv);
+  }
+}
+
+/// Input-stationary k == 3 pass over the same outputs: input rows q are
+/// walked once, and each listed nonzero of row q is loaded and broadcast
+/// once and feeds output q + 1 through tap 0, q through tap 1 and q - 1
+/// through tap 2. Three accumulator sets hold outputs q - 1, q and q + 1;
+/// after row q the set for q - 1 is complete, so it is stored and reloaded
+/// with the bias to become q + 2's. Rows are unrolled by 3 so the rotation
+/// is static (the sets stay in registers). The sets for the out-of-range
+/// outputs -1 and pos are computed but never stored. Exact for the same
+/// reason as the output-stationary order: the prover bounds every partial
+/// sum "bias first, any subset of taps in any order".
+template <int NP, bool T>
+void narrow_pass_k3(const std::int16_t* x, const std::uint16_t* nz,
+                    const std::uint16_t* nnz, const std::int16_t* wtr,
+                    const std::int32_t* bias, std::int32_t* acc,
+                    std::ptrdiff_t pos, std::size_t in_ch,
+                    std::size_t in_stride, std::size_t out_pad,
+                    __m512i shift_cnt) {
+  constexpr std::size_t NB = 2 * NP + (T ? 1 : 0);
+  const std::size_t tap = in_ch * out_pad;
+  // Accumulate row q into prev (output q - 1, tap 2), cur (q, tap 1) and
+  // next (q + 1, tap 0); then store prev as output q - 1 if it exists and
+  // reload it with the bias.
+  const auto row = [&](std::ptrdiff_t q, __m512i* prev, __m512i* cur,
+                       __m512i* next) __attribute__((always_inline)) {
+    const auto qq = static_cast<std::size_t>(q);
+    const std::int16_t* xq = x + qq * in_stride;
+    const std::uint16_t* list = nz + qq * in_stride;
+    for (std::size_t j = 0; j < nnz[qq]; ++j) {
+      const std::size_t i = list[j];
+      const __m512i xlo = broadcast_lo(xq[i]);
+      const __m512i xhi = broadcast_hi(xq[i]);
+      const std::int16_t* w0 = wtr + i * out_pad;
+      mac_row<NP, T>(next, w0, xlo, xhi, shift_cnt);
+      mac_row<NP, T>(cur, w0 + tap, xlo, xhi, shift_cnt);
+      mac_row<NP, T>(prev, w0 + 2 * tap, xlo, xhi, shift_cnt);
     }
+    if (q > 0) store_row<NB>(acc + (qq - 1) * out_pad, prev);
+    load_bias<NB>(prev, bias);
+  };
+  __m512i s0[NB];
+  __m512i s1[NB];
+  __m512i s2[NB];
+  load_bias<NB>(s0, bias);  // output -1: never stored
+  load_bias<NB>(s1, bias);
+  load_bias<NB>(s2, bias);
+  std::ptrdiff_t q = 0;
+  for (; q + 3 <= pos; q += 3) {
+    row(q, s0, s1, s2);
+    row(q + 1, s1, s2, s0);
+    row(q + 2, s2, s0, s1);
+  }
+  // The last output, pos - 1, is complete once row pos - 1 is in: it is
+  // the set that row took as `cur`.
+  __m512i* last = s0;
+  if (pos - q == 1) {
+    row(q, s0, s1, s2);
+    last = s1;
+  } else if (pos - q == 2) {
+    row(q, s0, s1, s2);
+    row(q + 1, s1, s2, s0);
+    last = s2;
+  }
+  store_row<NB>(acc + static_cast<std::size_t>(pos - 1) * out_pad, last);
+}
+
+template <int NP, bool T>
+void narrow_dispatch(const std::int16_t* x, const std::uint16_t* nz,
+                     const std::uint16_t* nnz, const std::int16_t* wtr,
+                     const std::int32_t* bias, std::int32_t* acc,
+                     std::ptrdiff_t pos, std::size_t in_ch,
+                     std::size_t in_stride, std::size_t out_pad,
+                     std::ptrdiff_t kk, __m512i shift_cnt) {
+  if (kk == 3) {
+    narrow_pass_k3<NP, T>(x, nz, nnz, wtr, bias, acc, pos, in_ch, in_stride,
+                          out_pad, shift_cnt);
+  } else {
+    narrow_pass<NP, T>(x, nz, nnz, wtr, bias, acc, pos, in_ch, in_stride,
+                       out_pad, kk, shift_cnt);
   }
 }
 
@@ -275,29 +390,73 @@ void conv1d_acc_i16_avx512(const std::int16_t* x, const std::uint16_t* nz,
                            std::size_t positions, std::size_t in_ch,
                            std::size_t in_stride, std::size_t /*out_ch*/,
                            std::size_t out_pad, std::size_t k, int shift) {
+  if (positions == 0) return;
   const auto pos = static_cast<std::ptrdiff_t>(positions);
   const auto kk = static_cast<std::ptrdiff_t>(k);
+  const __m512i shift_cnt = _mm512_set1_epi32(shift);
+  // Passes of at most 5 16-lane accumulators per set (15 zmm for the three
+  // k == 3 sets). A pass must not split an interleaved 32-output block, so
+  // full passes hold 2 of them (64 outputs), and the last pass takes what
+  // is left: up to 2 blocks plus the trailing natural-order 16 outputs.
   std::size_t ob = 0;
-  for (; ob + 64 <= out_pad; ob += 64) {
-    narrow_block_pass<4>(x, nz, nnz, wtr, bias_acc, acc, pos, in_ch,
-                         in_stride, out_pad, ob, kk, shift);
+  for (; out_pad - ob > 80; ob += 64) {
+    narrow_dispatch<2, false>(x, nz, nnz, wtr + ob, bias_acc + ob, acc + ob,
+                              pos, in_ch, in_stride, out_pad, kk, shift_cnt);
   }
+  const auto run = [&](auto np, auto t) {
+    narrow_dispatch<decltype(np)::value, decltype(t)::value>(
+        x, nz, nnz, wtr + ob, bias_acc + ob, acc + ob, pos, in_ch, in_stride,
+        out_pad, kk, shift_cnt);
+  };
+  using std::integral_constant;
   switch ((out_pad - ob) / 16) {
-    case 3:
-      narrow_block_pass<3>(x, nz, nnz, wtr, bias_acc, acc, pos, in_ch,
-                           in_stride, out_pad, ob, kk, shift);
-      break;
-    case 2:
-      narrow_block_pass<2>(x, nz, nnz, wtr, bias_acc, acc, pos, in_ch,
-                           in_stride, out_pad, ob, kk, shift);
-      break;
-    case 1:
-      narrow_block_pass<1>(x, nz, nnz, wtr, bias_acc, acc, pos, in_ch,
-                           in_stride, out_pad, ob, kk, shift);
-      break;
-    default:
-      break;
+    case 5: run(integral_constant<int, 2>{}, std::true_type{}); break;
+    case 4: run(integral_constant<int, 2>{}, std::false_type{}); break;
+    case 3: run(integral_constant<int, 1>{}, std::true_type{}); break;
+    case 2: run(integral_constant<int, 1>{}, std::false_type{}); break;
+    case 1: run(integral_constant<int, 0>{}, std::true_type{}); break;
+    default: break;
   }
+}
+
+double narrow_peak_gmac_per_s_avx512(int reps) {
+  // Six pair-interleaved weight vectors against the (x, 0) and (0, x)
+  // broadcasts, as one listed input feeds a 96-output row. The empty asm
+  // makes the broadcasts opaque each iteration, so every vpmaddwd issues.
+  constexpr std::size_t kIters = std::size_t{1} << 22;
+  constexpr int kAcc = 12;
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    __m512i w[kAcc / 2];
+    for (int b = 0; b < kAcc / 2; ++b) {
+      w[b] = _mm512_set1_epi32(0x00030001 + b);
+    }
+    __m512i acc[kAcc];
+    for (auto& a : acc) a = _mm512_setzero_si512();
+    const __m512i cnt = _mm512_set1_epi32(3);
+    __m512i xlo = broadcast_lo(7);
+    __m512i xhi = broadcast_hi(7);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t it = 0; it < kIters; ++it) {
+      asm volatile("" : "+v"(xlo), "+v"(xhi));
+      for (int b = 0; b < kAcc / 2; ++b) {
+        acc[2 * b] = _mm512_add_epi32(
+            acc[2 * b], _mm512_srav_epi32(_mm512_madd_epi16(w[b], xlo), cnt));
+        acc[2 * b + 1] = _mm512_add_epi32(
+            acc[2 * b + 1],
+            _mm512_srav_epi32(_mm512_madd_epi16(w[b], xhi), cnt));
+      }
+    }
+    const double s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    __m512i sum = acc[0];
+    for (int b = 1; b < kAcc; ++b) sum = _mm512_add_epi32(sum, acc[b]);
+    volatile int sink = _mm512_reduce_add_epi32(sum);
+    (void)sink;
+    best = std::min(best, s);
+  }
+  return static_cast<double>(kIters) * kAcc * 16 / best * 1e-9;
 }
 
 void pack_i16_avx512(const std::int64_t* in, std::size_t positions,

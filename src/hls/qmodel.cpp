@@ -89,19 +89,11 @@ QuantizedModel::QuantizedModel(FirmwareModel firmware)
       }
       // Narrow lane: the prover certified weights/activations fit int16 and
       // every partial sum fits int32, so the downcasts below are exact.
-      plan.out_pad = (l.out_channels + 15) & ~std::size_t{15};
+      plan.out_pad = kernels::narrow_out_pad(l.out_channels);
       if (plan.lane == Lane::kNarrow32) {
         plan.in_stride = l.in_channels;
-        plan.wtr16.assign(k * l.in_channels * plan.out_pad, 0);
-        for (std::size_t o = 0; o < l.out_channels; ++o) {
-          for (std::size_t dk = 0; dk < k; ++dk) {
-            for (std::size_t c = 0; c < l.in_channels; ++c) {
-              plan.wtr16[(dk * l.in_channels + c) * plan.out_pad + o] =
-                  static_cast<std::int16_t>(
-                      l.weights_raw[(o * k + dk) * l.in_channels + c]);
-            }
-          }
-        }
+        plan.wtr16 = kernels::narrow_weights(l.weights_raw.data(),
+                                             l.out_channels, k, l.in_channels);
       } else {  // kNarrowDp: pair-interleaved, odd channel zero-padded
         const std::size_t in_pairs = (l.in_channels + 1) / 2;
         plan.in_stride = 2 * in_pairs;

@@ -126,7 +126,8 @@ class QuantizedModel {
   /// to (k, in, out) and biases pre-aligned to the accumulator. Layers the
   /// range prover certified carry int16 weights / int32 biases instead
   /// (padded to out_pad, a multiple of 16, so the AVX-512 narrow kernels
-  /// need no masked tails); unproven layers keep the exact int64 blocks.
+  /// need no masked tails; kNarrow32 in kernels::narrow_weights' layout);
+  /// unproven layers keep the exact int64 blocks.
   struct KernelPlan {
     bool use_kernel = false;
     Lane lane = Lane::kWide64;
@@ -134,7 +135,7 @@ class QuantizedModel {
     std::vector<std::int64_t> wtr;
     std::vector<std::int64_t> bias_acc;
     // Narrow path:
-    std::vector<std::int16_t> wtr16;   ///< (k, in, out_pad) or pair-interleaved
+    std::vector<std::int16_t> wtr16;   ///< kernels::narrow_weights, or dp pairs
     std::vector<std::int32_t> bias32;  ///< out_pad wide, pad lanes zero
     std::size_t out_pad = 0;
     std::size_t in_stride = 0;  ///< int16 activation row stride (>= in_ch)

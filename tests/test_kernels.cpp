@@ -237,32 +237,42 @@ TEST(AccumProperty, RingBits64PlusNeverWrapsAndHasNoUB) {
 TEST(KernelEquivalence, RequantI64MatchesScalarApply) {
   // The vectorized write-out (8 int64 lanes, mask-popcount saturation
   // counting) must match a plain rq.apply loop — values AND counts — for
-  // narrowing, identity, and widening shifts, with and without ReLU.
+  // narrowing, identity, and widening shifts, with and without ReLU, at
+  // every n % 8 (the masked tail). Words past n are sentinels the kernel
+  // must not touch.
   util::Xoshiro256 rng(7);
+  constexpr std::size_t kGuard = 8;
+  constexpr std::int64_t kSentinel = -77;
   for (int from_frac : {20, 9, 6, 2, -5}) {  // shift = from_frac - 9
     const Requant rq = make_requant(from_frac, 16, 7);
     for (bool relu : {false, true}) {
-      const std::size_t n = 1021;  // odd: exercises the vector tail
-      std::vector<std::int64_t> in(n);
-      for (auto& v : in) {
-        // Mix magnitudes so some saturate, some don't, signs vary.
-        const auto u = rng();
-        v = static_cast<std::int64_t>(u) >> (u % 48);
+      for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u,
+                            12u, 13u, 14u, 15u, 16u, 1021u}) {
+        std::vector<std::int64_t> in(n + kGuard);
+        for (auto& v : in) {
+          // Mix magnitudes so some saturate, some don't, signs vary; the
+          // words past n would saturate if they were counted.
+          const auto u = rng();
+          v = static_cast<std::int64_t>(u) >> (u % 48);
+        }
+        std::vector<std::int64_t> out(n + kGuard, kSentinel);
+        std::size_t sat_kernel = 0;
+        hls::kernels::requant_i64(in.data(), out.data(), n, rq, relu,
+                                  sat_kernel);
+        std::size_t sat_scalar = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          std::int64_t v = in[i];
+          if (relu && v < 0) v = 0;
+          const auto want = rq.apply(v, sat_scalar);
+          ASSERT_EQ(out[i], want) << "i=" << i << " n=" << n
+                                  << " shift=" << rq.shift << " relu=" << relu;
+        }
+        for (std::size_t i = n; i < n + kGuard; ++i) {
+          ASSERT_EQ(out[i], kSentinel) << "wrote past n=" << n << " at " << i;
+        }
+        EXPECT_EQ(sat_kernel, sat_scalar)
+            << "n=" << n << " shift=" << rq.shift << " relu=" << relu;
       }
-      std::vector<std::int64_t> out(n, -77);
-      std::size_t sat_kernel = 0;
-      hls::kernels::requant_i64(in.data(), out.data(), n, rq, relu,
-                                sat_kernel);
-      std::size_t sat_scalar = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        std::int64_t v = in[i];
-        if (relu && v < 0) v = 0;
-        const auto want = rq.apply(v, sat_scalar);
-        ASSERT_EQ(out[i], want)
-            << "i=" << i << " shift=" << rq.shift << " relu=" << relu;
-      }
-      EXPECT_EQ(sat_kernel, sat_scalar)
-          << "shift=" << rq.shift << " relu=" << relu;
     }
   }
 }
@@ -271,39 +281,52 @@ TEST(KernelEquivalence, FinalizeI32MatchesScalarFinalize) {
   // finalize_i32 turns a narrow int32 accumulator block into activations
   // with wrap + requant; overflow and saturation totals must equal the
   // scalar Accum::finalize element loop, including widening out-shifts.
+  // out_ch sweeps every tail length 0-7 and the deployed widths; the pad
+  // lanes of each out_pad-stride row hold random garbage, so a tail that
+  // counts a pad lane moves the totals, and words past the output are
+  // sentinels, so a tail that stores one fails.
   util::Xoshiro256 rng(11);
   struct Case {
     hls::FixedSpec act;
     int product_frac;
     int guard;
   };
+  constexpr std::size_t kGuard = 8;
+  constexpr std::int64_t kSentinel = -9;
   for (const auto& c : {Case{{16, 7}, 18, 2}, Case{{16, 3}, 26, 8},
                         Case{{12, 10}, 4, 0}, Case{{16, 14}, 2, 6}}) {
     const Accum ac(c.act, c.product_frac, c.product_frac, c.guard);
-    const std::size_t positions = 33;
-    const std::size_t out_ch = 21;
-    const std::size_t stride = 32;  // padded narrow-kernel stride
-    std::vector<std::int32_t> acc(positions * stride);
-    for (auto& v : acc) {
-      v = static_cast<std::int32_t>(rng());
-      v >>= rng() % 24;
-    }
-    std::vector<std::int64_t> fast(positions * out_ch, -9);
-    std::size_t ovf_fast = 0;
-    std::size_t sat_fast = 0;
-    hls::kernels::finalize_i32(acc.data(), fast.data(), positions, out_ch,
-                               stride, ac, ovf_fast, sat_fast);
-    std::size_t ovf_ref = 0;
-    std::size_t sat_ref = 0;
-    for (std::size_t p = 0; p < positions; ++p) {
-      for (std::size_t o = 0; o < out_ch; ++o) {
-        const auto want =
-            ac.finalize(acc[p * stride + o], ovf_ref, sat_ref);
-        ASSERT_EQ(fast[p * out_ch + o], want) << "p=" << p << " o=" << o;
+    for (std::size_t out_ch : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u,
+                               12u, 13u, 14u, 15u, 16u, 17u, 31u, 46u,
+                               140u}) {
+      const std::size_t positions = 9;
+      const std::size_t stride = hls::kernels::narrow_out_pad(out_ch);
+      std::vector<std::int32_t> acc(positions * stride);
+      for (auto& v : acc) {
+        v = static_cast<std::int32_t>(rng());
+        v >>= rng() % 24;
       }
+      std::vector<std::int64_t> fast(positions * out_ch + kGuard, kSentinel);
+      std::size_t ovf_fast = 0;
+      std::size_t sat_fast = 0;
+      hls::kernels::finalize_i32(acc.data(), fast.data(), positions, out_ch,
+                                 stride, ac, ovf_fast, sat_fast);
+      std::size_t ovf_ref = 0;
+      std::size_t sat_ref = 0;
+      for (std::size_t p = 0; p < positions; ++p) {
+        for (std::size_t o = 0; o < out_ch; ++o) {
+          const auto want =
+              ac.finalize(acc[p * stride + o], ovf_ref, sat_ref);
+          ASSERT_EQ(fast[p * out_ch + o], want)
+              << "out_ch=" << out_ch << " p=" << p << " o=" << o;
+        }
+      }
+      for (std::size_t i = positions * out_ch; i < fast.size(); ++i) {
+        ASSERT_EQ(fast[i], kSentinel) << "out_ch=" << out_ch << " i=" << i;
+      }
+      EXPECT_EQ(ovf_fast, ovf_ref) << "out_ch=" << out_ch;
+      EXPECT_EQ(sat_fast, sat_ref) << "out_ch=" << out_ch;
     }
-    EXPECT_EQ(ovf_fast, ovf_ref);
-    EXPECT_EQ(sat_fast, sat_ref);
   }
 }
 
@@ -335,103 +358,139 @@ std::vector<std::int64_t> conv_ref(const std::vector<std::int64_t>& x,
   return y;
 }
 
-// (k, in, out) int64 weights -> the kNarrow32 plan layout (k, in, out_pad).
+// (k, in, out) int64 weights -> the kNarrow32 plan layout, through the
+// kernels' own layout function (which takes the firmware's (out, k, in)).
 std::vector<std::int16_t> narrow_weights(const std::vector<std::int64_t>& w,
                                          std::size_t in_ch, std::size_t out_ch,
-                                         std::size_t out_pad, std::size_t k) {
-  std::vector<std::int16_t> wtr(k * in_ch * out_pad, 0);
+                                         std::size_t k) {
+  std::vector<std::int64_t> oki(w.size());
   for (std::size_t r = 0; r < k * in_ch; ++r) {
     for (std::size_t o = 0; o < out_ch; ++o) {
-      wtr[r * out_pad + o] = static_cast<std::int16_t>(w[r * out_ch + o]);
+      oki[o * k * in_ch + r] = w[r * out_ch + o];
     }
   }
-  return wtr;
+  return hls::kernels::narrow_weights(oki.data(), out_ch, k, in_ch);
 }
+
+// Shapes of a test activation row: random with some zeros, or one of the
+// edge cases the nonzero lists must handle.
+enum class Row { kRandom, kAllZero, kFirstOnly, kLastOnly };
+
+// One (positions, in_ch) activation block; `value` draws a nonzero word.
+// With `edge_rows` the row shapes cycle through the positions from a random
+// offset, so each edge case lands at the sequence ends and in the middle.
+template <typename Value>
+std::vector<std::int64_t> activations(std::size_t positions, std::size_t in_ch,
+                                      double zero_frac, bool edge_rows,
+                                      util::Xoshiro256& rng, Value&& value) {
+  static constexpr Row kCycle[] = {Row::kAllZero, Row::kFirstOnly,
+                                   Row::kRandom, Row::kLastOnly};
+  std::vector<std::int64_t> x(positions * in_ch, 0);
+  const std::size_t offset = rng.uniform_int(4);
+  for (std::size_t p = 0; p < positions; ++p) {
+    std::int64_t* row = x.data() + p * in_ch;
+    switch (edge_rows ? kCycle[(p + offset) % 4] : Row::kRandom) {
+      case Row::kRandom:
+        for (std::size_t i = 0; i < in_ch; ++i) {
+          if (rng.uniform() >= zero_frac) row[i] = value();
+        }
+        break;
+      case Row::kAllZero:
+        break;
+      case Row::kFirstOnly:
+        row[0] = value();
+        break;
+      case Row::kLastOnly:
+        row[in_ch - 1] = value();
+        break;
+    }
+  }
+  return x;
+}
+
+// Output widths with and without a trailing 16-output block, in one
+// kernel pass and in several (the deployed 2/31/46/140 among them).
+constexpr std::size_t kOutChannels[] = {2,  16,  31,  32, 46,
+                                        48, 140, 144, 160};
 
 TEST(KernelEquivalence, NarrowConvMatchesInt64OnSparsityGrid) {
   // pack_i16 + the dispatched narrow kernels against a naive int64 'same'
   // convolution, across input sparsity (the nonzero lists are the only
-  // thing deciding which terms are summed), all-zero padding-edge rows,
-  // odd channel counts on the pair lane, and multi-block output widths.
+  // thing deciding which terms are summed), all-zero rows and rows whose
+  // only nonzero is the first or last channel, positions 1-7 (below k and
+  // every positions % 3, which the input-stationary k == 3 pass unrolls
+  // by), k in {1, 3, 5}, odd channel counts on the pair lane, and output
+  // widths with and without a trailing 16-block, in one pass and several.
   // Magnitudes stay at |w|, |x| <= 1024 so every partial sum fits int32,
   // which is the range prover's precondition for these lanes.
   util::Xoshiro256 rng(23);
-  const std::size_t positions = 7;
   const auto draw = [&rng] {
     const auto v = static_cast<std::int64_t>(rng() % 2048) - 1024;
     return v == 0 ? std::int64_t{1} : v;
   };
   for (std::size_t in_ch : {1u, 31u, 77u, 186u}) {
-    for (std::size_t out_ch : {2u, 31u, 46u, 140u}) {
-      for (std::size_t k : {1u, 3u}) {
-        const std::size_t out_pad = (out_ch + 15) & ~std::size_t{15};
+    for (std::size_t out_ch : kOutChannels) {
+      for (std::size_t k : {1u, 3u, 5u}) {
+        const std::size_t out_pad = hls::kernels::narrow_out_pad(out_ch);
         std::vector<std::int64_t> w(k * in_ch * out_ch);  // (k, in, out)
         for (auto& v : w) v = draw();
         std::vector<std::int32_t> bias(out_pad, 0);
         for (std::size_t o = 0; o < out_ch; ++o) {
           bias[o] = static_cast<std::int32_t>(draw());
         }
-        for (double zero_frac : {0.0, 0.5, 0.9, 1.0}) {
-          for (bool zero_edges : {false, true}) {
-            std::vector<std::int64_t> x(positions * in_ch);
-            for (std::size_t p = 0; p < positions; ++p) {
-              const bool edge = p == 0 || p + 1 == positions;
-              for (std::size_t i = 0; i < in_ch; ++i) {
-                const bool zero = (zero_edges && edge) ||
-                                  rng.uniform() < zero_frac;
-                x[p * in_ch + i] = zero ? 0 : draw();
-              }
+        const auto wtr_n = narrow_weights(w, in_ch, out_ch, k);
+        // The dot-product lane's pair-interleaved (k, in_pairs, out_pad, 2).
+        const std::size_t dp_stride = 2 * ((in_ch + 1) / 2);
+        const std::size_t dp_pairs = dp_stride / 2;
+        std::vector<std::int16_t> wtr_dp(k * dp_pairs * out_pad * 2, 0);
+        for (std::size_t dk = 0; dk < k; ++dk) {
+          for (std::size_t i = 0; i < in_ch; ++i) {
+            for (std::size_t o = 0; o < out_ch; ++o) {
+              wtr_dp[((dk * dp_pairs + i / 2) * out_pad + o) * 2 + i % 2] =
+                  static_cast<std::int16_t>(w[(dk * in_ch + i) * out_ch + o]);
             }
-            for (int shift : {0, 3}) {
-              for (bool pairs : {false, true}) {
-                if (pairs && shift != 0) continue;  // dp lane is shift 0
-                const std::size_t in_stride =
-                    pairs ? 2 * ((in_ch + 1) / 2) : in_ch;
-                const std::size_t slots =
-                    hls::kernels::nz_stride(in_stride, pairs);
-                std::vector<std::int16_t> wtr(k * slots * out_pad *
-                                              (pairs ? 2 : 1));
-                for (std::size_t dk = 0; dk < k; ++dk) {
-                  for (std::size_t i = 0; i < in_ch; ++i) {
-                    for (std::size_t o = 0; o < out_ch; ++o) {
-                      const auto wv = static_cast<std::int16_t>(
-                          w[(dk * in_ch + i) * out_ch + o]);
-                      if (pairs) {
-                        wtr[((dk * slots + i / 2) * out_pad + o) * 2 +
-                            i % 2] = wv;
-                      } else {
-                        wtr[(dk * in_ch + i) * out_pad + o] = wv;
-                      }
-                    }
-                  }
-                }
-                std::vector<std::int16_t> x16(positions * in_stride, -1);
-                std::vector<std::uint16_t> nz(positions * slots);
-                std::vector<std::uint16_t> nnz(positions);
-                hls::kernels::pack_i16(x.data(), positions, in_ch, in_stride,
-                                       pairs, x16.data(), nz.data(),
-                                       nnz.data());
-                std::vector<std::int32_t> acc(positions * out_pad, -7);
-                if (pairs) {
-                  hls::kernels::conv1d_acc_i16_dp(
-                      x16.data(), nz.data(), nnz.data(), wtr.data(),
-                      bias.data(), acc.data(), positions, slots, in_stride,
-                      out_ch, out_pad, k);
-                } else {
-                  hls::kernels::conv1d_acc_i16(
-                      x16.data(), nz.data(), nnz.data(), wtr.data(),
-                      bias.data(), acc.data(), positions, in_ch, in_stride,
-                      out_ch, out_pad, k, shift);
-                }
+          }
+        }
+        for (std::size_t positions = 1; positions <= 7; ++positions) {
+          for (double zero_frac : {0.0, 0.5, 0.9, 1.0}) {
+            for (bool edge_rows : {false, true}) {
+              const auto x = activations(positions, in_ch, zero_frac,
+                                         edge_rows, rng, draw);
+              for (int shift : {0, 3}) {
                 const auto want =
                     conv_ref(x, w, bias, positions, in_ch, out_ch, k, shift);
-                for (std::size_t p = 0; p < positions; ++p) {
-                  for (std::size_t o = 0; o < out_ch; ++o) {
-                    ASSERT_EQ(acc[p * out_pad + o], want[p * out_ch + o])
-                        << "in_ch=" << in_ch << " out_ch=" << out_ch
-                        << " k=" << k << " zero_frac=" << zero_frac
-                        << " zero_edges=" << zero_edges << " shift=" << shift
-                        << " pairs=" << pairs << " p=" << p << " o=" << o;
+                for (bool pairs : {false, true}) {
+                  if (pairs && shift != 0) continue;  // dp lane is shift 0
+                  const std::size_t in_stride = pairs ? dp_stride : in_ch;
+                  const std::size_t slots =
+                      hls::kernels::nz_stride(in_stride, pairs);
+                  std::vector<std::int16_t> x16(positions * in_stride, -1);
+                  std::vector<std::uint16_t> nz(positions * slots);
+                  std::vector<std::uint16_t> nnz(positions);
+                  hls::kernels::pack_i16(x.data(), positions, in_ch,
+                                         in_stride, pairs, x16.data(),
+                                         nz.data(), nnz.data());
+                  std::vector<std::int32_t> acc(positions * out_pad, -7);
+                  if (pairs) {
+                    hls::kernels::conv1d_acc_i16_dp(
+                        x16.data(), nz.data(), nnz.data(), wtr_dp.data(),
+                        bias.data(), acc.data(), positions, slots, in_stride,
+                        out_ch, out_pad, k);
+                  } else {
+                    hls::kernels::conv1d_acc_i16(
+                        x16.data(), nz.data(), nnz.data(), wtr_n.data(),
+                        bias.data(), acc.data(), positions, in_ch, in_stride,
+                        out_ch, out_pad, k, shift);
+                  }
+                  for (std::size_t p = 0; p < positions; ++p) {
+                    for (std::size_t o = 0; o < out_ch; ++o) {
+                      ASSERT_EQ(acc[p * out_pad + o], want[p * out_ch + o])
+                          << "in_ch=" << in_ch << " out_ch=" << out_ch
+                          << " k=" << k << " positions=" << positions
+                          << " zero_frac=" << zero_frac
+                          << " edge_rows=" << edge_rows << " shift=" << shift
+                          << " pairs=" << pairs << " p=" << p << " o=" << o;
+                    }
                   }
                 }
               }
@@ -450,6 +509,7 @@ TEST(KernelEquivalence, NarrowConvMatchesInt64OnSparsityGrid) {
   // dispatched and the portable kernel must match the int64 sum.
   static constexpr std::int64_t kExtremes[] = {-32768, -1, 1, 32767};
   const auto extreme = [&rng] { return kExtremes[rng.uniform_int(4)]; };
+  const std::size_t positions = 7;
   for (int shift : {0, 1, 15, 31}) {
     const std::int64_t term_bound = ((std::int64_t{1} << 30) >> shift) + 1;
     const std::int64_t budget =
@@ -459,9 +519,9 @@ TEST(KernelEquivalence, NarrowConvMatchesInt64OnSparsityGrid) {
          {std::pair<std::size_t, std::size_t>{1, 1}, {1, 3}, {3, 1}, {17, 3},
           {77, 1}}) {
       if (static_cast<std::int64_t>(in_ch * k) > budget) continue;
-      for (std::size_t out_ch : {2u, 46u}) {
+      for (std::size_t out_ch : {2u, 46u, 144u}) {
         for (double zero_frac : {0.0, 0.5}) {
-          const std::size_t out_pad = (out_ch + 15) & ~std::size_t{15};
+          const std::size_t out_pad = hls::kernels::narrow_out_pad(out_ch);
           std::vector<std::int64_t> w(k * in_ch * out_ch);
           for (auto& v : w) v = extreme();
           std::vector<std::int32_t> bias(out_pad, 0);
@@ -470,7 +530,7 @@ TEST(KernelEquivalence, NarrowConvMatchesInt64OnSparsityGrid) {
           }
           std::vector<std::int64_t> x(positions * in_ch);
           for (auto& v : x) v = rng.uniform() < zero_frac ? 0 : extreme();
-          const auto wtr = narrow_weights(w, in_ch, out_ch, out_pad, k);
+          const auto wtr = narrow_weights(w, in_ch, out_ch, k);
           std::vector<std::int16_t> x16(positions * in_ch);
           std::vector<std::uint16_t> nz(positions * in_ch);
           std::vector<std::uint16_t> nnz(positions);
@@ -505,83 +565,78 @@ TEST(KernelEquivalence, ScalarHooksMatchDispatchedPackAndNarrowConv) {
   // The dispatched pack_i16 / conv1d_acc_i16 (AVX-512 here when the host
   // has it) against the portable bodies every other host runs, on channel
   // counts around the 16-lane step, pad columns (in_stride > in_ch),
-  // all-zero rows and rows whose only nonzero is the last channel. pack's
-  // int16 rows (pad columns included), list lengths and listed indices
-  // must agree; conv's first out_ch accumulators per row must agree.
+  // positions 1-7, all-zero rows and rows whose only nonzero is the first
+  // or last channel. pack's int16 rows (pad columns included), list
+  // lengths and listed indices must agree; conv's first out_ch
+  // accumulators per row must agree, over the same narrow_weights buffer,
+  // for k in {1, 3, 5} and output widths with and without a trailing
+  // 16-block, in one pass and several.
   util::Xoshiro256 rng(29);
-  const std::size_t positions = 6;
+  const auto draw = [&rng] {
+    const auto v = static_cast<std::int64_t>(rng.uniform_int(65536)) - 32768;
+    return v == 0 ? std::int64_t{-5} : v;
+  };
   for (std::size_t in_ch : {1u, 15u, 16u, 17u, 31u, 77u, 186u}) {
     for (std::size_t extra : {0u, 1u, 16u}) {
       const std::size_t in_stride = in_ch + extra;
-      std::vector<std::int64_t> x(positions * in_ch);
-      for (std::size_t p = 0; p < positions; ++p) {
-        for (std::size_t i = 0; i < in_ch; ++i) {
-          std::int64_t v = 0;
-          if (p == 1) {
-            v = 0;  // all-zero row
-          } else if (p == 2) {
-            v = i + 1 == in_ch ? -5 : 0;  // only the last channel
-          } else if (rng.uniform() < 0.5) {
-            v = static_cast<std::int64_t>(rng.uniform_int(65536)) - 32768;
-          }
-          x[p * in_ch + i] = v;
-        }
-      }
-      std::vector<std::int16_t> x16(positions * in_stride, 99);
-      std::vector<std::int16_t> x16_s(positions * in_stride, -99);
-      std::vector<std::uint16_t> nz(positions * in_stride);
-      std::vector<std::uint16_t> nz_s(positions * in_stride);
-      std::vector<std::uint16_t> nnz(positions);
-      std::vector<std::uint16_t> nnz_s(positions);
-      hls::kernels::pack_i16(x.data(), positions, in_ch, in_stride, false,
-                             x16.data(), nz.data(), nnz.data());
-      hls::kernels::detail::pack_i16_scalar(x.data(), positions, in_ch,
-                                            in_stride, false, x16_s.data(),
-                                            nz_s.data(), nnz_s.data());
-      ASSERT_EQ(x16, x16_s) << "in_ch=" << in_ch << " in_stride=" << in_stride;
-      ASSERT_EQ(nnz, nnz_s) << "in_ch=" << in_ch << " in_stride=" << in_stride;
-      EXPECT_EQ(nnz[1], 0u);
-      EXPECT_EQ(nnz[2], 1u);
-      EXPECT_EQ(nz[2 * in_stride], in_ch - 1);
-      for (std::size_t p = 0; p < positions; ++p) {
-        for (std::size_t j = 0; j < nnz[p]; ++j) {
-          ASSERT_EQ(nz[p * in_stride + j], nz_s[p * in_stride + j])
-              << "in_ch=" << in_ch << " p=" << p << " j=" << j;
-        }
-      }
-
-      // |w| <= 64 and |x| <= 2^15, so a term is at most 2^21 >> 9 = 2^12
-      // and 3 * 186 of them stay far inside int32.
-      for (std::size_t out_ch : {3u, 70u}) {
-        const std::size_t k = 3;
-        const int shift = 9;
-        const std::size_t out_pad = (out_ch + 15) & ~std::size_t{15};
-        std::vector<std::int16_t> wtr(k * in_ch * out_pad, 0);
-        for (std::size_t r = 0; r < k * in_ch; ++r) {
-          for (std::size_t o = 0; o < out_ch; ++o) {
-            wtr[r * out_pad + o] =
-                static_cast<std::int16_t>(rng.uniform_int(129)) - 64;
-          }
-        }
-        std::vector<std::int32_t> bias(out_pad, 0);
-        for (std::size_t o = 0; o < out_ch; ++o) {
-          bias[o] = static_cast<std::int32_t>(rng.uniform_int(2001)) - 1000;
-        }
-        std::vector<std::int32_t> acc(positions * out_pad, 5);
-        std::vector<std::int32_t> acc_s(positions * out_pad, -5);
-        hls::kernels::conv1d_acc_i16(x16.data(), nz.data(), nnz.data(),
-                                     wtr.data(), bias.data(), acc.data(),
-                                     positions, in_ch, in_stride, out_ch,
-                                     out_pad, k, shift);
-        hls::kernels::detail::conv1d_acc_i16_scalar(
-            x16.data(), nz.data(), nnz.data(), wtr.data(), bias.data(),
-            acc_s.data(), positions, in_ch, in_stride, out_ch, out_pad, k,
-            shift);
+      for (std::size_t positions = 1; positions <= 7; ++positions) {
+        const auto x = activations(positions, in_ch, 0.5, true, rng, draw);
+        std::vector<std::int16_t> x16(positions * in_stride, 99);
+        std::vector<std::int16_t> x16_s(positions * in_stride, -99);
+        std::vector<std::uint16_t> nz(positions * in_stride);
+        std::vector<std::uint16_t> nz_s(positions * in_stride);
+        std::vector<std::uint16_t> nnz(positions);
+        std::vector<std::uint16_t> nnz_s(positions);
+        hls::kernels::pack_i16(x.data(), positions, in_ch, in_stride, false,
+                               x16.data(), nz.data(), nnz.data());
+        hls::kernels::detail::pack_i16_scalar(x.data(), positions, in_ch,
+                                              in_stride, false, x16_s.data(),
+                                              nz_s.data(), nnz_s.data());
+        ASSERT_EQ(x16, x16_s) << "in_ch=" << in_ch
+                              << " in_stride=" << in_stride;
+        ASSERT_EQ(nnz, nnz_s) << "in_ch=" << in_ch
+                              << " in_stride=" << in_stride;
         for (std::size_t p = 0; p < positions; ++p) {
-          for (std::size_t o = 0; o < out_ch; ++o) {
-            ASSERT_EQ(acc[p * out_pad + o], acc_s[p * out_pad + o])
-                << "in_ch=" << in_ch << " in_stride=" << in_stride
-                << " out_ch=" << out_ch << " p=" << p << " o=" << o;
+          for (std::size_t j = 0; j < nnz[p]; ++j) {
+            ASSERT_EQ(nz[p * in_stride + j], nz_s[p * in_stride + j])
+                << "in_ch=" << in_ch << " p=" << p << " j=" << j;
+          }
+        }
+
+        // |w| <= 64 and |x| <= 2^15, so a term is at most 2^21 >> 9 = 2^12
+        // and 5 * 186 of them stay far inside int32.
+        for (std::size_t out_ch : kOutChannels) {
+          for (std::size_t k : {1u, 3u, 5u}) {
+            const int shift = 9;
+            const std::size_t out_pad = hls::kernels::narrow_out_pad(out_ch);
+            std::vector<std::int64_t> w(k * in_ch * out_ch);
+            for (auto& v : w) {
+              v = static_cast<std::int64_t>(rng.uniform_int(129)) - 64;
+            }
+            const auto wtr = narrow_weights(w, in_ch, out_ch, k);
+            std::vector<std::int32_t> bias(out_pad, 0);
+            for (std::size_t o = 0; o < out_ch; ++o) {
+              bias[o] =
+                  static_cast<std::int32_t>(rng.uniform_int(2001)) - 1000;
+            }
+            std::vector<std::int32_t> acc(positions * out_pad, 5);
+            std::vector<std::int32_t> acc_s(positions * out_pad, -5);
+            hls::kernels::conv1d_acc_i16(x16.data(), nz.data(), nnz.data(),
+                                         wtr.data(), bias.data(), acc.data(),
+                                         positions, in_ch, in_stride, out_ch,
+                                         out_pad, k, shift);
+            hls::kernels::detail::conv1d_acc_i16_scalar(
+                x16.data(), nz.data(), nnz.data(), wtr.data(), bias.data(),
+                acc_s.data(), positions, in_ch, in_stride, out_ch, out_pad, k,
+                shift);
+            for (std::size_t p = 0; p < positions; ++p) {
+              for (std::size_t o = 0; o < out_ch; ++o) {
+                ASSERT_EQ(acc[p * out_pad + o], acc_s[p * out_pad + o])
+                    << "in_ch=" << in_ch << " in_stride=" << in_stride
+                    << " positions=" << positions << " out_ch=" << out_ch
+                    << " k=" << k << " p=" << p << " o=" << o;
+              }
+            }
           }
         }
       }
