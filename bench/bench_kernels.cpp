@@ -9,17 +9,15 @@
 //
 // Emits one JSON object (schema documented in DESIGN.md §5b) to stdout and
 // to --out, with one row per firmware layer timed through
-// forward_raw_profiled and, on the AVX-512 narrow lane, the host's peak
-// rate for that lane's MAC sequence; exits non-zero if the fast path
-// diverges from the reference, the speedup falls below --min_speedup,
-// fewer than --min_narrow_fraction of the MAC layers run on narrow lanes,
-// or the per-layer rows do not sum to within 5% of the frame they split.
+// forward_raw_profiled; exits non-zero if the fast path diverges from the
+// reference, the speedup falls below --min_speedup, fewer than
+// --min_narrow_fraction of the MAC layers run on narrow lanes, or the
+// per-layer rows do not sum to within 5% of the frame they split.
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <string>
 
 #include "common.hpp"
 #include "hls/qkernels.hpp"
@@ -154,12 +152,6 @@ int main(int argc, char** argv) {
     for (const auto& f : raw) (void)qm.forward_raw_profiled(f, ns, mac_inputs);
   }
 
-  const double peak_gmac = hls::kernels::narrow_peak_gmac_per_s(reps);
-  const auto peak_json = [peak_gmac](double v, int digits) {
-    return peak_gmac > 0.0 ? util::Table::fmt(v, digits)
-                           : std::string("\"unmeasured\"");
-  };
-
   const double n = static_cast<double>(frames);
   const double fast_ms = fast_t.best / n * 1e3;
   const double ref_ms = ref_t.best / n * 1e3;
@@ -186,8 +178,7 @@ int main(int argc, char** argv) {
   lanes_json << "]";
 
   // Per-layer table. A 16-lane vector MAC is one listed input term times
-  // one 16-output block (the narrow AVX-512 lane's unit of work);
-  // frac_of_peak is the rate of those lane MACs against the peak.
+  // one 16-output block (the narrow AVX-512 lane's unit of work).
   const double prof_ns = prof_s / n * 1e9;
   double layer_sum_ns = 0.0;
   for (const double ns : layer_ns) layer_sum_ns += ns / n;
@@ -207,8 +198,6 @@ int main(int argc, char** argv) {
     if (in.macs > 0) {
       const double macs = static_cast<double>(in.macs) / n;
       const double blocks = static_cast<double>((l.out_channels + 15) / 16);
-      const double vector_macs =
-          static_cast<double>(in.listed_terms) / n * blocks;
       layers_json
           << ", \"macs\": " << util::Table::fmt(macs, 0)
           << ", \"nonzero_input_frac\": "
@@ -216,11 +205,10 @@ int main(int argc, char** argv) {
                                   static_cast<double>(in.inputs),
                               3)
           << ", \"vector_macs_per_frame\": "
-          << util::Table::fmt(vector_macs, 0) << ", \"gmac_per_s\": "
-          << util::Table::fmt(ns > 0.0 ? macs / ns : 0.0, 2)
-          << ", \"frac_of_peak\": "
-          << peak_json(ns > 0.0 ? vector_macs * 16.0 / ns / peak_gmac : 0.0,
-                       3);
+          << util::Table::fmt(
+                 static_cast<double>(in.listed_terms) / n * blocks, 0)
+          << ", \"gmac_per_s\": "
+          << util::Table::fmt(ns > 0.0 ? macs / ns : 0.0, 2);
     }
     layers_json << "}";
   }
@@ -252,7 +240,6 @@ int main(int argc, char** argv) {
        << ", \"narrow_layers\": " << lanes.narrow_layers
        << ", \"narrow_fraction\": " << util::Table::fmt(narrow_fraction, 3)
        << ", \"lanes\": " << lanes_json.str()
-       << ", \"peak_gmac_per_s\": " << peak_json(peak_gmac, 2)
        << ", \"profiled_ms_per_frame\": " << util::Table::fmt(prof_ns * 1e-6, 4)
        << ", \"layer_sum_ms_per_frame\": "
        << util::Table::fmt(layer_sum_ns * 1e-6, 4)

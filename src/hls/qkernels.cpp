@@ -234,7 +234,6 @@ void pack_i16_avx512(const std::int64_t* in, std::size_t positions,
                      std::size_t in_ch, std::size_t in_stride, bool pairs,
                      std::int16_t* x16, std::uint16_t* nz,
                      std::uint16_t* nnz);
-double narrow_peak_gmac_per_s_avx512(int reps);
 void maxpool_i64_avx512(const std::int64_t* in, std::int64_t* out,
                         std::size_t positions, std::size_t ch,
                         std::size_t factor, const hd::Requant& rq,
@@ -435,16 +434,6 @@ void finalize_i32(const std::int32_t* acc, std::int64_t* out,
   }
   detail::dispatch().finalize(acc, out, positions, out_ch, acc_stride, ac,
                               overflows, saturations);
-}
-
-double narrow_peak_gmac_per_s(int reps) {
-#if defined(READS_QKERNELS_AVX512)
-  if (detail::dispatch().narrow == detail::conv1d_acc_i16_avx512) {
-    return detail::narrow_peak_gmac_per_s_avx512(reps);
-  }
-#endif
-  (void)reps;
-  return 0.0;
 }
 
 const char* variant() noexcept { return detail::dispatch().name; }

@@ -157,13 +157,6 @@ void finalize_i32(const std::int32_t* acc, std::int64_t* out,
                   std::size_t acc_stride, const reads::hls::detail::Accum& ac,
                   std::size_t& overflows, std::size_t& saturations);
 
-/// Peak rate, in GMAC/s, of the AVX-512 narrow lane's MAC sequence on this
-/// host (vpmaddwd + vpsravd + vpaddd per 16 lanes, register-resident, 12
-/// independent accumulators), best of `reps` runs of ~0.8 G lane MACs; 0
-/// where the narrow variant is not avx512. bench_kernels reads its MAC
-/// rows against it.
-double narrow_peak_gmac_per_s(int reps);
-
 /// Name of the int64 kernel variant selected at runtime ("avx512"/"scalar").
 const char* variant() noexcept;
 /// Same for the narrow int16 kernel ("avx512"/"scalar").

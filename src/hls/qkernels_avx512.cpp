@@ -13,7 +13,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -417,46 +416,6 @@ void conv1d_acc_i16_avx512(const std::int16_t* x, const std::uint16_t* nz,
     case 1: run(integral_constant<int, 0>{}, std::true_type{}); break;
     default: break;
   }
-}
-
-double narrow_peak_gmac_per_s_avx512(int reps) {
-  // Six pair-interleaved weight vectors against the (x, 0) and (0, x)
-  // broadcasts, as one listed input feeds a 96-output row. The empty asm
-  // makes the broadcasts opaque each iteration, so every vpmaddwd issues.
-  constexpr std::size_t kIters = std::size_t{1} << 22;
-  constexpr int kAcc = 12;
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    __m512i w[kAcc / 2];
-    for (int b = 0; b < kAcc / 2; ++b) {
-      w[b] = _mm512_set1_epi32(0x00030001 + b);
-    }
-    __m512i acc[kAcc];
-    for (auto& a : acc) a = _mm512_setzero_si512();
-    const __m512i cnt = _mm512_set1_epi32(3);
-    __m512i xlo = broadcast_lo(7);
-    __m512i xhi = broadcast_hi(7);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t it = 0; it < kIters; ++it) {
-      asm volatile("" : "+v"(xlo), "+v"(xhi));
-      for (int b = 0; b < kAcc / 2; ++b) {
-        acc[2 * b] = _mm512_add_epi32(
-            acc[2 * b], _mm512_srav_epi32(_mm512_madd_epi16(w[b], xlo), cnt));
-        acc[2 * b + 1] = _mm512_add_epi32(
-            acc[2 * b + 1],
-            _mm512_srav_epi32(_mm512_madd_epi16(w[b], xhi), cnt));
-      }
-    }
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    __m512i sum = acc[0];
-    for (int b = 1; b < kAcc; ++b) sum = _mm512_add_epi32(sum, acc[b]);
-    volatile int sink = _mm512_reduce_add_epi32(sum);
-    (void)sink;
-    best = std::min(best, s);
-  }
-  return static_cast<double>(kIters) * kAcc * 16 / best * 1e-9;
 }
 
 void pack_i16_avx512(const std::int64_t* in, std::size_t positions,

@@ -567,7 +567,7 @@ TEST(KernelEquivalence, ScalarHooksMatchDispatchedPackAndNarrowConv) {
   // counts around the 16-lane step, pad columns (in_stride > in_ch),
   // positions 1-7, all-zero rows and rows whose only nonzero is the first
   // or last channel. pack's int16 rows (pad columns included), list
-  // lengths and listed indices must agree; conv's first out_ch
+  // lengths and listed indices must agree, and match x; conv's first out_ch
   // accumulators per row must agree, over the same narrow_weights buffer,
   // for k in {1, 3, 5} and output widths with and without a trailing
   // 16-block, in one pass and several.
@@ -596,9 +596,24 @@ TEST(KernelEquivalence, ScalarHooksMatchDispatchedPackAndNarrowConv) {
                               << " in_stride=" << in_stride;
         ASSERT_EQ(nnz, nnz_s) << "in_ch=" << in_ch
                               << " in_stride=" << in_stride;
+        // Absolute output too, so a bug both bodies share still fails: each
+        // row is x narrowed with zero pad columns, and its list holds
+        // exactly the nonzero channels in ascending order.
         for (std::size_t p = 0; p < positions; ++p) {
+          std::vector<std::uint16_t> want_nz;
+          for (std::size_t i = 0; i < in_stride; ++i) {
+            const std::int64_t v = i < in_ch ? x[p * in_ch + i] : 0;
+            ASSERT_EQ(x16[p * in_stride + i], static_cast<std::int16_t>(v))
+                << "in_ch=" << in_ch << " in_stride=" << in_stride
+                << " p=" << p << " i=" << i;
+            if (v != 0) want_nz.push_back(static_cast<std::uint16_t>(i));
+          }
+          ASSERT_EQ(nnz[p], want_nz.size())
+              << "in_ch=" << in_ch << " in_stride=" << in_stride << " p=" << p;
           for (std::size_t j = 0; j < nnz[p]; ++j) {
-            ASSERT_EQ(nz[p * in_stride + j], nz_s[p * in_stride + j])
+            ASSERT_EQ(nz[p * in_stride + j], want_nz[j])
+                << "in_ch=" << in_ch << " p=" << p << " j=" << j;
+            ASSERT_EQ(nz_s[p * in_stride + j], want_nz[j])
                 << "in_ch=" << in_ch << " p=" << p << " j=" << j;
           }
         }

@@ -46,10 +46,10 @@ echo "== autotune campaign (Pareto front / dominance / surrogate gates) =="
 
 echo "== kernel engine gates (bit-identity / speedup / narrow lanes) =="
 # Fast path must stay bit-identical to the reference executor, beat it by
-# >= 8x (committed artifact: 0.532 ms per frame, ~27.3x; the lower bar
+# >= 8x (committed artifact: 0.420 ms per frame, ~36.8x; the lower bar
 # absorbs CI host noise), prove >= half the MAC layers onto narrow int16
 # lanes, and split the frame into per-layer rows that sum to within 5% of
-# it (0.469 of 0.473 ms in the artifact, 81% in the MAC layers).
+# it (0.479 of 0.482 ms in the artifact, 81% in the MAC layers).
 (cd build && ./bench/bench_kernels --min_speedup=8 --min_narrow_fraction=0.5 \
   --out=BENCH_kernels.json && python3 -m json.tool BENCH_kernels.json >/dev/null)
 
