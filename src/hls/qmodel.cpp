@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 
 #include "hls/accum.hpp"
@@ -33,19 +35,66 @@ std::size_t words(std::size_t count) {
          sizeof(std::int64_t);
 }
 
+/// Greedy-by-size offline arena plan. Layer i's int64 slab is live from
+/// step i (its write) to the step of its last reader; the output slab lives
+/// to the end of the frame. Slabs go largest first (ties by layer index),
+/// each rounded up to 8 words, at the lowest offset that clears every
+/// already-placed slab whose lifetime overlaps its own, so a layer never
+/// writes over an input it reads or over a slab a later layer still reads.
+/// Fills `offset` (words per layer) and returns the peak words.
+std::size_t plan_slabs(const FirmwareModel& fw,
+                       std::vector<std::size_t>& offset) {
+  const std::size_t n = fw.layers.size();
+  std::vector<std::size_t> last(n);
+  std::vector<std::size_t> size(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    last[i] = i;
+    for (const std::size_t j : fw.layers[i].inputs) {
+      last[j] = std::max(last[j], i);
+    }
+    size[i] = (fw.layers[i].positions * fw.layers[i].out_channels + 7) &
+              ~std::size_t{7};
+  }
+  if (n > 0) last[n - 1] = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return size[a] > size[b];
+                   });
+  offset.assign(n, 0);
+  std::size_t peak = 0;
+  std::vector<std::size_t> live;  // placed slabs overlapping the current one
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t i = order[p];
+    live.clear();
+    for (std::size_t q = 0; q < p; ++q) {
+      const std::size_t j = order[q];
+      if (j <= last[i] && i <= last[j]) live.push_back(j);
+    }
+    std::sort(live.begin(), live.end(), [&](std::size_t a, std::size_t b) {
+      return offset[a] < offset[b];
+    });
+    std::size_t at = 0;
+    for (const std::size_t j : live) {
+      if (at + size[i] <= offset[j]) break;
+      at = std::max(at, offset[j] + size[j]);
+    }
+    offset[i] = at;
+    peak = std::max(peak, at + size[i]);
+  }
+  return peak;
+}
+
 }  // namespace
 
 QuantizedModel::QuantizedModel(FirmwareModel firmware)
     : fw_(std::move(firmware)), lanes_(prove_lanes(fw_)) {
-  io_.reserve(fw_.layers.size());
-  act_offset_.reserve(fw_.layers.size());
+  act_words_ = plan_slabs(fw_, act_offset_);
   plans_.resize(fw_.layers.size());
   sigmoid_tables_.resize(fw_.layers.size());
   for (std::size_t i = 0; i < fw_.layers.size(); ++i) {
     const auto& l = fw_.layers[i];
-    io_.push_back({l.positions, l.out_channels});
-    act_offset_.push_back(act_words_);
-    act_words_ += l.positions * l.out_channels;
     if (l.kind == LayerKind::kSigmoid) {
       auto& table = sigmoid_tables_[i];
       table.resize(kSigmoidTableSize);
@@ -181,8 +230,9 @@ void QuantizedModel::forward_into(const Tensor& input, Tensor& out,
   arena.require<std::int64_t>(act_words_ + narrow_words_);
   auto block = arena.alloc<std::int64_t>(act_words_);
   const auto in_fmt = fw_.input_spec.format(fixed::QuantMode::kRound);
+  std::int64_t* in_raw = block.data() + act_offset_[0];
   for (std::size_t i = 0; i < input.numel(); ++i) {
-    block[i] = in_fmt.quantize(input[i]);
+    in_raw[i] = in_fmt.quantize(input[i]);
   }
   const std::int64_t* out_raw = execute(block.data(), stats);
   const auto& out_layer = fw_.layers.back();
@@ -222,7 +272,8 @@ std::vector<std::int64_t> QuantizedModel::forward_raw(
   util::ArenaScope scope(arena);
   arena.require<std::int64_t>(act_words_ + narrow_words_);
   auto block = arena.alloc<std::int64_t>(act_words_);
-  std::copy(input_raw.begin(), input_raw.end(), block.data());
+  std::copy(input_raw.begin(), input_raw.end(),
+            block.data() + act_offset_[0]);
   const std::int64_t* out = execute(block.data(), stats);
   return {out, out + fw_.output_values};
 }
@@ -241,40 +292,40 @@ std::vector<std::int64_t> QuantizedModel::forward_raw_profiled(
   util::ArenaScope scope(arena);
   arena.require<std::int64_t>(act_words_ + narrow_words_);
   auto block = arena.alloc<std::int64_t>(act_words_);
-  std::copy(input_raw.begin(), input_raw.end(), block.data());
   std::int64_t* acts = block.data();
+  std::copy(input_raw.begin(), input_raw.end(), acts + act_offset_[0]);
   for (std::size_t i = 1; i < fw_.layers.size(); ++i) {
+    const auto& l = fw_.layers[i];
+    if (!inputs.empty() &&
+        (l.kind == LayerKind::kDense || l.kind == LayerKind::kConv1D)) {
+      // Count the MAC layer's input rows now, while its source slab is
+      // live, weighting a row by the taps that read it ('same' padding:
+      // edge rows are read by fewer).
+      const std::int64_t* in0 = acts + act_offset_[l.inputs[0]];
+      const auto k = static_cast<std::ptrdiff_t>(
+          l.kind == LayerKind::kDense ? 1 : l.kernel);
+      const auto pos = static_cast<std::ptrdiff_t>(l.positions);
+      for (std::ptrdiff_t q = 0; q < pos; ++q) {
+        const std::int64_t* row =
+            in0 + static_cast<std::size_t>(q) * l.in_channels;
+        const std::uint64_t nonzero =
+            l.in_channels - static_cast<std::uint64_t>(std::count(
+                                row, row + l.in_channels, std::int64_t{0}));
+        std::uint64_t taps = 0;
+        for (std::ptrdiff_t dk = 0; dk < k; ++dk) {
+          const std::ptrdiff_t p = q - dk + k / 2;
+          taps += static_cast<std::uint64_t>(p >= 0 && p < pos);
+        }
+        inputs[i].inputs += l.in_channels;
+        inputs[i].nonzero_inputs += nonzero;
+        inputs[i].macs += taps * l.in_channels * l.out_channels;
+        inputs[i].listed_terms += taps * nonzero;
+      }
+    }
     const auto t0 = std::chrono::steady_clock::now();
     run_layer_fast(i, acts, nullptr);
     const auto t1 = std::chrono::steady_clock::now();
     layer_ns[i] += std::chrono::duration<double, std::nano>(t1 - t0).count();
-  }
-  // Every layer's output slab is still in the block: count each MAC layer's
-  // input rows, weighting a row by the taps that read it ('same' padding:
-  // edge rows are read by fewer).
-  for (std::size_t i = 1; i < inputs.size(); ++i) {
-    const auto& l = fw_.layers[i];
-    if (l.kind != LayerKind::kDense && l.kind != LayerKind::kConv1D) continue;
-    const std::int64_t* in0 = acts + act_offset_[l.inputs[0]];
-    const auto k = static_cast<std::ptrdiff_t>(
-        l.kind == LayerKind::kDense ? 1 : l.kernel);
-    const auto pos = static_cast<std::ptrdiff_t>(l.positions);
-    for (std::ptrdiff_t q = 0; q < pos; ++q) {
-      const std::int64_t* row =
-          in0 + static_cast<std::size_t>(q) * l.in_channels;
-      const std::uint64_t nonzero =
-          l.in_channels - static_cast<std::uint64_t>(std::count(
-                              row, row + l.in_channels, std::int64_t{0}));
-      std::uint64_t taps = 0;
-      for (std::ptrdiff_t dk = 0; dk < k; ++dk) {
-        const std::ptrdiff_t p = q - dk + k / 2;
-        taps += static_cast<std::uint64_t>(p >= 0 && p < pos);
-      }
-      inputs[i].inputs += l.in_channels;
-      inputs[i].nonzero_inputs += nonzero;
-      inputs[i].macs += taps * l.in_channels * l.out_channels;
-      inputs[i].listed_terms += taps * nonzero;
-    }
   }
   const std::int64_t* out = acts + act_offset_.back();
   return {out, out + fw_.output_values};

@@ -8,9 +8,10 @@
 // paper's quantization error and overflow outliers come from.
 //
 // Hot path: forward_raw() runs all layers over a per-thread scratch arena
-// (one flat int64 block, offsets precomputed per layer — zero allocations
-// per frame) and dispatches Dense/Conv1D through blocked transposed-weight
-// kernels (see qkernels.hpp). forward_raw_reference() keeps the original
+// (one flat int64 block, each layer's slab placed at construction so slabs
+// whose lifetimes do not overlap share words — zero allocations per frame)
+// and dispatches Dense/Conv1D through blocked transposed-weight kernels (see
+// qkernels.hpp). forward_raw_reference() keeps the original
 // per-layer-vector implementation; the two are bit-identical (outputs and
 // ForwardStats counters), which tests assert and bench_kernels times.
 //
@@ -96,9 +97,10 @@ class QuantizedModel {
   /// forward_raw() with each layer timed: layer i's wall time in ns is added
   /// to layer_ns[i] (one entry per firmware layer; entry 0, the input node,
   /// stays 0). With `inputs` (same size), each MAC layer's input sparsity is
-  /// added to inputs[i], counted after the last layer ran, outside every
-  /// timed region. Opt-in instrumentation for per-layer tables: forward_raw()
-  /// runs the same layer code without the clock reads.
+  /// added to inputs[i], counted just before that layer runs (its source
+  /// slab may be reused later in the frame), outside every timed region.
+  /// Opt-in instrumentation for per-layer tables: forward_raw() runs the
+  /// same layer code without the clock reads.
   std::vector<std::int64_t> forward_raw_profiled(
       const std::vector<std::int64_t>& input_raw, std::span<double> layer_ns,
       std::span<MacInputs> inputs = {}) const;
@@ -116,12 +118,20 @@ class QuantizedModel {
   /// Dequantize raw output words (what the HPS does after reading back).
   Tensor dequantize_output(const std::vector<std::int64_t>& raw) const;
 
- private:
-  struct LayerIo {
-    std::size_t positions;
-    std::size_t channels;
+  /// The per-thread arena a frame borrows, in 8-byte words: each firmware
+  /// layer's int64 slab offset (a slab holds positions x out_channels words)
+  /// in the planned activation block, the block's size, and the narrow-lane
+  /// scratch carved after it.
+  struct ArenaFootprint {
+    std::span<const std::size_t> act_offsets;
+    std::size_t act_words = 0;
+    std::size_t narrow_words = 0;
   };
+  ArenaFootprint arena_footprint() const noexcept {
+    return {act_offset_, act_words_, narrow_words_};
+  }
 
+ private:
   /// Precomputed hot-path plan for a Dense/Conv1D layer: weights transposed
   /// to (k, in, out) and biases pre-aligned to the accumulator. Layers the
   /// range prover certified carry int16 weights / int32 biases instead
@@ -155,9 +165,12 @@ class QuantizedModel {
   const std::int64_t* execute(std::int64_t* acts, ForwardStats* stats) const;
 
   FirmwareModel fw_;
-  std::vector<LayerIo> io_;
-  std::vector<std::size_t> act_offset_;  ///< per-layer slot in the arena
-  std::size_t act_words_ = 0;            ///< total arena words per frame
+  /// Per-layer slab offset in the activation block, planned by liveness
+  /// (greedy by size): a slab shares words only with slabs whose lifetimes,
+  /// from the layer's step to its last reader's, do not overlap its own.
+  /// The input slab sits at act_offset_[0], not necessarily at 0.
+  std::vector<std::size_t> act_offset_;
+  std::size_t act_words_ = 0;  ///< activation block words: the plan's peak
   /// Extra arena words for the widest narrow layer's int16 activation copy,
   /// its per-row nonzero lists and list lengths, and int32 accumulator
   /// scratch (allocated per layer, nested scope).

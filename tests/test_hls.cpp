@@ -22,6 +22,7 @@
 #include "nn/layers/activations.hpp"
 #include "nn/layers/batchnorm.hpp"
 #include "nn/layers/dense.hpp"
+#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -530,21 +531,50 @@ TEST(QuantizedModel, ForwardIsDeterministic) {
   EXPECT_EQ(tensor::max_abs_diff(qm.forward(in), qm.forward(in)), 0.0f);
 }
 
-// The scratch-arena executor with blocked kernels must be bit-identical to
-// the seed per-layer-vector implementation: same raw output words AND same
-// per-layer saturation/overflow counts (int64 accumulation is exact, so
-// reassociating the adds cannot change any finalize result).
-TEST(QuantizedModel, FastPathBitIdenticalToReference) {
+hls::QuantizedModel small_unet_model() {
   auto model = nn::build_unet({.monitors = 16, .c1 = 3, .c2 = 4, .c3 = 5});
   nn::init_he_uniform(model, 47);
   std::vector<Tensor> calib;
   for (int i = 0; i < 4; ++i) {
     calib.push_back(random_frame({16, 1}, 600u + static_cast<unsigned>(i)));
   }
-  const auto prof = hls::profile_model(model, calib);
   hls::HlsConfig cfg;
-  cfg.quant = hls::layer_based_config(model, prof, 16);
-  const hls::QuantizedModel qm(hls::compile(model, cfg));
+  cfg.quant = hls::layer_based_config(model, hls::profile_model(model, calib),
+                                      16);
+  return hls::QuantizedModel(hls::compile(model, cfg));
+}
+
+hls::QuantizedModel overflowing_mlp_model() {
+  auto model = nn::build_mlp({.inputs = 6, .hidden = 5, .outputs = 3});
+  nn::init_he_uniform(model, 53);
+  // He-uniform weights are too tame to wrap the <16,7> accumulator ring;
+  // inflate them so hot frames genuinely overflow.
+  for (auto* p : model.parameters()) {
+    for (auto& v : p->flat()) v *= 12.0f;
+  }
+  hls::HlsConfig cfg;
+  cfg.quant = hls::QuantConfig::uniform({16, 7});
+  return hls::QuantizedModel(hls::compile(model, cfg));
+}
+
+hls::QuantizedModel deployed_shape_unet_model() {
+  auto model = nn::build_unet();
+  nn::init_he_uniform(model, 61);
+  const std::vector<Tensor> calib = {random_frame({260, 1}, 62, 4.0),
+                                     random_frame({260, 1}, 63, 4.0)};
+  hls::HlsConfig cfg;
+  cfg.quant = hls::layer_based_config(model, hls::profile_model(model, calib),
+                                      16);
+  cfg.reuse = hls::ReusePolicy::deployed_unet();
+  return hls::QuantizedModel(hls::compile(model, cfg));
+}
+
+// The scratch-arena executor with blocked kernels must be bit-identical to
+// the seed per-layer-vector implementation: same raw output words AND same
+// per-layer saturation/overflow counts (int64 accumulation is exact, so
+// reassociating the adds cannot change any finalize result).
+TEST(QuantizedModel, FastPathBitIdenticalToReference) {
+  const hls::QuantizedModel qm = small_unet_model();
   for (int f = 0; f < 6; ++f) {
     // Large-scale frames provoke saturations so the stats comparison bites.
     const double scale = f < 3 ? 1.0 : 25.0;
@@ -563,16 +593,7 @@ TEST(QuantizedModel, FastPathBitIdenticalToReference) {
 TEST(QuantizedModel, FastPathBitIdenticalOnOverflowingMlp) {
   // Narrow accumulator + hot inputs: wrap-around overflows must be counted
   // identically by the blocked Dense kernel and the reference loop.
-  auto model = nn::build_mlp({.inputs = 6, .hidden = 5, .outputs = 3});
-  nn::init_he_uniform(model, 53);
-  // He-uniform weights are too tame to wrap the <16,7> accumulator ring;
-  // inflate them so hot frames genuinely overflow.
-  for (auto* p : model.parameters()) {
-    for (auto& v : p->flat()) v *= 12.0f;
-  }
-  hls::HlsConfig cfg;
-  cfg.quant = hls::QuantConfig::uniform({16, 7});
-  const hls::QuantizedModel qm(hls::compile(model, cfg));
+  const hls::QuantizedModel qm = overflowing_mlp_model();
   std::size_t total_overflows = 0;
   for (int f = 0; f < 4; ++f) {
     const auto raw = qm.quantize_input(
@@ -586,6 +607,170 @@ TEST(QuantizedModel, FastPathBitIdenticalOnOverflowingMlp) {
     total_overflows += fast_stats.total_overflows();
   }
   EXPECT_GT(total_overflows, 0u);  // the comparison actually exercised wraps
+}
+
+// Fill the calling thread's scratch arena with nonzero activation-sized
+// words, so a kernel that leaves part of its slab unwritten, or a slab the
+// plan lets a live one overlap, reads garbage instead of a previous frame's
+// identical values.
+void poison_arena(const hls::QuantizedModel& qm, std::uint64_t seed) {
+  const auto fp = qm.arena_footprint();
+  auto& arena = util::ScratchArena::local();
+  util::ArenaScope scope(arena);
+  arena.require<std::int64_t>(fp.act_words + fp.narrow_words);
+  util::Xoshiro256 rng(seed);
+  for (auto& w : arena.alloc<std::int64_t>(fp.act_words + fp.narrow_words)) {
+    w = static_cast<std::int64_t>(rng() % 2000) - 1000;
+    if (w == 0) w = 1;
+  }
+}
+
+// Layers' slabs share arena words, and the arena keeps whatever the last
+// frame left there: with it poisoned before every frame and models with
+// different plans alternating on one thread, the fast path must still match
+// the reference executor in raw words and ForwardStats.
+TEST(QuantizedModel, FastPathPoisonedArenaMatchesReference) {
+  const hls::QuantizedModel small = small_unet_model();
+  const hls::QuantizedModel mlp = overflowing_mlp_model();
+  const hls::QuantizedModel deployed = deployed_shape_unet_model();
+  const hls::QuantizedModel* models[] = {&small, &mlp, &deployed};
+  // The narrow lanes' int16 scratch sits past the slabs; exercise it too.
+  EXPECT_GT(deployed.lanes().narrow_layers, 0u);
+  EXPECT_GT(small.lanes().narrow_layers, 0u);
+  std::size_t total_overflows = 0;
+  std::size_t total_saturations = 0;
+  for (unsigned f = 0; f < 12; ++f) {
+    const auto& qm = *models[f % 3];
+    const auto& shape = qm.firmware().layers.front();
+    const double scale = f < 6 ? 1.0 : 25.0;
+    const auto in =
+        random_frame({shape.positions, shape.out_channels}, 1000u + f, scale);
+    const auto raw = qm.quantize_input(in);
+    hls::ForwardStats fast_stats;
+    hls::ForwardStats ref_stats;
+    poison_arena(qm, 2000u + f);
+    const auto fast = qm.forward_raw(raw, &fast_stats);
+    const auto ref = qm.forward_raw_reference(raw, &ref_stats);
+    EXPECT_EQ(fast, ref) << "frame " << f;
+    EXPECT_EQ(fast_stats.saturations, ref_stats.saturations) << "frame " << f;
+    EXPECT_EQ(fast_stats.overflows, ref_stats.overflows) << "frame " << f;
+    poison_arena(qm, 3000u + f);
+    Tensor out;
+    qm.forward_into(in, out);
+    EXPECT_EQ(tensor::max_abs_diff(out, qm.dequantize_output(ref)), 0.0f)
+        << "frame " << f;
+    total_overflows += ref_stats.total_overflows();
+    total_saturations += ref_stats.total_saturations();
+  }
+  EXPECT_GT(total_overflows, 0u);
+  EXPECT_GT(total_saturations, 0u);
+}
+
+// Lifetime of each layer's slab as the plan defines it: from the layer's own
+// step to its last reader's; the output's runs to the end of the frame.
+std::vector<std::size_t> slab_last_step(const hls::FirmwareModel& fw) {
+  std::vector<std::size_t> last(fw.layers.size());
+  for (std::size_t i = 0; i < fw.layers.size(); ++i) {
+    last[i] = i;
+    for (const std::size_t j : fw.layers[i].inputs) {
+      last[j] = std::max(last[j], i);
+    }
+  }
+  last.back() = std::numeric_limits<std::size_t>::max();
+  return last;
+}
+
+TEST(QuantizedModel, ArenaPlanKeepsLiveSlabsApart) {
+  const hls::QuantizedModel unet = deployed_shape_unet_model();
+  const hls::QuantizedModel mlp = overflowing_mlp_model();
+  for (const auto* qm : {&unet, &mlp}) {
+    const auto& layers = qm->firmware().layers;
+    const auto fp = qm->arena_footprint();
+    ASSERT_EQ(fp.act_offsets.size(), layers.size());
+    const auto last = slab_last_step(qm->firmware());
+    auto words = [&](std::size_t i) {
+      return layers[i].positions * layers[i].out_channels;
+    };
+    // The bound counts slabs in the plan's unit: rounded up to 8 words.
+    auto slab = [&](std::size_t i) { return (words(i) + 7) / 8 * 8; };
+    std::size_t unplanned = 0;
+    std::size_t max_live = 0;
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      unplanned += words(i);
+      EXPECT_LE(fp.act_offsets[i] + words(i), fp.act_words) << layers[i].name;
+      std::size_t live = 0;
+      for (std::size_t j = 0; j < layers.size(); ++j) {
+        if (j <= i && i <= last[j]) live += slab(j);
+        if (j == i || !(j <= last[i] && i <= last[j])) continue;
+        // Overlapping lifetimes, which include every slab still live when
+        // the output is written, since the output's never ends: no shared
+        // word, so the output slab is never reused.
+        const bool disjoint =
+            fp.act_offsets[i] + words(i) <= fp.act_offsets[j] ||
+            fp.act_offsets[j] + words(j) <= fp.act_offsets[i];
+        EXPECT_TRUE(disjoint) << layers[i].name << " / " << layers[j].name;
+      }
+      max_live = std::max(max_live, live);
+    }
+    EXPECT_GE(fp.act_words, max_live);
+    EXPECT_LT(fp.act_words, unplanned);
+    if (qm == &unet) {
+      EXPECT_EQ(unplanned, 231400u);
+      EXPECT_EQ(max_live, 56432u);
+      EXPECT_EQ(fp.act_words, max_live);
+    }
+  }
+}
+
+TEST(QuantizedModel, ProfiledForwardCountsMacInputsBeforeEachLayer) {
+  const hls::QuantizedModel qm = small_unet_model();
+  const auto& layers = qm.firmware().layers;
+  std::vector<double> ns(layers.size(), 0.0);
+  std::vector<hls::MacInputs> mac(layers.size());
+  std::uint64_t input_nonzero = 0;
+  for (unsigned f = 0; f < 4; ++f) {
+    auto raw = qm.quantize_input(
+        random_frame({16, 1}, 1100u + f, f < 2 ? 1.0 : 25.0));
+    for (std::size_t q = f; q < raw.size(); q += 3) raw[q] = 0;
+    input_nonzero += static_cast<std::uint64_t>(
+        raw.size() - static_cast<std::size_t>(
+                         std::count(raw.begin(), raw.end(), std::int64_t{0})));
+    EXPECT_EQ(qm.forward_raw_profiled(raw, ns, mac),
+              qm.forward_raw_reference(raw))
+        << "frame " << f;
+  }
+  // Recorded when sparsity was still counted after the frame, over the
+  // whole unplanned arena; counting before each layer must not move them.
+  struct Pin {
+    const char* layer;
+    hls::MacInputs in;
+  };
+  const Pin pins[] = {
+      {"enc1a", {64, 43, 552, 124}},   {"enc1b", {192, 95, 1656, 271}},
+      {"enc2a", {96, 84, 1056, 231}},  {"enc2b", {128, 87, 1408, 238}},
+      {"bot_a", {64, 47, 800, 117}},   {"bot_b", {80, 21, 1000, 53}},
+      {"dec2a", {288, 166, 3168, 460}}, {"dec2b", {128, 72, 1408, 193}},
+      {"dec1a", {448, 263, 3864, 755}}, {"dec1b", {192, 97, 1656, 278}},
+      {"head", {192, 120, 384, 120}},
+  };
+  std::size_t pinned = 0;
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    hls::MacInputs want;
+    for (const auto& p : pins) {
+      if (layers[i].name != p.layer) continue;
+      want = p.in;
+      ++pinned;
+    }
+    EXPECT_EQ(mac[i].inputs, want.inputs) << layers[i].name;
+    EXPECT_EQ(mac[i].nonzero_inputs, want.nonzero_inputs) << layers[i].name;
+    EXPECT_EQ(mac[i].macs, want.macs) << layers[i].name;
+    EXPECT_EQ(mac[i].listed_terms, want.listed_terms) << layers[i].name;
+  }
+  EXPECT_EQ(pinned, std::size(pins));
+  // The first MAC layer reads the raw input itself.
+  EXPECT_EQ(layers[1].inputs, std::vector<std::size_t>{0});
+  EXPECT_EQ(mac[1].nonzero_inputs, input_nonzero);
+  EXPECT_EQ(ns[0], 0.0);
 }
 
 TEST(QuantizedModel, ForwardBatchMatchesPerFrameForward) {
