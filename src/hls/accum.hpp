@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -126,6 +127,9 @@ struct Accum {
     const int act_frac = act.width - act.int_bits;
     const int acc_frac = std::min(act_frac + guard_bits, product_frac);
     prod_shift = product_frac - acc_frac;
+    // The accumulator never keeps more fraction bits than the product, so
+    // every MAC term is a right shift (or none); nothing handles a left one.
+    assert(prod_shift >= 0);
     bias_shift = stored_bias_frac - acc_frac;
     ring_bits = act.int_bits + acc_frac;
     // Degenerate all-fraction formats still need a 1-bit ring.
@@ -147,7 +151,7 @@ struct Accum {
 
   std::int64_t term(std::int64_t product) const noexcept {
     // AC_TRN: arithmetic right shift == floor division.
-    return prod_shift >= 0 ? product >> prod_shift : product << -prod_shift;
+    return product >> prod_shift;
   }
 
   std::int64_t bias(std::int64_t stored) const noexcept {

@@ -16,7 +16,7 @@ using detail::Requant;
 // All prover arithmetic runs in 128-bit integers: weight/product magnitudes
 // are caller-controlled (property tests sweep wide specs), and a prover that
 // can itself overflow proves nothing.
-using Wide = __int128;
+__extension__ using Wide = __int128;
 
 constexpr std::int64_t kI16Lo = std::numeric_limits<std::int16_t>::min();
 constexpr std::int64_t kI16Hi = std::numeric_limits<std::int16_t>::max();
@@ -48,8 +48,7 @@ RawInterval requant_range(const Requant& rq, RawInterval in) {
 
 /// term() on a 128-bit product: AC_TRN floor shift, exact in Wide.
 Wide wide_term(const Accum& ac, Wide product) {
-  if (ac.prod_shift >= 0) return product >> ac.prod_shift;
-  return product << -ac.prod_shift;
+  return product >> ac.prod_shift;
 }
 
 /// Interval of (w * x) >> prod_shift over x in [in.lo, in.hi] for one fixed
@@ -67,13 +66,12 @@ TermBound term_bound(const Accum& ac, std::int64_t w, RawInterval in) {
 }
 
 /// Accumulator envelope of one Dense/Conv1D output (or one BatchNorm
-/// channel): bounds over the final sum, over every partial sum a kernel can
-/// form (bias first, any subset of taps in any order — conv boundary
-/// positions drop taps), and over the absolute contribution total.
+/// channel): bounds over the final sum and over every partial sum a kernel
+/// can form (bias first, any subset of taps in any order — conv boundary
+/// positions drop taps).
 struct Envelope {
   Wide final_lo = 0, final_hi = 0;  ///< all terms present
   Wide part_lo = 0, part_hi = 0;    ///< any prefix/subset of terms
-  Wide abs = 0;                     ///< |bias| + sum max|term|
 };
 
 void fold_term(Envelope& e, TermBound t) {
@@ -81,13 +79,11 @@ void fold_term(Envelope& e, TermBound t) {
   e.final_hi += t.hi;
   e.part_lo += std::min<Wide>(0, t.lo);
   e.part_hi += std::max<Wide>(0, t.hi);
-  e.abs += std::max(t.lo < 0 ? -t.lo : t.lo, t.hi < 0 ? -t.hi : t.hi);
 }
 
 Envelope seed_envelope(Wide bias) {
   Envelope e;
   e.final_lo = e.final_hi = e.part_lo = e.part_hi = bias;
-  e.abs = bias < 0 ? -bias : bias;
   return e;
 }
 
@@ -111,9 +107,15 @@ RawInterval union_of(RawInterval a, RawInterval b) {
 
 std::string interval_str(Wide lo, Wide hi) {
   // Decisions only ever quote values that went through clamp_i64 bounds
-  // checks; format via int64 after clamping for display.
-  return "[" + std::to_string(clamp_i64(lo)) + ", " +
-         std::to_string(clamp_i64(hi)) + "]";
+  // checks; format via int64 after clamping for display. Appended piece by
+  // piece: the `"[" + std::string` form trips GCC 12's -Wrestrict inside
+  // libstdc++.
+  std::string s = "[";
+  s += std::to_string(clamp_i64(lo));
+  s += ", ";
+  s += std::to_string(clamp_i64(hi));
+  s += "]";
+  return s;
 }
 
 }  // namespace
@@ -124,8 +126,6 @@ std::string_view to_string(Lane lane) noexcept {
       return "wide64";
     case Lane::kNarrow32:
       return "narrow32";
-    case Lane::kNarrowDp:
-      return "narrow32-dp";
   }
   return "?";
 }
@@ -188,12 +188,10 @@ LaneReport prove_lanes(const FirmwareModel& fw) {
             layer_env.final_hi = std::max(layer_env.final_hi, e.final_hi);
             layer_env.part_lo = std::min(layer_env.part_lo, e.part_lo);
             layer_env.part_hi = std::max(layer_env.part_hi, e.part_hi);
-            layer_env.abs = std::max(layer_env.abs, e.abs);
           }
         }
         decision.env_lo = clamp_i64(layer_env.part_lo);
         decision.env_hi = clamp_i64(layer_env.part_hi);
-        decision.abs_bound = clamp_i64(layer_env.abs);
 
         // Output range: conv boundary positions drop taps, so the subset
         // envelope bounds their sums; dense always sums every tap.
@@ -214,10 +212,9 @@ LaneReport prove_lanes(const FirmwareModel& fw) {
           decision.reason = "wide64: weights exceed int16";
         } else if (in0.lo < kI16Lo || in0.hi > kI16Hi) {
           decision.reason = "wide64: source activations exceed int16";
-        } else if (ac.prod_shift < 0 || ac.prod_shift > 31) {
+        } else if (ac.prod_shift > 31) {
           decision.reason = "wide64: product shift " +
-                            std::to_string(ac.prod_shift) +
-                            " outside [0, 31]";
+                            std::to_string(ac.prod_shift) + " exceeds 31";
         } else if (l.in_channels > kMaxListedChannels) {
           decision.reason = "wide64: " + std::to_string(l.in_channels) +
                             " input channels overflow uint16 nonzero lists";
@@ -226,12 +223,6 @@ LaneReport prove_lanes(const FirmwareModel& fw) {
               "wide64: accumulator envelope " +
               interval_str(layer_env.part_lo, layer_env.part_hi) +
               " exceeds int32";
-        } else if (ac.prod_shift == 0 && layer_env.abs <= kI32Hi) {
-          decision.lane = Lane::kNarrowDp;
-          decision.reason = "narrow32-dp: shift 0, |terms| sum " +
-                            std::to_string(clamp_i64(layer_env.abs)) +
-                            " fits int32";
-          ++report.narrow_layers;
         } else {
           decision.lane = Lane::kNarrow32;
           decision.reason =

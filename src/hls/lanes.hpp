@@ -27,16 +27,14 @@
 //     bias first, taps in any order — lies inside
 //       [bias + sum min(0, t_lo),  bias + sum max(0, t_hi)].
 //     If that envelope fits int32 (and weights/activations fit int16, and
-//     0 <= s < 32), int32 accumulation of shifted int32 products is exact,
-//     hence bit-identical to the reference int64 loop. The layer must also
-//     have at most 65,535 input channels: the narrow kernels count a row's
-//     nonzero inputs in uint16.
+//     s <= 31; Accum guarantees s >= 0), int32 accumulation of shifted
+//     int32 products is exact, hence bit-identical to the reference int64
+//     loop. The layer must also have at most 65,535 input channels: the
+//     narrow kernels count a row's nonzero inputs in uint16.
 //
-// The VNNI dot-product lane (vpdpwssd: two int16 products fused into one
-// int32 accumulate) additionally requires s == 0 (the fused pair-sum cannot
-// reproduce a per-term shift) and the stricter absolute-sum bound
-// |bias| + sum max(|t_lo|, |t_hi|) < 2^31, because the instruction folds
-// unshifted product pairs before they ever meet the running sum.
+// Each MAC layer gets one of two lanes, as each layer of the HLS firmware
+// has one ac_fixed accumulator; a layer with s == 0 takes the same narrow
+// lane as any other.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +47,8 @@
 namespace reads::hls {
 
 enum class Lane : std::uint8_t {
-  kWide64,     ///< exact int64 path (reference-shaped kernels)
-  kNarrow32,   ///< int16 x int16 -> int32, per-term shift in int32
-  kNarrowDp,   ///< int16 pair dot-product (VNNI-style), shift == 0
+  kWide64,    ///< exact int64 path (reference-shaped kernels)
+  kNarrow32,  ///< int16 x int16 -> int32, per-term shift in int32
 };
 
 std::string_view to_string(Lane lane) noexcept;
@@ -69,16 +66,15 @@ struct LaneDecision {
   /// Why the layer is (or is not) on a narrow lane, human-readable.
   std::string reason;
   /// Proven bounds used by the decision (valid for mac_layer):
-  std::int64_t env_lo = 0;     ///< min over any kernel partial sum
-  std::int64_t env_hi = 0;     ///< max over any kernel partial sum
-  std::int64_t abs_bound = 0;  ///< |bias| + sum of per-term |t| bounds
+  std::int64_t env_lo = 0;  ///< min over any kernel partial sum
+  std::int64_t env_hi = 0;  ///< max over any kernel partial sum
 };
 
 struct LaneReport {
   std::vector<LaneDecision> decisions;  ///< one per firmware layer
   std::vector<RawInterval> ranges;      ///< step-1 intervals, per layer
   std::size_t mac_layers = 0;
-  std::size_t narrow_layers = 0;  ///< kNarrow32 + kNarrowDp among MAC layers
+  std::size_t narrow_layers = 0;  ///< kNarrow32 among MAC layers
 };
 
 /// Run the prover over a compiled firmware model.

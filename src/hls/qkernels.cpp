@@ -59,8 +59,8 @@ void conv1d_acc_i16_scalar(const std::int16_t* x, const std::uint16_t* nz,
                            const std::uint16_t* nnz, const std::int16_t* wtr,
                            const std::int32_t* bias_acc, std::int32_t* acc,
                            std::size_t positions, std::size_t in_ch,
-                           std::size_t in_stride, std::size_t out_ch,
-                           std::size_t out_pad, std::size_t k, int shift) {
+                           std::size_t out_ch, std::size_t out_pad,
+                           std::size_t k, int shift) {
   const auto pad = static_cast<std::ptrdiff_t>(k / 2);
   const auto pos = static_cast<std::ptrdiff_t>(positions);
   const auto kk = static_cast<std::ptrdiff_t>(k);
@@ -79,8 +79,8 @@ void conv1d_acc_i16_scalar(const std::int16_t* x, const std::uint16_t* nz,
     const std::ptrdiff_t dk_hi = std::min<std::ptrdiff_t>(kk, pos + pad - p);
     for (std::ptrdiff_t dk = dk_lo; dk < dk_hi; ++dk) {
       const auto q = static_cast<std::size_t>(p + dk - pad);
-      const std::int16_t* xq = x + q * in_stride;
-      const std::uint16_t* list = nz + q * in_stride;
+      const std::int16_t* xq = x + q * in_ch;
+      const std::uint16_t* list = nz + q * in_ch;
       const std::int16_t* wdk =
           wtr + static_cast<std::size_t>(dk) * in_ch * out_pad;
       for (std::size_t j = 0; j < nnz[q]; ++j) {
@@ -108,63 +108,22 @@ void conv1d_acc_i16_scalar(const std::int16_t* x, const std::uint16_t* nz,
   }
 }
 
-// Scalar dot-product lane: fused int16-pair accumulation with shift == 0,
-// the same pair-sum order vpdpwssd uses, over the row's listed pairs.
-void conv1d_acc_i16_dp_scalar(const std::int16_t* x, const std::uint16_t* nz,
-                              const std::uint16_t* nnz,
-                              const std::int16_t* wtr,
-                              const std::int32_t* bias_acc, std::int32_t* acc,
-                              std::size_t positions, std::size_t in_pairs,
-                              std::size_t in_stride, std::size_t out_ch,
-                              std::size_t out_pad, std::size_t k) {
-  const auto pad = static_cast<std::ptrdiff_t>(k / 2);
-  const auto pos = static_cast<std::ptrdiff_t>(positions);
-  const auto kk = static_cast<std::ptrdiff_t>(k);
-  for (std::ptrdiff_t p = 0; p < pos; ++p) {
-    std::int32_t* accp = acc + static_cast<std::size_t>(p) * out_pad;
-    std::copy(bias_acc, bias_acc + out_ch, accp);
-    const std::ptrdiff_t dk_lo = std::max<std::ptrdiff_t>(0, pad - p);
-    const std::ptrdiff_t dk_hi = std::min<std::ptrdiff_t>(kk, pos + pad - p);
-    for (std::ptrdiff_t dk = dk_lo; dk < dk_hi; ++dk) {
-      const auto q = static_cast<std::size_t>(p + dk - pad);
-      const std::int16_t* xq = x + q * in_stride;
-      const std::uint16_t* list = nz + q * in_pairs;
-      const std::int16_t* wdk =
-          wtr + static_cast<std::size_t>(dk) * in_pairs * out_pad * 2;
-      for (std::size_t j = 0; j < nnz[q]; ++j) {
-        const std::size_t ip = list[j];
-        const std::int32_t x0 = xq[2 * ip];
-        const std::int32_t x1 = xq[2 * ip + 1];
-        const std::int16_t* wrow = wdk + ip * out_pad * 2;
-        for (std::size_t o = 0; o < out_ch; ++o) {
-          accp[o] += wrow[2 * o] * x0 + wrow[2 * o + 1] * x1;
-        }
-      }
-    }
-  }
-}
-
 void pack_i16_scalar(const std::int64_t* in, std::size_t positions,
-                     std::size_t in_ch, std::size_t in_stride, bool pairs,
-                     std::int16_t* x16, std::uint16_t* nz,
+                     std::size_t in_ch, std::int16_t* x16, std::uint16_t* nz,
                      std::uint16_t* nnz) {
-  const std::size_t list_stride = nz_stride(in_stride, pairs);
   for (std::size_t p = 0; p < positions; ++p) {
     const std::int64_t* src = in + p * in_ch;
-    std::int16_t* dst = x16 + p * in_stride;
+    std::int16_t* dst = x16 + p * in_ch;
     for (std::size_t i = 0; i < in_ch; ++i) {
       dst[i] = static_cast<std::int16_t>(src[i]);
     }
-    std::fill(dst + in_ch, dst + in_stride, std::int16_t{0});
     // Branch-free compaction: every index is written, and the count only
     // advances past the nonzero ones.
-    std::uint16_t* list = nz + p * list_stride;
+    std::uint16_t* list = nz + p * in_ch;
     std::size_t n = 0;
-    for (std::size_t j = 0; j < list_stride; ++j) {
-      list[n] = static_cast<std::uint16_t>(j);
-      const bool live =
-          pairs ? (dst[2 * j] | dst[2 * j + 1]) != 0 : dst[j] != 0;
-      n += static_cast<std::size_t>(live);
+    for (std::size_t i = 0; i < in_ch; ++i) {
+      list[n] = static_cast<std::uint16_t>(i);
+      n += static_cast<std::size_t>(dst[i] != 0);
     }
     nnz[p] = static_cast<std::uint16_t>(n);
   }
@@ -228,24 +187,15 @@ void conv1d_acc_i16_avx512(const std::int16_t* x, const std::uint16_t* nz,
                            const std::uint16_t* nnz, const std::int16_t* wtr,
                            const std::int32_t* bias_acc, std::int32_t* acc,
                            std::size_t positions, std::size_t in_ch,
-                           std::size_t in_stride, std::size_t out_ch,
-                           std::size_t out_pad, std::size_t k, int shift);
+                           std::size_t out_ch, std::size_t out_pad,
+                           std::size_t k, int shift);
 void pack_i16_avx512(const std::int64_t* in, std::size_t positions,
-                     std::size_t in_ch, std::size_t in_stride, bool pairs,
-                     std::int16_t* x16, std::uint16_t* nz,
+                     std::size_t in_ch, std::int16_t* x16, std::uint16_t* nz,
                      std::uint16_t* nnz);
 void maxpool_i64_avx512(const std::int64_t* in, std::int64_t* out,
                         std::size_t positions, std::size_t ch,
                         std::size_t factor, const hd::Requant& rq,
                         std::size_t& saturations);
-#endif
-#if defined(READS_QKERNELS_VNNI)
-void conv1d_acc_i16_dp_vnni(const std::int16_t* x, const std::uint16_t* nz,
-                            const std::uint16_t* nnz, const std::int16_t* wtr,
-                            const std::int32_t* bias_acc, std::int32_t* acc,
-                            std::size_t positions, std::size_t in_pairs,
-                            std::size_t in_stride, std::size_t out_ch,
-                            std::size_t out_pad, std::size_t k);
 #endif
 
 using KernelFn = void (*)(const std::int64_t*, const std::int64_t*,
@@ -255,20 +205,14 @@ using NarrowFn = void (*)(const std::int16_t*, const std::uint16_t*,
                           const std::uint16_t*, const std::int16_t*,
                           const std::int32_t*, std::int32_t*, std::size_t,
                           std::size_t, std::size_t, std::size_t, std::size_t,
-                          std::size_t, int);
-using NarrowDpFn = void (*)(const std::int16_t*, const std::uint16_t*,
-                            const std::uint16_t*, const std::int16_t*,
-                            const std::int32_t*, std::int32_t*, std::size_t,
-                            std::size_t, std::size_t, std::size_t,
-                            std::size_t, std::size_t);
+                          int);
 using RequantFn = void (*)(const std::int64_t*, std::int64_t*, std::size_t,
                            const hd::Requant&, bool, std::size_t&);
 using FinalizeFn = void (*)(const std::int32_t*, std::int64_t*, std::size_t,
                             std::size_t, std::size_t, const hd::Accum&,
                             std::size_t&, std::size_t&);
 using PackFn = void (*)(const std::int64_t*, std::size_t, std::size_t,
-                        std::size_t, bool, std::int16_t*, std::uint16_t*,
-                        std::uint16_t*);
+                        std::int16_t*, std::uint16_t*, std::uint16_t*);
 using MaxPoolFn = void (*)(const std::int64_t*, std::int64_t*, std::size_t,
                            std::size_t, std::size_t, const hd::Requant&,
                            std::size_t&);
@@ -278,8 +222,6 @@ struct Dispatch {
   const char* name = "scalar";
   NarrowFn narrow = conv1d_acc_i16_scalar;
   const char* narrow_name = "scalar";
-  NarrowDpFn narrow_dp = conv1d_acc_i16_dp_scalar;
-  const char* narrow_dp_name = "scalar";
   RequantFn requant = requant_i64_scalar;
   FinalizeFn finalize = finalize_i32_scalar;
   PackFn pack = pack_i16_scalar;
@@ -288,15 +230,14 @@ struct Dispatch {
 
 Dispatch resolve() {
   Dispatch d;
-#if defined(__GNUC__) && defined(__x86_64__)
+#if defined(__GNUC__) && defined(__x86_64__) && defined(READS_QKERNELS_AVX512)
   // avx512f is the foundation bit: dq/vl/bw extend it, they do not imply
   // it, and a CPU reporting extensions without the foundation must not take
   // the 512-bit paths. The AVX-512 file is built with -mavx512bw (vpmaddwd
   // on zmm, vptestmw), so the compiler may use BW instructions anywhere in
   // it: every kernel it holds needs the bw bit, not only the narrow lane.
-  const bool f = __builtin_cpu_supports("avx512f");
-#if defined(READS_QKERNELS_AVX512)
-  if (f && __builtin_cpu_supports("avx512dq") &&
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512dq") &&
       __builtin_cpu_supports("avx512vl") &&
       __builtin_cpu_supports("avx512bw")) {
     d.fn = conv1d_acc_avx512;
@@ -308,16 +249,6 @@ Dispatch resolve() {
     d.pack = pack_i16_avx512;
     d.maxpool = maxpool_i64_avx512;
   }
-#endif
-#if defined(READS_QKERNELS_VNNI)
-  if (f && __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl") &&
-      __builtin_cpu_supports("avx512vnni")) {
-    d.narrow_dp = conv1d_acc_i16_dp_vnni;
-    d.narrow_dp_name = "avx512-vnni";
-  }
-#endif
-  (void)f;
 #endif
   return d;
 }
@@ -366,32 +297,19 @@ void conv1d_acc(const std::int64_t* x, const std::int64_t* wtr,
 }
 
 void pack_i16(const std::int64_t* in, std::size_t positions,
-              std::size_t in_ch, std::size_t in_stride, bool pairs,
-              std::int16_t* x16, std::uint16_t* nz, std::uint16_t* nnz) {
-  // The pair lists feed only the dot-product lane, which no deployed layer
-  // takes; they stay on the portable body.
-  const auto fn = pairs ? detail::pack_i16_scalar : detail::dispatch().pack;
-  fn(in, positions, in_ch, in_stride, pairs, x16, nz, nnz);
+              std::size_t in_ch, std::int16_t* x16, std::uint16_t* nz,
+              std::uint16_t* nnz) {
+  detail::dispatch().pack(in, positions, in_ch, x16, nz, nnz);
 }
 
 void conv1d_acc_i16(const std::int16_t* x, const std::uint16_t* nz,
                     const std::uint16_t* nnz, const std::int16_t* wtr,
                     const std::int32_t* bias_acc, std::int32_t* acc,
                     std::size_t positions, std::size_t in_ch,
-                    std::size_t in_stride, std::size_t out_ch,
-                    std::size_t out_pad, std::size_t k, int shift) {
+                    std::size_t out_ch, std::size_t out_pad, std::size_t k,
+                    int shift) {
   detail::dispatch().narrow(x, nz, nnz, wtr, bias_acc, acc, positions, in_ch,
-                            in_stride, out_ch, out_pad, k, shift);
-}
-
-void conv1d_acc_i16_dp(const std::int16_t* x, const std::uint16_t* nz,
-                       const std::uint16_t* nnz, const std::int16_t* wtr,
-                       const std::int32_t* bias_acc, std::int32_t* acc,
-                       std::size_t positions, std::size_t in_pairs,
-                       std::size_t in_stride, std::size_t out_ch,
-                       std::size_t out_pad, std::size_t k) {
-  detail::dispatch().narrow_dp(x, nz, nnz, wtr, bias_acc, acc, positions,
-                               in_pairs, in_stride, out_ch, out_pad, k);
+                            out_ch, out_pad, k, shift);
 }
 
 void requant_i64(const std::int64_t* in, std::int64_t* out, std::size_t n,
@@ -441,7 +359,15 @@ const char* narrow_variant() noexcept {
   return detail::dispatch().narrow_name;
 }
 const char* narrow_dp_variant() noexcept {
-  return detail::dispatch().narrow_dp_name;
+#if defined(__GNUC__) && defined(__x86_64__)
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx512vnni")) {
+    return "avx512-vnni";
+  }
+#endif
+  return "scalar";
 }
 
 }  // namespace reads::hls::kernels

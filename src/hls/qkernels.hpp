@@ -7,17 +7,13 @@
 // paths. The narrow int16 lane interleaves the two halves of each
 // 32-output block within a row (narrow_weights).
 //
-// Two lane widths exist:
+// Two lane widths exist, one datapath per MAC layer:
 //  - conv1d_acc: the exact int64 path (8 lanes/vector, vpmullq/vpsraq).
 //    Always correct; the fallback for layers the range prover cannot clear.
-//  - conv1d_acc_i16 / conv1d_acc_i16_dp: the narrow path (16 lanes/vector)
-//    for layers the prover (lanes.hpp) certified: weights and activations
-//    fit int16, every product fits int32 after the per-term shift, and all
-//    partial sums stay inside int32 — so int32 accumulation is *exact*, not
-//    approximate. The _dp variant additionally requires shift == 0 and uses
-//    VNNI-style fused int16-pair dot products (vpdpwssd) where available;
-//    a per-term shift cannot ride through the fused pair-sum, which is why
-//    it is a separate lane.
+//  - conv1d_acc_i16: the narrow path (16 lanes/vector) for layers the
+//    prover (lanes.hpp) certified: weights and activations fit int16, every
+//    product fits int32 after the per-term shift, and all partial sums stay
+//    inside int32 — so int32 accumulation is *exact*, not approximate.
 //
 // Sparse activations: after ReLU a large share of narrow-layer inputs are
 // zero. pack_i16 writes, with the int16 copy of each position row, the
@@ -54,24 +50,15 @@ void conv1d_acc(const std::int64_t* x, const std::int64_t* wtr,
                 std::size_t k, int shift);
 
 /// Copy int64 activation rows (positions, in_ch) down to int16 rows of
-/// `in_stride` (>= in_ch; pad columns are written zero) and list, per row,
-/// the inputs that are not zero. Without `pairs` the list
-/// holds channel indices (row stride in_stride); with `pairs` it holds
-/// indices of channel pairs (2j, 2j+1) with a nonzero half (row stride
-/// in_stride / 2, for the dot-product lane). nnz[p] is row p's list length;
-/// list slots past it are unspecified. The values must already fit int16
-/// (the range prover's certificate). The AVX-512 variant handles 16
-/// channels per step — two vpmovqw narrowings, a vptestmw nonzero mask and
-/// a vpcompressd of the channel indices — for the channel lists; the pair
-/// lists (which no deployed layer uses) stay scalar.
+/// in_ch and list, per row, the channel indices whose input is not zero
+/// (row stride in_ch). nnz[p] is row p's list length; list slots past it
+/// are unspecified. The values must already fit int16 (the range prover's
+/// certificate). The AVX-512 variant handles 16 channels per step — two
+/// vpmovqw narrowings, a vptestmw nonzero mask and a vpcompressd of the
+/// channel indices.
 void pack_i16(const std::int64_t* in, std::size_t positions,
-              std::size_t in_ch, std::size_t in_stride, bool pairs,
-              std::int16_t* x16, std::uint16_t* nz, std::uint16_t* nnz);
-
-/// Row stride (list slots per position) of pack_i16's nonzero lists.
-constexpr std::size_t nz_stride(std::size_t in_stride, bool pairs) noexcept {
-  return pairs ? in_stride / 2 : in_stride;
-}
+              std::size_t in_ch, std::int16_t* x16, std::uint16_t* nz,
+              std::uint16_t* nnz);
 
 /// Accumulator row stride of the narrow lanes: out_ch rounded up to 16.
 constexpr std::size_t narrow_out_pad(std::size_t out_ch) noexcept {
@@ -92,7 +79,7 @@ std::vector<std::int16_t> narrow_weights(const std::int64_t* w,
                                          std::size_t in_ch);
 
 /// Narrow-lane pass for range-prover-certified layers. `x` is (positions,
-/// in_stride) int16 activations with their nonzero lists `nz`/`nnz` from
+/// in_ch) int16 activations with their nonzero lists `nz`/`nnz` from
 /// pack_i16 (channel indices), `wtr` is narrow_weights' layout (out_pad =
 /// narrow_out_pad(out_ch)), `bias_acc`/`acc` are out_pad-stride int32 in
 /// natural output order. Only listed inputs are multiplied. The AVX-512
@@ -105,21 +92,8 @@ void conv1d_acc_i16(const std::int16_t* x, const std::uint16_t* nz,
                     const std::uint16_t* nnz, const std::int16_t* wtr,
                     const std::int32_t* bias_acc, std::int32_t* acc,
                     std::size_t positions, std::size_t in_ch,
-                    std::size_t in_stride, std::size_t out_ch,
-                    std::size_t out_pad, std::size_t k, int shift);
-
-/// Dot-product narrow pass (shift == 0 only). Input channels are processed
-/// as in_pairs adjacent pairs (in_stride = 2 * in_pairs; an odd channel
-/// count is zero-padded), `nz`/`nnz` list the nonzero pairs (pack_i16 with
-/// `pairs`), and `wtr` is pair-interleaved: (k, in_pairs, out_pad, 2).
-/// Accumulation fuses each int16 pair into one int32 add — exactly
-/// vpdpwssd — which the prover's absolute-sum bound keeps exact.
-void conv1d_acc_i16_dp(const std::int16_t* x, const std::uint16_t* nz,
-                       const std::uint16_t* nnz, const std::int16_t* wtr,
-                       const std::int32_t* bias_acc, std::int32_t* acc,
-                       std::size_t positions, std::size_t in_pairs,
-                       std::size_t in_stride, std::size_t out_ch,
-                       std::size_t out_pad, std::size_t k);
+                    std::size_t out_ch, std::size_t out_pad, std::size_t k,
+                    int shift);
 
 /// Elementwise requant write-out: out[i] = rq.apply(relu ? max(0, in[i]) :
 /// in[i]). These loops (ReLU/Flatten/Concat/UpSample) are half the frame
@@ -161,7 +135,9 @@ void finalize_i32(const std::int32_t* acc, std::int64_t* out,
 const char* variant() noexcept;
 /// Same for the narrow int16 kernel ("avx512"/"scalar").
 const char* narrow_variant() noexcept;
-/// Same for the dot-product kernel ("avx512-vnni"/"scalar").
+/// Host fact, not a kernel choice: "avx512-vnni" when the CPU reports
+/// avx512f, bw, vl and vnni, otherwise "scalar". perfbench records it to
+/// tell runs on different hosts apart.
 const char* narrow_dp_variant() noexcept;
 
 namespace detail {
@@ -169,15 +145,14 @@ namespace detail {
 /// supports, so tests on AVX-512 hosts still check the path every other
 /// host runs.
 void pack_i16_scalar(const std::int64_t* in, std::size_t positions,
-                     std::size_t in_ch, std::size_t in_stride, bool pairs,
-                     std::int16_t* x16, std::uint16_t* nz,
+                     std::size_t in_ch, std::int16_t* x16, std::uint16_t* nz,
                      std::uint16_t* nnz);
 void conv1d_acc_i16_scalar(const std::int16_t* x, const std::uint16_t* nz,
                            const std::uint16_t* nnz, const std::int16_t* wtr,
                            const std::int32_t* bias_acc, std::int32_t* acc,
                            std::size_t positions, std::size_t in_ch,
-                           std::size_t in_stride, std::size_t out_ch,
-                           std::size_t out_pad, std::size_t k, int shift);
+                           std::size_t out_ch, std::size_t out_pad,
+                           std::size_t k, int shift);
 }  // namespace detail
 
 }  // namespace reads::hls::kernels

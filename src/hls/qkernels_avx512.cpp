@@ -275,8 +275,8 @@ template <int NP, bool T>
 void narrow_pass(const std::int16_t* x, const std::uint16_t* nz,
                  const std::uint16_t* nnz, const std::int16_t* wtr,
                  const std::int32_t* bias, std::int32_t* acc,
-                 std::ptrdiff_t pos, std::size_t in_ch, std::size_t in_stride,
-                 std::size_t out_pad, std::ptrdiff_t kk, __m512i shift_cnt) {
+                 std::ptrdiff_t pos, std::size_t in_ch, std::size_t out_pad,
+                 std::ptrdiff_t kk, __m512i shift_cnt) {
   constexpr std::size_t NB = 2 * NP + (T ? 1 : 0);
   const auto pad = kk / 2;
   for (std::ptrdiff_t p = 0; p < pos; ++p) {
@@ -286,8 +286,8 @@ void narrow_pass(const std::int16_t* x, const std::uint16_t* nz,
     const std::ptrdiff_t dk_hi = std::min<std::ptrdiff_t>(kk, pos + pad - p);
     for (std::ptrdiff_t dk = dk_lo; dk < dk_hi; ++dk) {
       const auto q = static_cast<std::size_t>(p + dk - pad);
-      const std::int16_t* xq = x + q * in_stride;
-      const std::uint16_t* list = nz + q * in_stride;
+      const std::int16_t* xq = x + q * in_ch;
+      const std::uint16_t* list = nz + q * in_ch;
       const std::int16_t* wdk =
           wtr + static_cast<std::size_t>(dk) * in_ch * out_pad;
       for (std::size_t j = 0; j < nnz[q]; ++j) {
@@ -315,8 +315,7 @@ void narrow_pass_k3(const std::int16_t* x, const std::uint16_t* nz,
                     const std::uint16_t* nnz, const std::int16_t* wtr,
                     const std::int32_t* bias, std::int32_t* acc,
                     std::ptrdiff_t pos, std::size_t in_ch,
-                    std::size_t in_stride, std::size_t out_pad,
-                    __m512i shift_cnt) {
+                    std::size_t out_pad, __m512i shift_cnt) {
   constexpr std::size_t NB = 2 * NP + (T ? 1 : 0);
   const std::size_t tap = in_ch * out_pad;
   // Accumulate row q into prev (output q - 1, tap 2), cur (q, tap 1) and
@@ -325,8 +324,8 @@ void narrow_pass_k3(const std::int16_t* x, const std::uint16_t* nz,
   const auto row = [&](std::ptrdiff_t q, __m512i* prev, __m512i* cur,
                        __m512i* next) __attribute__((always_inline)) {
     const auto qq = static_cast<std::size_t>(q);
-    const std::int16_t* xq = x + qq * in_stride;
-    const std::uint16_t* list = nz + qq * in_stride;
+    const std::int16_t* xq = x + qq * in_ch;
+    const std::uint16_t* list = nz + qq * in_ch;
     for (std::size_t j = 0; j < nnz[qq]; ++j) {
       const std::size_t i = list[j];
       const __m512i xlo = broadcast_lo(xq[i]);
@@ -370,14 +369,14 @@ void narrow_dispatch(const std::int16_t* x, const std::uint16_t* nz,
                      const std::uint16_t* nnz, const std::int16_t* wtr,
                      const std::int32_t* bias, std::int32_t* acc,
                      std::ptrdiff_t pos, std::size_t in_ch,
-                     std::size_t in_stride, std::size_t out_pad,
-                     std::ptrdiff_t kk, __m512i shift_cnt) {
+                     std::size_t out_pad, std::ptrdiff_t kk,
+                     __m512i shift_cnt) {
   if (kk == 3) {
-    narrow_pass_k3<NP, T>(x, nz, nnz, wtr, bias, acc, pos, in_ch, in_stride,
-                          out_pad, shift_cnt);
+    narrow_pass_k3<NP, T>(x, nz, nnz, wtr, bias, acc, pos, in_ch, out_pad,
+                          shift_cnt);
   } else {
-    narrow_pass<NP, T>(x, nz, nnz, wtr, bias, acc, pos, in_ch, in_stride,
-                       out_pad, kk, shift_cnt);
+    narrow_pass<NP, T>(x, nz, nnz, wtr, bias, acc, pos, in_ch, out_pad, kk,
+                       shift_cnt);
   }
 }
 
@@ -387,8 +386,8 @@ void conv1d_acc_i16_avx512(const std::int16_t* x, const std::uint16_t* nz,
                            const std::uint16_t* nnz, const std::int16_t* wtr,
                            const std::int32_t* bias_acc, std::int32_t* acc,
                            std::size_t positions, std::size_t in_ch,
-                           std::size_t in_stride, std::size_t /*out_ch*/,
-                           std::size_t out_pad, std::size_t k, int shift) {
+                           std::size_t /*out_ch*/, std::size_t out_pad,
+                           std::size_t k, int shift) {
   if (positions == 0) return;
   const auto pos = static_cast<std::ptrdiff_t>(positions);
   const auto kk = static_cast<std::ptrdiff_t>(k);
@@ -400,12 +399,12 @@ void conv1d_acc_i16_avx512(const std::int16_t* x, const std::uint16_t* nz,
   std::size_t ob = 0;
   for (; out_pad - ob > 80; ob += 64) {
     narrow_dispatch<2, false>(x, nz, nnz, wtr + ob, bias_acc + ob, acc + ob,
-                              pos, in_ch, in_stride, out_pad, kk, shift_cnt);
+                              pos, in_ch, out_pad, kk, shift_cnt);
   }
   const auto run = [&](auto np, auto t) {
     narrow_dispatch<decltype(np)::value, decltype(t)::value>(
-        x, nz, nnz, wtr + ob, bias_acc + ob, acc + ob, pos, in_ch, in_stride,
-        out_pad, kk, shift_cnt);
+        x, nz, nnz, wtr + ob, bias_acc + ob, acc + ob, pos, in_ch, out_pad,
+        kk, shift_cnt);
   };
   using std::integral_constant;
   switch ((out_pad - ob) / 16) {
@@ -419,27 +418,23 @@ void conv1d_acc_i16_avx512(const std::int16_t* x, const std::uint16_t* nz,
 }
 
 void pack_i16_avx512(const std::int64_t* in, std::size_t positions,
-                     std::size_t in_ch, std::size_t in_stride,
-                     bool /*pairs*/, std::int16_t* x16, std::uint16_t* nz,
+                     std::size_t in_ch, std::int16_t* x16, std::uint16_t* nz,
                      std::uint16_t* nnz) {
-  // Channel lists only: the wrapper sends pair lists to the scalar body.
   // Each step narrows 16 channels with two vpmovqw (the same truncation as
   // static_cast<int16_t>; the prover guarantees it loses nothing), stores
-  // them up to in_stride (lanes past in_ch load as zero, so the pad columns
-  // are written zero), and appends the nonzero lanes' indices to the row's
-  // list with vpcompressd + a masked vpmovdw of popcount entries: nothing is
-  // written past the list's end.
+  // the live ones (lanes past in_ch are neither loaded nor stored), and
+  // appends the nonzero lanes' indices to the row's list with vpcompressd +
+  // a masked vpmovdw of popcount entries: nothing is written past the
+  // list's end.
   const __m512i iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
                                          11, 12, 13, 14, 15);
   for (std::size_t p = 0; p < positions; ++p) {
     const std::int64_t* src = in + p * in_ch;
-    std::int16_t* dst = x16 + p * in_stride;
-    std::uint16_t* list = nz + p * in_stride;
+    std::int16_t* dst = x16 + p * in_ch;
+    std::uint16_t* list = nz + p * in_ch;
     std::size_t n = 0;
-    for (std::size_t i = 0; i < in_stride; i += 16) {
-      const std::size_t live =
-          i < in_ch ? std::min<std::size_t>(16, in_ch - i) : 0;
-      const std::size_t span = std::min<std::size_t>(16, in_stride - i);
+    for (std::size_t i = 0; i < in_ch; i += 16) {
+      const std::size_t live = std::min<std::size_t>(16, in_ch - i);
       const auto lo_m = static_cast<__mmask8>(
           (1u << std::min<std::size_t>(live, 8)) - 1u);
       const auto hi_m =
@@ -451,7 +446,7 @@ void pack_i16_avx512(const std::int64_t* in, std::size_t positions,
       const __m256i v =
           _mm256_inserti128_si256(_mm256_castsi128_si256(lo), hi, 1);
       _mm256_mask_storeu_epi16(dst + i,
-                               static_cast<__mmask16>((1u << span) - 1u), v);
+                               static_cast<__mmask16>((1u << live) - 1u), v);
       const __mmask16 m = _mm256_test_epi16_mask(v, v);
       const __m512i idx = _mm512_maskz_compress_epi32(
           m, _mm512_add_epi32(iota, _mm512_set1_epi32(static_cast<int>(i))));

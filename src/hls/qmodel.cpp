@@ -113,11 +113,6 @@ QuantizedModel::QuantizedModel(FirmwareModel firmware)
                          frac_bits(src0.quant.activation),
                      l.bias_frac_bits, fw_.config.quant.accum_guard_bits);
       auto& plan = plans_[i];
-      // prod_shift >= 0 by construction (the accumulator never carries more
-      // fraction bits than the product); the check keeps the kernel contract
-      // explicit and falls back to the reference loop otherwise.
-      plan.use_kernel = ac.prod_shift >= 0;
-      if (!plan.use_kernel) continue;
       const std::size_t k = l.kind == LayerKind::kDense ? 1 : l.kernel;
       plan.lane = lanes_.decisions[i].lane;
       if (plan.lane == Lane::kWide64) {
@@ -139,36 +134,18 @@ QuantizedModel::QuantizedModel(FirmwareModel firmware)
       // Narrow lane: the prover certified weights/activations fit int16 and
       // every partial sum fits int32, so the downcasts below are exact.
       plan.out_pad = kernels::narrow_out_pad(l.out_channels);
-      if (plan.lane == Lane::kNarrow32) {
-        plan.in_stride = l.in_channels;
-        plan.wtr16 = kernels::narrow_weights(l.weights_raw.data(),
-                                             l.out_channels, k, l.in_channels);
-      } else {  // kNarrowDp: pair-interleaved, odd channel zero-padded
-        const std::size_t in_pairs = (l.in_channels + 1) / 2;
-        plan.in_stride = 2 * in_pairs;
-        plan.wtr16.assign(k * in_pairs * plan.out_pad * 2, 0);
-        for (std::size_t o = 0; o < l.out_channels; ++o) {
-          for (std::size_t dk = 0; dk < k; ++dk) {
-            for (std::size_t c = 0; c < l.in_channels; ++c) {
-              plan.wtr16[((dk * in_pairs + c / 2) * plan.out_pad + o) * 2 +
-                         c % 2] =
-                  static_cast<std::int16_t>(
-                      l.weights_raw[(o * k + dk) * l.in_channels + c]);
-            }
-          }
-        }
-      }
+      plan.wtr16 = kernels::narrow_weights(l.weights_raw.data(),
+                                           l.out_channels, k, l.in_channels);
       plan.bias32.assign(plan.out_pad, 0);
       for (std::size_t o = 0; o < l.out_channels; ++o) {
         plan.bias32[o] = static_cast<std::int32_t>(ac.bias(l.bias_raw[o]));
       }
       // One arena scope per narrow layer: int16 rows, their nonzero lists
       // and list lengths, and the int32 accumulators.
-      const std::size_t slots =
-          kernels::nz_stride(plan.in_stride, plan.lane == Lane::kNarrowDp);
+      const std::size_t row_words = l.positions * l.in_channels;
       narrow_words_ = std::max(
-          narrow_words_, words<std::int16_t>(l.positions * plan.in_stride) +
-                             words<std::uint16_t>(l.positions * slots) +
+          narrow_words_, words<std::int16_t>(row_words) +
+                             words<std::uint16_t>(row_words) +
                              words<std::uint16_t>(l.positions) +
                              words<std::int32_t>(l.positions * plan.out_pad));
     }
@@ -359,73 +336,37 @@ void QuantizedModel::run_layer_fast(std::size_t idx, std::int64_t* acts,
       const Accum ac(l.quant.activation, frac_bits(l.quant.weight) + in_frac,
                      l.bias_frac_bits, fw_.config.quant.accum_guard_bits);
       const auto& plan = plans_[idx];
-      if (plan.use_kernel && plan.lane != Lane::kWide64) {
+      const std::size_t k = l.kind == LayerKind::kDense ? 1 : l.kernel;
+      if (plan.lane == Lane::kNarrow32) {
         // Narrow lane (prover-certified): copy the source slab down to
         // int16 once, listing each row's nonzero inputs, accumulate only
         // the listed terms in int32 (an unlisted term is (0 * w) >> s = 0),
         // and finalize through the shared Accum — the int32 sums equal the
         // exact int64 sums by the proof, so outputs and stats counters are
         // bit-identical to the wide path.
-        const std::size_t k = l.kind == LayerKind::kDense ? 1 : l.kernel;
-        const bool pairs = plan.lane == Lane::kNarrowDp;
         auto& arena = util::ScratchArena::local();
         util::ArenaScope narrow_scope(arena);
-        auto x16 = arena.alloc<std::int16_t>(l.positions * plan.in_stride);
-        auto nz = arena.alloc<std::uint16_t>(
-            l.positions * kernels::nz_stride(plan.in_stride, pairs));
+        const std::size_t row_words = l.positions * l.in_channels;
+        auto x16 = arena.alloc<std::int16_t>(row_words);
+        auto nz = arena.alloc<std::uint16_t>(row_words);
         auto nnz = arena.alloc<std::uint16_t>(l.positions);
         auto acc32 = arena.alloc<std::int32_t>(l.positions * plan.out_pad);
-        kernels::pack_i16(in0, l.positions, l.in_channels, plan.in_stride,
-                          pairs, x16.data(), nz.data(), nnz.data());
-        if (pairs) {
-          kernels::conv1d_acc_i16_dp(x16.data(), nz.data(), nnz.data(),
-                                     plan.wtr16.data(), plan.bias32.data(),
-                                     acc32.data(), l.positions,
-                                     plan.in_stride / 2, plan.in_stride,
-                                     l.out_channels, plan.out_pad, k);
-        } else {
-          kernels::conv1d_acc_i16(x16.data(), nz.data(), nnz.data(),
-                                  plan.wtr16.data(), plan.bias32.data(),
-                                  acc32.data(), l.positions, l.in_channels,
-                                  plan.in_stride, l.out_channels,
-                                  plan.out_pad, k, ac.prod_shift);
-        }
+        kernels::pack_i16(in0, l.positions, l.in_channels, x16.data(),
+                          nz.data(), nnz.data());
+        kernels::conv1d_acc_i16(x16.data(), nz.data(), nnz.data(),
+                                plan.wtr16.data(), plan.bias32.data(),
+                                acc32.data(), l.positions, l.in_channels,
+                                l.out_channels, plan.out_pad, k,
+                                ac.prod_shift);
         kernels::finalize_i32(acc32.data(), out, l.positions, l.out_channels,
                               plan.out_pad, ac, ovf, sat);
         break;
       }
-      if (plan.use_kernel) {
-        const std::size_t k = l.kind == LayerKind::kDense ? 1 : l.kernel;
-        kernels::conv1d_acc(in0, plan.wtr.data(), plan.bias_acc.data(), out,
-                            l.positions, l.in_channels, l.out_channels, k,
-                            ac.prod_shift);
-        for (std::size_t j = 0; j < n; ++j) {
-          out[j] = ac.finalize(out[j], ovf, sat);
-        }
-        break;
-      }
-      // Defensive fallback (negative product shift): reference loop nest.
-      const std::size_t in_ch = l.in_channels;
-      const std::size_t out_ch = l.out_channels;
-      const std::size_t k = l.kind == LayerKind::kDense ? 1 : l.kernel;
-      const auto pad = static_cast<std::ptrdiff_t>(k / 2);
-      const auto positions = static_cast<std::ptrdiff_t>(l.positions);
-      for (std::size_t p = 0; p < l.positions; ++p) {
-        std::int64_t* yp = out + p * out_ch;
-        for (std::size_t o = 0; o < out_ch; ++o) {
-          std::int64_t acc = ac.bias(l.bias_raw[o]);
-          for (std::size_t dk = 0; dk < k; ++dk) {
-            const std::ptrdiff_t q = static_cast<std::ptrdiff_t>(p + dk) - pad;
-            if (q < 0 || q >= positions) continue;
-            const std::int64_t* xq = in0 + static_cast<std::size_t>(q) * in_ch;
-            const std::int64_t* wk =
-                l.weights_raw.data() + (o * k + dk) * in_ch;
-            for (std::size_t i = 0; i < in_ch; ++i) {
-              acc += ac.term(wk[i] * xq[i]);
-            }
-          }
-          yp[o] = ac.finalize(acc, ovf, sat);
-        }
+      kernels::conv1d_acc(in0, plan.wtr.data(), plan.bias_acc.data(), out,
+                          l.positions, l.in_channels, l.out_channels, k,
+                          ac.prod_shift);
+      for (std::size_t j = 0; j < n; ++j) {
+        out[j] = ac.finalize(out[j], ovf, sat);
       }
       break;
     }

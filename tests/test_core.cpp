@@ -152,8 +152,9 @@ TEST(Codesign, ReportsInfeasibilityHonestly) {
   core::CodesignConstraints constraints;
   constraints.min_accuracy = 1.01;  // impossible by construction
   core::CodesignOptimizer opt(model, calib, constraints);
+  const auto reuse = hls::ReusePolicy{};
   const auto outcome =
-      opt.run({{hls::PrecisionStrategy::kLayerBased, 16, 0, {}, "x"}});
+      opt.run({{hls::PrecisionStrategy::kLayerBased, 16, 0, reuse, "x"}});
   EXPECT_FALSE(outcome.found());
 }
 

@@ -525,8 +525,8 @@ TEST(Requalifier, WorkerSurvivesThrowingJobAndReportsFailure) {
   lifecycle::RequalifyRequest good;
   good.frames = tiny_frames(32, 100);
   good.seed = 5;
-  ASSERT_TRUE(req.submit(std::move(good), [&again](auto result) {
-    again.set_value(std::move(result));
+  ASSERT_TRUE(req.submit(std::move(good), [&again](auto next) {
+    again.set_value(std::move(next));
   }));
   EXPECT_TRUE(again_future.get().qualified);
 }
