@@ -9,7 +9,8 @@
 //                 [--duration_s=2] [--threads=0] [--seed=7]
 //                 [--out=BENCH_serve.json]
 //
-// Writes per-load-point p50/p99/p99.97 e2e latency, shed rate, goodput and
+// Writes per-load-point p50/p99/p99.97 e2e latency (histogram bucket upper
+// edges, at most 1/32 above the exact sample), shed rate, goodput and
 // per-replica utilization to --out. Exits non-zero if
 //   (a) any accepted frame is lost, duplicated, or its output differs
 //       bit-wise from direct single-threaded inference on the same frame;
@@ -142,7 +143,7 @@ LoadPoint run_point(const hls::FirmwareModel& firmware,
   }
   point.offered_fps = static_cast<double>(records.size()) / submit_s;
   point.metrics = gateway.metrics().snapshot();
-  point.p99_e2e_ms = point.metrics.e2e_samples.count() > 0
+  point.p99_e2e_ms = point.metrics.e2e_samples.total() > 0
                          ? point.metrics.e2e_samples.percentile(99.0)
                          : 0.0;
   return point;
@@ -185,9 +186,6 @@ AllocAudit run_alloc_audit(const hls::FirmwareModel& firmware,
   std::vector<std::unique_ptr<serve::Backend>> backends;
   backends.push_back(std::make_unique<serve::QuantizedBackend>(firmware));
   serve::Gateway gateway(std::move(backends), cfg);
-  // Percentiles retains every e2e sample in a growing vector; pre-grow it
-  // or the gate would charge the serving path for the vector's doubling.
-  gateway.metrics().reserve_e2e_samples(kTotal + 2 * kSlots);
 
   // One tick's worth of hub deliveries, built once; each lap only bumps the
   // sequence number and reseals the CRC in place.
@@ -339,9 +337,9 @@ int main(int argc, char** argv) {
     table.add_row({util::Table::fmt(x, 1), util::Table::fmt(point.offered_fps, 0),
                    std::to_string(m.admitted), util::Table::pct(m.shed_rate(), 1),
                    util::Table::fmt(m.goodput_fps(point.wall_s), 0),
-                   util::Table::fmt(m.e2e_samples.count() ? m.e2e_samples.percentile(50.0) : 0.0, 3),
+                   util::Table::fmt(m.e2e_samples.total() ? m.e2e_samples.percentile(50.0) : 0.0, 3),
                    util::Table::fmt(point.p99_e2e_ms, 3),
-                   util::Table::fmt(m.e2e_samples.count() ? m.e2e_samples.percentile(99.97) : 0.0, 3)});
+                   util::Table::fmt(m.e2e_samples.total() ? m.e2e_samples.percentile(99.97) : 0.0, 3)});
     points.push_back(std::move(point));
   }
   std::cout << table.to_string() << "\n";

@@ -100,9 +100,9 @@ void ReplicaServer::handle_message(const std::shared_ptr<Conn>& conn,
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started_)
               .count();
-      auto snap = gateway_->metrics().snapshot();
+      const auto snap = gateway_->metrics().snapshot();
       std::vector<std::uint8_t> out;
-      append_stats_reply(out, StatsReply{snap.to_json(wall_s, true)});
+      append_stats_reply(out, StatsReply{snap.to_json(wall_s)});
       send_on(conn, out);
       break;
     }

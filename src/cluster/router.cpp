@@ -889,11 +889,11 @@ void Router::run() {
 // ---- stats --------------------------------------------------------------
 
 std::string Router::stats_json_now() {
-  auto snap = metrics_.snapshot();
+  const auto snap = metrics_.snapshot();
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - started_).count();
   std::ostringstream out;
-  out << "{\"router\": " << snap.to_json(wall_s, true)
+  out << "{\"router\": " << snap.to_json(wall_s)
       << ", \"cluster_counters\": {"
       << "\"bad_frames\": " << counters_.bad_frames
       << ", \"no_replica\": " << counters_.no_replica

@@ -7,11 +7,6 @@ namespace reads::serve {
 
 Metrics::Metrics(std::size_t replicas) : replicas_(replicas) {}
 
-void Metrics::reserve_e2e_samples(std::size_t n) {
-  std::lock_guard lock(dist_mutex_);
-  e2e_samples_.reserve(n);
-}
-
 void Metrics::record_batch(std::size_t replica, double busy_ms,
                            std::span<const double> frame_queue_ms,
                            std::span<const double> frame_e2e_ms,
@@ -35,10 +30,7 @@ void Metrics::record_completions(std::span<const double> frame_queue_ms,
 
   std::lock_guard lock(dist_mutex_);
   for (double q : frame_queue_ms) queue_ms_.add(q);
-  for (double e : frame_e2e_ms) {
-    e2e_ms_.add(e);
-    e2e_samples_.add(e);
-  }
+  for (double e : frame_e2e_ms) e2e_ms_.add(e);
 }
 
 MetricsSnapshot Metrics::snapshot() const {
@@ -66,8 +58,7 @@ MetricsSnapshot Metrics::snapshot() const {
   }
   std::lock_guard lock(dist_mutex_);
   s.queue_ms = queue_ms_;
-  s.e2e_ms = e2e_ms_;
-  s.e2e_samples = e2e_samples_;
+  s.e2e_samples = e2e_ms_;
   return s;
 }
 
@@ -86,11 +77,10 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   replicas.insert(replicas.end(), other.replicas.begin(),
                   other.replicas.end());
   queue_ms.merge(other.queue_ms);
-  e2e_ms.merge(other.e2e_ms);
   e2e_samples.merge(other.e2e_samples);
 }
 
-std::string MetricsSnapshot::to_json(double wall_s, bool include_samples) {
+std::string MetricsSnapshot::to_json(double wall_s) const {
   // All doubles go through json_double (17 significant digits, enough to
   // round-trip): the cluster report re-parses these snapshots with
   // from_json, and derived rates recomputed from the parsed counters must
@@ -109,20 +99,9 @@ std::string MetricsSnapshot::to_json(double wall_s, bool include_samples) {
       << ", \"quarantines\": " << quarantines
       << ", \"restarts\": " << restarts
       << ", \"redispatched\": " << redispatched << "}"
-      << ", \"e2e_ms\": " << e2e_samples.summary_json();
-  if (include_samples) {
-    // summary_json above already sorted the retained samples, so this array
-    // is emitted sorted and round-trips in a canonical order.
-    out << ", \"e2e_values\": [";
-    const auto& vs = e2e_samples.values();
-    for (std::size_t i = 0; i < vs.size(); ++i) {
-      if (i) out << ", ";
-      out << util::json_double(vs[i]);
-    }
-    out << "]";
-  }
-  out << ", \"queue_hist\": " << queue_ms.to_json()
-      << ", \"e2e_hist\": " << e2e_ms.to_json() << ", \"replicas\": [";
+      << ", \"e2e_ms\": " << e2e_samples.summary_json()
+      << ", \"queue_hist\": " << queue_ms.to_json()
+      << ", \"e2e_hist\": " << e2e_samples.to_json() << ", \"replicas\": [";
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     const auto& r = replicas[i];
     if (i) out << ", ";
@@ -153,7 +132,7 @@ MetricsSnapshot MetricsSnapshot::from_json(const std::string& json) {
   s.redispatched = scan.count("redispatched");
   s.queue_ms = util::Histogram::from_json(
       scan.enclosed(scan.value_pos("queue_hist")));
-  s.e2e_ms =
+  s.e2e_samples =
       util::Histogram::from_json(scan.enclosed(scan.value_pos("e2e_hist")));
   const std::string arr = scan.enclosed(scan.value_pos("replicas"));
   const util::JsonScan rows(arr, "metrics");
@@ -168,11 +147,6 @@ MetricsSnapshot MetricsSnapshot::from_json(const std::string& json) {
     r.faults = row.count("faults");
     s.replicas.push_back(r);
     b += obj.size();
-  }
-  if (scan.has("e2e_values")) {
-    const auto vs = scan.numbers("e2e_values");
-    s.e2e_samples.reserve(vs.size());
-    for (double v : vs) s.e2e_samples.add(v);
   }
   return s;
 }

@@ -1,8 +1,10 @@
 // Per-stage counters and latency distributions for the serving gateway.
 //
 // Counter writes are lock-free atomics on the admission and replica hot
-// paths; the latency histograms/percentile samples are guarded by one mutex
-// taken once per completed micro-batch (not per frame). snapshot() copies
+// paths; the two latency histograms (queue wait, end to end) are guarded by
+// one mutex taken once per completed micro-batch (not per frame). They are
+// the only latency store: fixed-size, so nothing grows with uptime, and
+// percentiles are read from them at bucket upper edges. snapshot() copies
 // everything at once so exports are internally consistent, and to_json()
 // emits the BENCH_serve.json building blocks via the util::stats JSON
 // export.
@@ -46,8 +48,9 @@ struct MetricsSnapshot {
   std::size_t redispatched = 0;
   std::vector<ReplicaSnapshot> replicas;
   util::Histogram queue_ms;
-  util::Histogram e2e_ms;
-  util::Percentiles e2e_samples;
+  /// End-to-end latency (ms). Named e2e_samples because perfbench reads
+  /// that member; ROADMAP item 2's benchmark change renames it e2e_ms.
+  util::Histogram e2e_samples;
   std::size_t sheds() const noexcept {
     return shed_predicted_late + shed_queue_full + shed_shutdown;
   }
@@ -65,24 +68,21 @@ struct MetricsSnapshot {
   /// Fold another snapshot into this one for a cluster-wide report: scalar
   /// counters sum, per-replica rows CONCATENATE (each serving process owns
   /// distinct replicas, so a router snapshot with zero replicas plus N
-  /// single-replica process snapshots yields N rows), latency histograms
-  /// merge exactly (one layout), and retained e2e samples append so merged
-  /// percentiles are exact.
+  /// single-replica process snapshots yields N rows), and latency
+  /// histograms merge exactly (one layout), so merged percentiles equal
+  /// those of one histogram of the union.
   void merge(const MetricsSnapshot& other);
 
   /// JSON object (schema: DESIGN.md §7) with counters, shed/goodput rates,
-  /// p50/p99/p99.97, per-replica utilization over `wall_s`, and the e2e
-  /// histogram. With `include_samples` the retained e2e latency samples are
-  /// emitted as an "e2e_values" array (sorted, round-trip precision) so
-  /// from_json + merge can recompute exact cluster-wide percentiles; wire
-  /// snapshots set it, bench artifacts do not.
-  std::string to_json(double wall_s, bool include_samples = false);
+  /// e2e p50/p90/p99/p99.97/max (bucket upper edges), per-replica
+  /// utilization over `wall_s`, and both histograms. Its size is bounded by
+  /// the histogram layout, whatever the uptime.
+  std::string to_json(double wall_s) const;
 
   /// Parse a to_json() export back into a snapshot (derived rates are
-  /// recomputed, "e2e_values" restores the percentile samples when
-  /// present). Throws std::invalid_argument on malformed input.
-  /// from_json(to_json(w, true)) round-trips exactly, histogram end
-  /// buckets included.
+  /// recomputed). Throws std::invalid_argument on malformed input.
+  /// from_json(to_json(w)) round-trips exactly, histogram end buckets
+  /// included.
   static MetricsSnapshot from_json(const std::string& json);
 };
 
@@ -132,13 +132,6 @@ class Metrics {
                           std::span<const double> frame_e2e_ms,
                           std::size_t deadline_misses);
 
-  /// Pre-grow the retained e2e percentile samples. The histograms keep
-  /// their counts inline (never allocate), but Percentiles retains every
-  /// sample in a growing vector; a zero-allocation measurement window must
-  /// reserve its expected frame count up front or the gate would charge the
-  /// serving path for the sample vector's doubling.
-  void reserve_e2e_samples(std::size_t n);
-
   MetricsSnapshot snapshot() const;
 
  private:
@@ -168,7 +161,6 @@ class Metrics {
   mutable std::mutex dist_mutex_;
   util::Histogram queue_ms_;
   util::Histogram e2e_ms_;
-  util::Percentiles e2e_samples_;
 };
 
 }  // namespace reads::serve

@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace reads::util {
 
@@ -39,14 +40,25 @@ void Percentiles::ensure_sorted() {
   }
 }
 
+namespace {
+
+/// Zero-based nearest-rank index of percentile p among n > 0 samples.
+std::size_t nearest_rank(double p, std::size_t n) {
+  if (!(p >= 0.0 && p <= 100.0)) {
+    throw std::invalid_argument("percentile out of range");
+  }
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(p / 100.0 * static_cast<double>(n)));
+  return std::min(n - 1, rank == 0 ? 0 : rank - 1);
+}
+
+}  // namespace
+
 double Percentiles::percentile(double p) {
   if (values_.empty()) throw std::logic_error("percentile of empty sample");
-  if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile out of range");
+  const std::size_t k = nearest_rank(p, values_.size());
   ensure_sorted();
-  if (p == 0.0) return values_.front();
-  const auto n = static_cast<double>(values_.size());
-  const auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
-  return values_[std::min(values_.size() - 1, rank == 0 ? 0 : rank - 1)];
+  return values_[k];
 }
 
 std::string json_double(double v) {
@@ -78,42 +90,6 @@ std::string json_quote(std::string_view s) {
   return out;
 }
 
-void Percentiles::merge(const Percentiles& other) {
-  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-  if (!other.values_.empty()) sorted_ = false;
-}
-
-namespace {
-
-/// Round-trip decimal of the double (snapshots get re-parsed).
-void append_double(std::ostringstream& out, double v) {
-  out << json_double(v);
-}
-
-/// Trim a percent label: 99.0 -> "p99", 99.97 -> "p99.97".
-std::string percent_key(double p) {
-  std::ostringstream s;
-  s << 'p' << p;
-  return s.str();
-}
-
-}  // namespace
-
-std::string Percentiles::summary_json(std::initializer_list<double> percents) {
-  std::ostringstream out;
-  out << "{\"count\": " << values_.size();
-  if (!values_.empty()) {
-    for (double p : percents) {
-      out << ", \"" << percent_key(p) << "\": ";
-      append_double(out, percentile(p));
-    }
-    out << ", \"max\": ";
-    append_double(out, percentile(100.0));
-  }
-  out << "}";
-  return out.str();
-}
-
 namespace {
 
 // An in-range double's exponent field and top mantissa bits, read as one
@@ -142,6 +118,30 @@ std::size_t Histogram::bucket_of(double x) noexcept {
 void Histogram::merge(const Histogram& other) noexcept {
   for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
   total_ += other.total_;
+}
+
+double Histogram::percentile(double p) const {
+  if (total_ == 0) throw std::logic_error("percentile of empty histogram");
+  const std::size_t k = nearest_rank(p, total_);
+  std::size_t below = 0;  // samples in the buckets before i
+  std::size_t i = 0;
+  while (below + counts_[i] <= k) below += counts_[i++];
+  return bucket_hi(i);
+}
+
+std::string Histogram::summary_json() const {
+  static constexpr std::pair<const char*, double> kPercents[] = {
+      {"p50", 50.0}, {"p90", 90.0}, {"p99", 99.0}, {"p99.97", 99.97}};
+  std::ostringstream out;
+  out << "{\"count\": " << total_;
+  if (total_ > 0) {
+    for (const auto& [key, p] : kPercents) {
+      out << ", \"" << key << "\": " << json_double(percentile(p));
+    }
+    out << ", \"max\": " << json_double(percentile(100.0));
+  }
+  out << "}";
+  return out.str();
 }
 
 std::string Histogram::ascii(std::size_t width) const {

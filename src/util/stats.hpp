@@ -4,7 +4,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,9 +14,6 @@ namespace reads::util {
 class RunningStats {
  public:
   void add(double x) noexcept;
-
-  /// Forget every sample (re-arm for a new measurement window).
-  void reset() noexcept { *this = RunningStats{}; }
 
   std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
@@ -48,9 +44,8 @@ class Percentiles {
   void reserve(std::size_t n) { values_.reserve(n); }
   std::size_t count() const noexcept { return values_.size(); }
 
-  /// Drop all samples but keep the retained capacity, so a per-epoch
-  /// metrics window can be re-armed without reallocating its sample buffer
-  /// (serve/lifecycle reset distributions at every model-swap epoch).
+  /// Drop all samples but keep the retained capacity, so a windowed
+  /// measurement can be re-armed without reallocating its sample buffer.
   void reset() noexcept {
     values_.clear();
     sorted_ = false;
@@ -59,17 +54,6 @@ class Percentiles {
   /// p in [0, 100]. Sorts lazily on first query after the last insertion.
   double percentile(double p);
   double median() { return percentile(50.0); }
-
-  /// JSON object of nearest-rank percentiles, e.g.
-  /// {"count": 12, "p50": 1.5, "p99": 3.2, "p99.97": 3.9, "max": 4.0}.
-  /// Empty samples yield {"count": 0}.
-  std::string summary_json(
-      std::initializer_list<double> percents = {50.0, 90.0, 99.0, 99.97});
-
-  /// Append every retained sample from `other`; percentiles over the merged
-  /// set are then exact (the cluster report folds per-process samples this
-  /// way rather than averaging per-process percentiles).
-  void merge(const Percentiles& other);
 
   const std::vector<double>& values() const noexcept { return values_; }
 
@@ -109,6 +93,18 @@ class Histogram {
 
   std::size_t count(std::size_t i) const { return counts_.at(i); }
   std::size_t total() const noexcept { return total_; }
+
+  /// p in [0, 100], nearest rank over the bucket counts (the rank
+  /// Percentiles picks): the upper edge of the bucket holding that rank, so
+  /// an in-range result is never below the exact sample percentile and at
+  /// most 1/kSubBuckets above it. End buckets read as their upper edge
+  /// too, which for the last bucket is the layout's 2^kMaxExp. Throws
+  /// std::logic_error when empty, std::invalid_argument for p out of range.
+  double percentile(double p) const;
+
+  /// {"count": n, "p50": .., "p90": .., "p99": .., "p99.97": .., "max": ..}
+  /// from percentile(); an empty histogram yields {"count": 0}.
+  std::string summary_json() const;
 
   /// Render an ASCII bar chart (one line per non-empty bucket).
   std::string ascii(std::size_t width = 50) const;

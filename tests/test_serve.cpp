@@ -687,10 +687,10 @@ TEST(ServeMetrics, JsonRoundTripsExactlyIncludingHistogramTails) {
   constexpr std::size_t kTop = util::Histogram::kBuckets - 1;
 
   auto snap = metrics.snapshot();
-  EXPECT_EQ(snap.e2e_ms.count(kTop), 1u);
+  EXPECT_EQ(snap.e2e_samples.count(kTop), 1u);
   EXPECT_EQ(snap.queue_ms.count(0), 1u);
 
-  const auto json = snap.to_json(2.0, /*include_samples=*/true);
+  const auto json = snap.to_json(2.0);
   auto back = serve::MetricsSnapshot::from_json(json);
   EXPECT_EQ(back.arrived, snap.arrived);
   EXPECT_EQ(back.admitted, snap.admitted);
@@ -704,13 +704,13 @@ TEST(ServeMetrics, JsonRoundTripsExactlyIncludingHistogramTails) {
   ASSERT_EQ(back.replicas.size(), snap.replicas.size());
   EXPECT_EQ(back.replicas[1].frames, snap.replicas[1].frames);
   EXPECT_NEAR(back.replicas[1].busy_ms, snap.replicas[1].busy_ms, 1e-12);
-  EXPECT_EQ(back.e2e_ms.total(), snap.e2e_ms.total());
-  EXPECT_EQ(back.e2e_ms, snap.e2e_ms);
+  EXPECT_EQ(back.e2e_samples.total(), snap.e2e_samples.total());
+  EXPECT_EQ(back.e2e_samples, snap.e2e_samples);
   EXPECT_EQ(back.queue_ms, snap.queue_ms);
-  EXPECT_EQ(back.e2e_ms.count(kTop), 1u);
+  EXPECT_EQ(back.e2e_samples.count(kTop), 1u);
   EXPECT_EQ(back.queue_ms.count(0), 1u);
   // Strongest form: the re-parsed snapshot re-exports byte-identically.
-  EXPECT_EQ(back.to_json(2.0, true), json);
+  EXPECT_EQ(back.to_json(2.0), json);
 }
 
 TEST(ServeMetrics, MergeAggregatesPerProcessSnapshotsExactly) {
@@ -731,12 +731,10 @@ TEST(ServeMetrics, MergeAggregatesPerProcessSnapshotsExactly) {
   const double eb[] = {3.0, 5.0};
   b.record_batch(0, 2.0, qb, eb, 2);
 
-  // Through the wire: to_json with samples, from_json, then merge — the
-  // exact route router stats take for N replica processes.
-  auto merged = serve::MetricsSnapshot::from_json(
-      a.snapshot().to_json(1.0, true));
-  merged.merge(serve::MetricsSnapshot::from_json(
-      b.snapshot().to_json(1.0, true)));
+  // Through the wire: to_json, from_json, then merge — the exact route
+  // router stats take for N replica processes.
+  auto merged = serve::MetricsSnapshot::from_json(a.snapshot().to_json(1.0));
+  merged.merge(serve::MetricsSnapshot::from_json(b.snapshot().to_json(1.0)));
 
   EXPECT_EQ(merged.arrived, 3u);
   EXPECT_EQ(merged.admitted, 2u);
@@ -747,14 +745,56 @@ TEST(ServeMetrics, MergeAggregatesPerProcessSnapshotsExactly) {
   ASSERT_EQ(merged.replicas.size(), 2u);
   EXPECT_EQ(merged.replicas[0].frames, 1u);
   EXPECT_EQ(merged.replicas[1].frames, 2u);
-  EXPECT_EQ(merged.e2e_ms.total(), 3u);
-  // Percentiles over the union of retained samples are exact: the median
-  // of {1, 3, 5} is 3, which neither process saw as its own median.
-  EXPECT_NEAR(merged.e2e_samples.median(), 3.0, 1e-12);
+  EXPECT_EQ(merged.e2e_samples.total(), 3u);
   // Histograms merge exactly: one histogram of the union.
   util::Histogram e2e;
   for (double v : {1.0, 3.0, 5.0}) e2e.add(v);
-  EXPECT_EQ(merged.e2e_ms, e2e);
+  EXPECT_EQ(merged.e2e_samples, e2e);
+  // So the merged median is the union's: 3's bucket (upper edge), which
+  // neither process saw as its own median.
+  EXPECT_EQ(merged.e2e_samples.percentile(50.0),
+            util::Histogram::bucket_hi(util::Histogram::bucket_of(3.0)));
+  EXPECT_EQ(merged.e2e_samples.percentile(50.0), e2e.percentile(50.0));
+}
+
+// A stats reply is a snapshot's to_json. Its size must not grow with the
+// number of completions: 10^3 and 10^5 repeats of one latency distribution
+// both stay within the size of a snapshot whose histograms have every
+// bucket non-empty, with counts wider than either run's.
+TEST(ServeMetrics, SnapshotJsonSizeIsBoundedByTheLayout) {
+  const auto run = [](std::size_t repeats) {
+    serve::Metrics metrics(2);
+    std::vector<double> queue_ms;
+    std::vector<double> e2e_ms;
+    for (int i = 0; i < 64; ++i) {
+      queue_ms.push_back(0.01 * (i + 1));
+      e2e_ms.push_back(0.5 + 0.05 * i);
+    }
+    for (std::size_t r = 0; r < repeats; ++r) {
+      for (std::size_t i = 0; i < e2e_ms.size(); ++i) metrics.record_arrival();
+      for (std::size_t i = 0; i < e2e_ms.size(); ++i) metrics.record_admitted();
+      metrics.record_batch(r % 2, 1.0, queue_ms, e2e_ms, 1);
+    }
+    return metrics.snapshot();
+  };
+  const auto small = run(1'000);
+  const auto large = run(100'000);
+  ASSERT_EQ(large.e2e_samples.total(), 6'400'000u);
+
+  util::Histogram full;  // every bucket non-empty, 2^27 samples in each
+  for (std::size_t b = 0; b < util::Histogram::kBuckets; ++b) {
+    full.add(util::Histogram::bucket_lo(b));
+  }
+  for (int k = 0; k < 27; ++k) full.merge(util::Histogram(full));
+  auto bound_snap = large;
+  bound_snap.queue_ms = full;
+  bound_snap.e2e_samples = full;
+  const std::size_t bound = bound_snap.to_json(10.0).size();
+
+  EXPECT_LE(small.to_json(10.0).size(), bound);
+  EXPECT_LE(large.to_json(10.0).size(), bound);
+  // Only digit widths grow: the same buckets, wider counts.
+  EXPECT_LT(large.to_json(10.0).size(), small.to_json(10.0).size() + 1024);
 }
 
 // Replica stats replies cross a socket. Damaged copies of a real wire
@@ -771,7 +811,7 @@ TEST(ServeMetrics, MutatedJsonParsesOrThrowsInvalidArgument) {
   metrics.record_batch(0, 2.0, queue_ms, e2e_ms, 2);
   metrics.record_batch(1, 1.5, std::span(queue_ms, 2), std::span(e2e_ms, 2),
                        1);
-  const std::string valid = metrics.snapshot().to_json(1.0, true);
+  const std::string valid = metrics.snapshot().to_json(1.0);
 
   util::Xoshiro256 rng(0x5A75u);
   std::size_t rejected = 0;

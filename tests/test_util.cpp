@@ -224,6 +224,54 @@ TEST(Histogram, MergeEqualsOneHistogramOfTheUnion) {
   a.merge(b);
   EXPECT_EQ(a, both);
   EXPECT_EQ(a.to_json(), both.to_json());
+  for (double p : {0.0, 50.0, 90.0, 99.0, 99.97, 100.0}) {
+    EXPECT_EQ(a.percentile(p), both.percentile(p)) << p;
+  }
+}
+
+// Nearest rank over the buckets picks the bucket of the exact nearest-rank
+// sample and reads its upper edge: never below the exact value, at most
+// 1/kSubBuckets above it in range, and the layout's top edge above range.
+TEST(Histogram, PercentileIsTheUpperEdgeOfTheNearestRankBucket) {
+  const double top = std::ldexp(1.0, Histogram::kMaxExp);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Xoshiro256 rng(29);
+  for (std::size_t n : {1u, 2u, 3u, 10u, 1000u, 5001u}) {
+    Histogram h;
+    Percentiles exact;  // NaN cannot be sorted: it counts as +inf, its bucket
+    const auto add = [&](double v) {
+      h.add(v);
+      exact.add(std::isnan(v) ? inf : v);
+    };
+    for (std::size_t i = 0; i < n; ++i) add(rng.lognormal(0.0, 2.0));
+    if (n >= 10) {
+      for (double v : {0.0, -3.5, inf, nan}) add(v);
+    }
+    const Histogram& frozen = h;  // percentile() is const: no cached sort
+    for (double p : {0.0, 50.0, 90.0, 99.0, 99.97, 100.0}) {
+      const double want = exact.percentile(p);
+      const double got = frozen.percentile(p);
+      EXPECT_EQ(got, Histogram::bucket_hi(Histogram::bucket_of(want)))
+          << n << " p" << p;
+      if (want >= top) {
+        EXPECT_EQ(got, top) << n << " p" << p;
+        continue;
+      }
+      EXPECT_GE(got, want) << n << " p" << p;
+      if (want >= Histogram::bucket_lo(0)) {
+        EXPECT_LE(got, want * (1.0 + 1.0 / static_cast<double>(
+                                             Histogram::kSubBuckets)))
+            << n << " p" << p;
+      }
+    }
+  }
+  EXPECT_THROW((void)Histogram{}.percentile(50.0), std::logic_error);
+  Histogram one;
+  one.add(1.0);
+  EXPECT_THROW((void)one.percentile(-1.0), std::invalid_argument);
+  EXPECT_THROW((void)one.percentile(100.5), std::invalid_argument);
+  EXPECT_THROW((void)one.percentile(nan), std::invalid_argument);
 }
 
 TEST(Histogram, JsonRoundTripPreservesEverything) {
@@ -348,18 +396,21 @@ TEST(JsonScan, QuotedStringsCannotCloseAnEnclosedValue) {
   EXPECT_EQ(scan.count("n"), 1u);
 }
 
-TEST(Percentiles, SummaryJsonNearestRankAndEmpty) {
-  Percentiles p;
-  for (int i = 1; i <= 1000; ++i) p.add(static_cast<double>(i));
-  const auto json = p.summary_json();
-  EXPECT_NE(json.find("\"count\": 1000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p50\": 500"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p99\": 990"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p99.97\": 1000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"max\": 1000"), std::string::npos) << json;
+TEST(Histogram, SummaryJsonReadsNearestRankUpperEdgesAndEmpty) {
+  Histogram h;
+  for (int i = 1; i <= 1000; ++i) h.add(static_cast<double>(i));
+  const auto edge = [](double v) {
+    return json_double(Histogram::bucket_hi(Histogram::bucket_of(v)));
+  };
+  // Buckets are 8 wide in [256, 512): 500 reads as 504, not 500.
+  EXPECT_EQ(edge(500.0), "504");
+  EXPECT_EQ(h.summary_json(), "{\"count\": 1000, \"p50\": " + edge(500.0) +
+                                  ", \"p90\": " + edge(900.0) +
+                                  ", \"p99\": " + edge(990.0) +
+                                  ", \"p99.97\": " + edge(1000.0) +
+                                  ", \"max\": " + edge(1000.0) + "}");
 
-  Percentiles empty;
-  EXPECT_EQ(empty.summary_json(), "{\"count\": 0}");
+  EXPECT_EQ(Histogram{}.summary_json(), "{\"count\": 0}");
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
@@ -462,25 +513,6 @@ TEST(Cli, RejectsNonFlagArgument) {
 }
 
 // ----------------------------------------------- reset (re-arm) behaviour
-
-TEST(RunningStats, ResetForgetsEverySample) {
-  RunningStats s;
-  for (double v : {3.0, -1.0, 12.0}) s.add(v);
-  ASSERT_EQ(s.count(), 3u);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-  EXPECT_EQ(s.sum(), 0.0);
-  // The re-armed window behaves exactly like a fresh instance.
-  s.add(4.0);
-  s.add(6.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 4.0);
-  EXPECT_DOUBLE_EQ(s.max(), 6.0);
-}
 
 TEST(Percentiles, ResetDropsSamplesAndKeepsCapacity) {
   Percentiles p;

@@ -2,9 +2,10 @@
 # Tier-1 verification: plain Release build + ctest and the bench gates,
 # then a 5 s bit-exact audit run of each control-tick benchmark workload
 # (perfbench/run.py, as CI runs it), then an ASan/UBSan build
-# (READS_SANITIZE=ON) running ctest and the chaos-cluster gates, then a
-# ThreadSanitizer build (READS_TSAN=ON) of the concurrency-heavy targets
-# running the serve/queue/thread-pool tests. Run from the repo root:
+# (READS_SANITIZE=ON, assert() compiled in) running ctest and the
+# chaos-cluster gates, then a ThreadSanitizer build (READS_TSAN=ON) of the
+# concurrency-heavy targets running the serve/queue/thread-pool tests. Run
+# from the repo root:
 #
 #   tools/check.sh [extra ctest args...]
 #
@@ -91,7 +92,9 @@ for w in edge_nominal edge_overload cluster_uds; do
 done
 
 echo "== sanitizer build (address,undefined) =="
-cmake -B build-asan -S . -DREADS_SANITIZE=ON >/dev/null
+# Release's flags without -DNDEBUG, so this tree also compiles assert().
+cmake -B build-asan -S . -DREADS_SANITIZE=ON -DCMAKE_CXX_FLAGS_RELEASE=-O3 \
+  >/dev/null
 cmake --build build-asan -j"$(nproc)"
 (cd build-asan && ctest --output-on-failure -j"$(nproc)" "$@")
 
