@@ -179,8 +179,9 @@ int main(int argc, char** argv) {
     (void)sink;
   });
 
-  // Activation arena per frame and thread: the liveness plan's block
-  // against one slab per layer, plus the narrow-lane scratch on top.
+  // Activation arena per frame and thread, in 8-byte words: the liveness
+  // plan's block of int16/int64 slabs against one int64 slab per layer,
+  // plus the per-step scratch on top.
   const auto footprint = qm.arena_footprint();
   std::size_t unplanned_words = 0;
   for (const auto& l : fw.layers) unplanned_words += l.positions * l.out_channels;
@@ -273,9 +274,9 @@ int main(int argc, char** argv) {
        << ", \"narrow_layers\": " << lanes.narrow_layers
        << ", \"narrow_fraction\": " << util::Table::fmt(narrow_fraction, 3)
        << ", \"lanes\": " << lanes_json.str()
-       << ", \"act_words_planned\": " << footprint.act_words
+       << ", \"act_words_planned\": " << footprint.act_bytes / 8
        << ", \"act_words_unplanned\": " << unplanned_words
-       << ", \"narrow_words\": " << footprint.narrow_words
+       << ", \"scratch_words\": " << footprint.scratch_bytes / 8
        << ", \"profiled_ms_per_frame\": " << util::Table::fmt(prof_ns * 1e-6, 4)
        << ", \"layer_sum_ms_per_frame\": "
        << util::Table::fmt(layer_sum_ns * 1e-6, 4)

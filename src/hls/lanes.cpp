@@ -23,7 +23,7 @@ constexpr std::int64_t kI16Hi = std::numeric_limits<std::int16_t>::max();
 constexpr Wide kI32Lo = std::numeric_limits<std::int32_t>::min();
 constexpr Wide kI32Hi = std::numeric_limits<std::int32_t>::max();
 // Narrow kernels list a row's nonzero inputs as uint16 indices with a
-// uint16 length (qkernels.hpp pack_i16), so a row may hold at most this
+// uint16 length (qkernels.hpp write_out), so a row may hold at most this
 // many input channels.
 constexpr std::size_t kMaxListedChannels =
     std::numeric_limits<std::uint16_t>::max();

@@ -10,7 +10,7 @@ namespace detail {
 // one activation load shared across the block. This wide path keeps a
 // per-channel zero test ((0 * w) >> shift contributes exactly 0); it only
 // runs layers the range prover cannot clear. The narrow lanes below skip
-// zeros through pack_i16's nonzero lists instead.
+// zeros through write_out's nonzero lists instead.
 void conv1d_acc_scalar(const std::int64_t* x, const std::int64_t* wtr,
                        const std::int64_t* bias_acc, std::int64_t* acc,
                        std::size_t positions, std::size_t in_ch,
@@ -108,67 +108,120 @@ void conv1d_acc_i16_scalar(const std::int16_t* x, const std::uint16_t* nz,
   }
 }
 
-void pack_i16_scalar(const std::int64_t* in, std::size_t positions,
-                     std::size_t in_ch, std::int16_t* x16, std::uint16_t* nz,
-                     std::uint16_t* nnz) {
-  for (std::size_t p = 0; p < positions; ++p) {
-    const std::int64_t* src = in + p * in_ch;
-    std::int16_t* dst = x16 + p * in_ch;
-    for (std::size_t i = 0; i < in_ch; ++i) {
-      dst[i] = static_cast<std::int16_t>(src[i]);
-    }
-    // Branch-free compaction: every index is written, and the count only
-    // advances past the nonzero ones.
-    std::uint16_t* list = nz + p * in_ch;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < in_ch; ++i) {
-      list[n] = static_cast<std::uint16_t>(i);
-      n += static_cast<std::size_t>(dst[i] != 0);
-    }
-    nnz[p] = static_cast<std::uint16_t>(n);
-  }
-}
+// The portable body works through each row in chunks of this many values,
+// held as int64 on the stack while each sink reads them.
+constexpr std::size_t kWriteOutChunk = 256;
 
-namespace hd = ::reads::hls::detail;
-
-void maxpool_i64_scalar(const std::int64_t* in, std::int64_t* out,
-                        std::size_t positions, std::size_t ch,
-                        std::size_t factor, const hd::Requant& rq,
-                        std::size_t& saturations) {
-  for (std::size_t p = 0; p < positions; ++p) {
-    for (std::size_t c = 0; c < ch; ++c) {
-      std::int64_t m = in[(p * factor) * ch + c];
-      for (std::size_t d = 1; d < factor; ++d) {
-        m = std::max(m, in[(p * factor + d) * ch + c]);
-      }
-      out[p * ch + c] = rq.apply(m, saturations);
-    }
-  }
-}
-
-void requant_i64_scalar(const std::int64_t* in, std::int64_t* out,
-                        std::size_t n, const hd::Requant& rq, bool relu,
-                        std::size_t& saturations) {
-  if (relu) {
+// Apply stages [first, last) to n values: in -> out for the first stage,
+// then in place. Counts go to sat[stage.layer], `mult` per event.
+void run_stages(const std::int64_t* in, std::int64_t* out, std::size_t n,
+                const Stage* first, const Stage* last, std::size_t* sat) {
+  for (const Stage* st = first; st != last; ++st) {
+    const std::int64_t* from = st == first ? in : out;
+    std::size_t events = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] = rq.apply(std::max<std::int64_t>(0, in[i]), saturations);
+      const std::int64_t v = st->relu ? std::max<std::int64_t>(0, from[i])
+                                      : from[i];
+      out[i] = st->rq.apply(v, events);
     }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = rq.apply(in[i], saturations);
+    sat[st->layer] += events * st->mult;
   }
 }
 
-void finalize_i32_scalar(const std::int32_t* acc, std::int64_t* out,
-                         std::size_t positions, std::size_t out_ch,
-                         std::size_t acc_stride, const hd::Accum& ac,
-                         std::size_t& overflows, std::size_t& saturations) {
-  for (std::size_t p = 0; p < positions; ++p) {
-    const std::int32_t* accp = acc + p * acc_stride;
-    std::int64_t* yp = out + p * out_ch;
-    for (std::size_t o = 0; o < out_ch; ++o) {
-      yp[o] = ac.finalize(accp[o], overflows, saturations);
+// Store n values as slab row r, channels [s.channel + c0, + n), and append
+// the int16 ones' nonzero channels to the row's list.
+void store_scalar(std::byte* block, const Sink& s, std::size_t r,
+                  std::size_t c0, const std::int64_t* v, std::size_t n) {
+  const std::size_t at = r * s.stride + s.channel + c0;
+  if (!s.i16) {
+    std::copy(v, v + n, reinterpret_cast<std::int64_t*>(block + s.values) + at);
+    return;
+  }
+  std::int16_t* dst = reinterpret_cast<std::int16_t*>(block + s.values) + at;
+  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<std::int16_t>(v[i]);
+  if (!s.lists) return;
+  std::uint16_t* nnz = reinterpret_cast<std::uint16_t*>(block + s.nnz) + r;
+  std::uint16_t* list =
+      reinterpret_cast<std::uint16_t*>(block + s.nz) + r * s.stride;
+  // Branch-free compaction: every index is written, and the count only
+  // advances past the nonzero ones. A row never lists more than `stride`
+  // channels, so the slot written is always inside the row's list.
+  std::size_t k = s.reset && c0 == 0 ? 0 : *nnz;
+  for (std::size_t i = 0; i < n; ++i) {
+    list[k] = static_cast<std::uint16_t>(s.channel + c0 + i);
+    k += static_cast<std::size_t>(dst[i] != 0);
+  }
+  *nnz = static_cast<std::uint16_t>(k);
+}
+
+template <typename T>
+void write_out_scalar_body(const Rows<T>& src, const Epilogue& ep,
+                           std::byte* block, std::size_t* sat,
+                           std::size_t* ovf) {
+  std::int64_t v[kWriteOutChunk];
+  std::int64_t w[kWriteOutChunk];
+  const Stage* stages = ep.stages.data();
+  for (std::size_t p = 0; p < src.positions; ++p) {
+    const T* row = src.data + p * src.pool * src.stride;
+    for (std::size_t c0 = 0; c0 < src.ch; c0 += kWriteOutChunk) {
+      const std::size_t n = std::min(kWriteOutChunk, src.ch - c0);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::int64_t x = row[c0 + i];
+        for (std::size_t d = 1; d < src.pool; ++d) {
+          x = std::max<std::int64_t>(x, row[d * src.stride + c0 + i]);
+        }
+        v[i] = src.accum ? src.accum->finalize(x, ovf[ep.layer], sat[ep.layer])
+                         : x;
+      }
+      run_stages(v, v, n, stages, stages + ep.common, sat);
+      for (const Sink& s : ep.sinks) {
+        const std::int64_t* out = v;
+        if (s.stage_end > s.stage_begin) {
+          run_stages(v, w, n, stages + s.stage_begin, stages + s.stage_end,
+                     sat);
+          out = w;
+        }
+        for (std::size_t d = 0; d < s.rep; ++d) {
+          store_scalar(block, s, p * s.rep + d, c0, out, n);
+        }
+      }
     }
   }
+}
+
+// Rows past positions * rep of each sink: zeros, and (first writer) empty
+// lists. Only an UpSampling whose factor does not divide its positions
+// leaves any.
+void zero_tail_rows(std::size_t positions, std::size_t ch, const Epilogue& ep,
+                    std::byte* block) {
+  const std::int64_t zeros[kWriteOutChunk] = {};
+  for (const Sink& s : ep.sinks) {
+    for (std::size_t r = positions * s.rep; r < s.rows; ++r) {
+      for (std::size_t c0 = 0; c0 < ch; c0 += kWriteOutChunk) {
+        store_scalar(block, s, r, c0, zeros, std::min(kWriteOutChunk, ch - c0));
+      }
+    }
+  }
+}
+
+template <typename T>
+void write_out_scalar_t(const Rows<T>& src, const Epilogue& ep,
+                        std::byte* block, std::size_t* sat, std::size_t* ovf) {
+  write_out_scalar_body(src, ep, block, sat, ovf);
+  zero_tail_rows(src.positions, src.ch, ep, block);
+}
+
+void write_out_scalar(const Rows<std::int16_t>& src, const Epilogue& ep,
+                      std::byte* block, std::size_t* sat, std::size_t* ovf) {
+  write_out_scalar_t(src, ep, block, sat, ovf);
+}
+void write_out_scalar(const Rows<std::int32_t>& src, const Epilogue& ep,
+                      std::byte* block, std::size_t* sat, std::size_t* ovf) {
+  write_out_scalar_t(src, ep, block, sat, ovf);
+}
+void write_out_scalar(const Rows<std::int64_t>& src, const Epilogue& ep,
+                      std::byte* block, std::size_t* sat, std::size_t* ovf) {
+  write_out_scalar_t(src, ep, block, sat, ovf);
 }
 
 #if defined(READS_QKERNELS_AVX512)
@@ -176,26 +229,18 @@ void conv1d_acc_avx512(const std::int64_t* x, const std::int64_t* wtr,
                        const std::int64_t* bias_acc, std::int64_t* acc,
                        std::size_t positions, std::size_t in_ch,
                        std::size_t out_ch, std::size_t k, int shift);
-void requant_i64_avx512(const std::int64_t* in, std::int64_t* out,
-                        std::size_t n, const hd::Requant& rq, bool relu,
-                        std::size_t& saturations);
-void finalize_i32_avx512(const std::int32_t* acc, std::int64_t* out,
-                         std::size_t positions, std::size_t out_ch,
-                         std::size_t acc_stride, const hd::Accum& ac,
-                         std::size_t& overflows, std::size_t& saturations);
 void conv1d_acc_i16_avx512(const std::int16_t* x, const std::uint16_t* nz,
                            const std::uint16_t* nnz, const std::int16_t* wtr,
                            const std::int32_t* bias_acc, std::int32_t* acc,
                            std::size_t positions, std::size_t in_ch,
                            std::size_t out_ch, std::size_t out_pad,
                            std::size_t k, int shift);
-void pack_i16_avx512(const std::int64_t* in, std::size_t positions,
-                     std::size_t in_ch, std::int16_t* x16, std::uint16_t* nz,
-                     std::uint16_t* nnz);
-void maxpool_i64_avx512(const std::int64_t* in, std::int64_t* out,
-                        std::size_t positions, std::size_t ch,
-                        std::size_t factor, const hd::Requant& rq,
-                        std::size_t& saturations);
+void write_out_avx512(const Rows<std::int16_t>& src, const Epilogue& ep,
+                      std::byte* block, std::size_t* sat, std::size_t* ovf);
+void write_out_avx512(const Rows<std::int32_t>& src, const Epilogue& ep,
+                      std::byte* block, std::size_t* sat, std::size_t* ovf);
+void write_out_avx512(const Rows<std::int64_t>& src, const Epilogue& ep,
+                      std::byte* block, std::size_t* sat, std::size_t* ovf);
 #endif
 
 using KernelFn = void (*)(const std::int64_t*, const std::int64_t*,
@@ -206,26 +251,18 @@ using NarrowFn = void (*)(const std::int16_t*, const std::uint16_t*,
                           const std::int32_t*, std::int32_t*, std::size_t,
                           std::size_t, std::size_t, std::size_t, std::size_t,
                           int);
-using RequantFn = void (*)(const std::int64_t*, std::int64_t*, std::size_t,
-                           const hd::Requant&, bool, std::size_t&);
-using FinalizeFn = void (*)(const std::int32_t*, std::int64_t*, std::size_t,
-                            std::size_t, std::size_t, const hd::Accum&,
-                            std::size_t&, std::size_t&);
-using PackFn = void (*)(const std::int64_t*, std::size_t, std::size_t,
-                        std::int16_t*, std::uint16_t*, std::uint16_t*);
-using MaxPoolFn = void (*)(const std::int64_t*, std::int64_t*, std::size_t,
-                           std::size_t, std::size_t, const hd::Requant&,
-                           std::size_t&);
+template <typename T>
+using WriteOutFn = void (*)(const Rows<T>&, const Epilogue&, std::byte*,
+                            std::size_t*, std::size_t*);
 
 struct Dispatch {
   KernelFn fn = conv1d_acc_scalar;
   const char* name = "scalar";
   NarrowFn narrow = conv1d_acc_i16_scalar;
   const char* narrow_name = "scalar";
-  RequantFn requant = requant_i64_scalar;
-  FinalizeFn finalize = finalize_i32_scalar;
-  PackFn pack = pack_i16_scalar;
-  MaxPoolFn maxpool = maxpool_i64_scalar;
+  WriteOutFn<std::int16_t> write16 = write_out_scalar_body<std::int16_t>;
+  WriteOutFn<std::int32_t> write32 = write_out_scalar_body<std::int32_t>;
+  WriteOutFn<std::int64_t> write64 = write_out_scalar_body<std::int64_t>;
 };
 
 Dispatch resolve() {
@@ -244,10 +281,9 @@ Dispatch resolve() {
     d.name = "avx512";
     d.narrow = conv1d_acc_i16_avx512;
     d.narrow_name = "avx512";
-    d.requant = requant_i64_avx512;
-    d.finalize = finalize_i32_avx512;
-    d.pack = pack_i16_avx512;
-    d.maxpool = maxpool_i64_avx512;
+    d.write16 = write_out_avx512;
+    d.write32 = write_out_avx512;
+    d.write64 = write_out_avx512;
   }
 #endif
   return d;
@@ -296,12 +332,6 @@ void conv1d_acc(const std::int64_t* x, const std::int64_t* wtr,
                         shift);
 }
 
-void pack_i16(const std::int64_t* in, std::size_t positions,
-              std::size_t in_ch, std::int16_t* x16, std::uint16_t* nz,
-              std::uint16_t* nnz) {
-  detail::dispatch().pack(in, positions, in_ch, x16, nz, nnz);
-}
-
 void conv1d_acc_i16(const std::int16_t* x, const std::uint16_t* nz,
                     const std::uint16_t* nnz, const std::int16_t* wtr,
                     const std::int32_t* bias_acc, std::int32_t* acc,
@@ -312,46 +342,74 @@ void conv1d_acc_i16(const std::int16_t* x, const std::uint16_t* nz,
                             out_ch, out_pad, k, shift);
 }
 
-void requant_i64(const std::int64_t* in, std::int64_t* out, std::size_t n,
-                 const reads::hls::detail::Requant& rq, bool relu,
-                 std::size_t& saturations) {
-  // shift <= -63 means every nonzero input saturates (Requant::apply's
-  // k >= 63 special case), and shift >= 64 rounds (almost) everything to
-  // zero; the SIMD path precomputes its constants with shifts that must
-  // stay < 64 either way, so route both degenerate bands to the scalar
-  // loop. Ordinary widening (0 > shift > -63) runs vectorized — PTQ specs
-  // widen on most encoder-side layers, so this path is hot, not rare.
-  if (rq.shift <= -63 || rq.shift >= 64) {
-    detail::requant_i64_scalar(in, out, n, rq, relu, saturations);
-    return;
+namespace {
+
+bool vectorizable(const Epilogue& ep) {
+  if (!ep.narrow || ep.common > detail::kVectorStages ||
+      ep.sinks.size() > detail::kVectorSinks) {
+    return false;
   }
-  detail::dispatch().requant(in, out, n, rq, relu, saturations);
+  for (std::size_t i = 0; i < ep.sinks.size(); ++i) {
+    const Sink& s = ep.sinks[i];
+    if (!s.i16 || s.rep > detail::kVectorReplicas ||
+        s.stage_end - s.stage_begin > detail::kVectorStages) {
+      return false;
+    }
+    // The vector body appends each sink's lists as it goes: two sinks
+    // appending to one slab's rows would interleave their counts.
+    for (std::size_t j = 0; j < i; ++j) {
+      if (s.lists && ep.sinks[j].lists && s.nnz == ep.sinks[j].nnz) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
-void maxpool_i64(const std::int64_t* in, std::int64_t* out,
-                 std::size_t positions, std::size_t ch, std::size_t factor,
-                 const reads::hls::detail::Requant& rq,
-                 std::size_t& saturations) {
-  // Same degenerate bands as requant_i64.
-  if (rq.shift <= -63 || rq.shift >= 64) {
-    detail::maxpool_i64_scalar(in, out, positions, ch, factor, rq,
-                               saturations);
-    return;
+// Rows that lie back to back in the source and in every sink, with no
+// lists (they are per row), pooling or replication, are one long row: the
+// per-row work then runs once per write-out, not per position.
+template <typename T>
+Rows<T> flattened(const Rows<T>& src, const Epilogue& ep) {
+  if (src.pool != 1 || src.stride != src.ch) return src;
+  for (const Sink& s : ep.sinks) {
+    if (s.rep != 1 || s.channel != 0 || s.stride != src.ch || s.lists ||
+        s.rows != src.positions) {
+      return src;
+    }
   }
-  detail::dispatch().maxpool(in, out, positions, ch, factor, rq, saturations);
+  Rows<T> one = src;
+  one.positions = 1;
+  one.ch = one.stride = src.positions * src.ch;
+  return one;
 }
 
-void finalize_i32(const std::int32_t* acc, std::int64_t* out,
-                  std::size_t positions, std::size_t out_ch,
-                  std::size_t acc_stride, const reads::hls::detail::Accum& ac,
-                  std::size_t& overflows, std::size_t& saturations) {
-  if (ac.out.shift <= -63 || ac.out.shift >= 64) {
-    detail::finalize_i32_scalar(acc, out, positions, out_ch, acc_stride, ac,
-                                overflows, saturations);
-    return;
+template <typename T>
+void write_out_t(const Rows<T>& src, const Epilogue& ep, std::byte* block,
+                 std::size_t* sat, std::size_t* ovf,
+                 detail::WriteOutFn<T> vector_body) {
+  const Rows<T> rows = flattened(src, ep);
+  if (vectorizable(ep)) {
+    vector_body(rows, ep, block, sat, ovf);
+  } else {
+    detail::write_out_scalar_body(rows, ep, block, sat, ovf);
   }
-  detail::dispatch().finalize(acc, out, positions, out_ch, acc_stride, ac,
-                              overflows, saturations);
+  detail::zero_tail_rows(src.positions, src.ch, ep, block);
+}
+
+}  // namespace
+
+void write_out(const Rows<std::int16_t>& src, const Epilogue& ep,
+               std::byte* block, std::size_t* sat, std::size_t* ovf) {
+  write_out_t(src, ep, block, sat, ovf, detail::dispatch().write16);
+}
+void write_out(const Rows<std::int32_t>& src, const Epilogue& ep,
+               std::byte* block, std::size_t* sat, std::size_t* ovf) {
+  write_out_t(src, ep, block, sat, ovf, detail::dispatch().write32);
+}
+void write_out(const Rows<std::int64_t>& src, const Epilogue& ep,
+               std::byte* block, std::size_t* sat, std::size_t* ovf) {
+  write_out_t(src, ep, block, sat, ovf, detail::dispatch().write64);
 }
 
 const char* variant() noexcept { return detail::dispatch().name; }

@@ -16,18 +16,28 @@
 //    inside int32 — so int32 accumulation is *exact*, not approximate.
 //
 // Sparse activations: after ReLU a large share of narrow-layer inputs are
-// zero. pack_i16 writes, with the int16 copy of each position row, the
-// list of that row's nonzero inputs, and the narrow kernels loop over the
-// list only: no per-input zero test (an unpredictable branch) inside the
-// MAC loops, and every unlisted term is exactly (0 * w) >> shift = 0.
+// zero. The write-out that stores a slab a narrow layer reads also lists,
+// per position row, that row's nonzero channels, and the narrow kernels
+// loop over the list only: no per-input zero test (an unpredictable
+// branch) inside the MAC loops, and every unlisted term is exactly
+// (0 * w) >> shift = 0.
 //
-// Bit-exactness contract: each kernel produces, for every output, the exact
-// sum  bias_acc[o] + sum_taps((w * x) >> shift)  — the same value the
+// One int16 dataflow between layers: write_out is every producer's
+// epilogue. It finalizes a MAC layer's accumulators, applies the requants
+// of the layers fused into it (a ReLU that is its only reader, UpSampling,
+// Concatenate inputs) in registers, and stores each result where its
+// readers read it: the int16 slab of a ReLU, rows replicated for an
+// UpSampling, or a Concatenate's slab at the input's channel offset. So no
+// standalone ReLU/UpSampling/Concatenate pass and no int64 -> int16 repack
+// runs between MAC layers.
+//
+// Bit-exactness contract: each MAC kernel produces, for every output, the
+// exact sum  bias_acc[o] + sum_taps((w * x) >> shift)  — the same value the
 // reference per-output loop computes, because the arithmetic is exact at
-// the (proven) magnitudes and addition order is therefore immaterial. The
-// caller applies Accum::finalize (wrap + requant + stats counting)
-// afterwards, so ForwardStats saturation/overflow counts are unchanged by
-// construction.
+// the (proven) magnitudes and addition order is therefore immaterial.
+// write_out then applies Accum::finalize and each Requant::apply exactly as
+// the reference does, and counts the same events, so ForwardStats
+// saturation/overflow counts are unchanged by construction.
 #pragma once
 
 #include <cstddef>
@@ -49,17 +59,6 @@ void conv1d_acc(const std::int64_t* x, const std::int64_t* wtr,
                 std::size_t positions, std::size_t in_ch, std::size_t out_ch,
                 std::size_t k, int shift);
 
-/// Copy int64 activation rows (positions, in_ch) down to int16 rows of
-/// in_ch and list, per row, the channel indices whose input is not zero
-/// (row stride in_ch). nnz[p] is row p's list length; list slots past it
-/// are unspecified. The values must already fit int16 (the range prover's
-/// certificate). The AVX-512 variant handles 16 channels per step — two
-/// vpmovqw narrowings, a vptestmw nonzero mask and a vpcompressd of the
-/// channel indices.
-void pack_i16(const std::int64_t* in, std::size_t positions,
-              std::size_t in_ch, std::int16_t* x16, std::uint16_t* nz,
-              std::uint16_t* nnz);
-
 /// Accumulator row stride of the narrow lanes: out_ch rounded up to 16.
 constexpr std::size_t narrow_out_pad(std::size_t out_ch) noexcept {
   return (out_ch + 15) & ~std::size_t{15};
@@ -80,7 +79,7 @@ std::vector<std::int16_t> narrow_weights(const std::int64_t* w,
 
 /// Narrow-lane pass for range-prover-certified layers. `x` is (positions,
 /// in_ch) int16 activations with their nonzero lists `nz`/`nnz` from
-/// pack_i16 (channel indices), `wtr` is narrow_weights' layout (out_pad =
+/// write_out (channel indices, any order), `wtr` is narrow_weights' layout (out_pad =
 /// narrow_out_pad(out_ch)), `bias_acc`/`acc` are out_pad-stride int32 in
 /// natural output order. Only listed inputs are multiplied. The AVX-512
 /// variant computes all out_pad lanes; only the first out_ch of each row
@@ -95,41 +94,90 @@ void conv1d_acc_i16(const std::int16_t* x, const std::uint16_t* nz,
                     std::size_t out_ch, std::size_t out_pad, std::size_t k,
                     int shift);
 
-/// Elementwise requant write-out: out[i] = rq.apply(relu ? max(0, in[i]) :
-/// in[i]). These loops (ReLU/Flatten/Concat/UpSample) are half the frame
-/// time once the MACs run narrow, so the AVX-512 variant processes 8 int64
-/// lanes per step (the last n % 8 under a mask) and counts saturations by
-/// mask popcount — the total is identical to the scalar per-element count.
-/// Widening (rq.shift < 0) runs vectorized too, saturating against
-/// pre-shift thresholds; only the
-/// degenerate bands fall back to the scalar loop — shift <= -63 (every
-/// nonzero input saturates) and shift >= 64 (everything rounds to zero;
-/// the SIMD half-constant 2^(shift-1) would not fit an int64 lane).
-void requant_i64(const std::int64_t* in, std::int64_t* out, std::size_t n,
-                 const reads::hls::detail::Requant& rq, bool relu,
-                 std::size_t& saturations);
+/// One requant a write-out applies on the way out: the producer's own
+/// (MaxPool, ReLU, Flatten), or that of a layer fused into the producer — a
+/// ReLU that is its only reader, an UpSampling, or one Concatenate input.
+/// Its saturations count towards ForwardStats entry `layer`, `mult` times
+/// each: the reference requants every replica an UpSampling makes.
+struct Stage {
+  reads::hls::detail::Requant rq;
+  bool relu = false;  ///< clamp at zero before the requant (a ReLU)
+  std::uint32_t layer = 0;
+  std::uint32_t mult = 1;
+};
 
-/// MaxPool write-out: out[p*ch + c] = rq.apply(max over d < factor of
-/// in[(p*factor + d)*ch + c]), with saturations counted exactly as the
-/// scalar per-element loop does. The AVX-512 variant takes the max over 8
-/// int64 lanes at a time and reuses requant_i64's vector requant; the same
-/// degenerate shift bands (<= -63, >= 64) run the scalar loop.
-void maxpool_i64(const std::int64_t* in, std::int64_t* out,
-                 std::size_t positions, std::size_t ch, std::size_t factor,
-                 const reads::hls::detail::Requant& rq,
-                 std::size_t& saturations);
+/// One destination of a write-out: part of a slab in the activation block.
+/// Source row p lands on slab rows p * rep ... p * rep + rep - 1 (an
+/// UpSampling), at channels [channel, channel + source channels) (a
+/// Concatenate input's offset); slab rows from positions * rep up to `rows`
+/// get zeros (an UpSampling whose factor does not divide its positions).
+/// Slabs a narrow MAC layer reads are int16 and carry each row's nonzero
+/// list: channel indices in uint16 (row stride `stride`) and the list
+/// lengths. The first writer of such a slab starts every row's list empty
+/// (`reset`); a later one, writing another Concatenate input, appends.
+struct Sink {
+  std::uint32_t stage_begin = 0;  ///< the sink's own stages, in
+  std::uint32_t stage_end = 0;    ///< Epilogue::stages, after the common ones
+  std::size_t values = 0;         ///< byte offset of slab row 0, channel 0
+  std::size_t channel = 0;
+  std::size_t stride = 0;  ///< slab channels: elements per row
+  std::size_t rows = 0;
+  std::size_t rep = 1;
+  bool i16 = true;  ///< int16 slab, else int64
+  bool lists = false;
+  bool reset = false;
+  std::size_t nz = 0;   ///< byte offset of the lists
+  std::size_t nnz = 0;  ///< byte offset of the list lengths
+};
 
-/// Finalize a narrow int32 accumulator block into int64 activations:
-/// out[p*out_ch + o] = ac.finalize(acc[p*acc_stride + o]) for o < out_ch,
-/// with wrap (overflow) and saturation events counted exactly as the scalar
-/// Accum::finalize does. The AVX-512 variant runs each row's last
-/// out_ch % 8 lanes under a mask, so pad lanes are neither read nor
-/// counted. Falls back to scalar only in the degenerate ac.out.shift bands
-/// (<= -63 or >= 64).
-void finalize_i32(const std::int32_t* acc, std::int64_t* out,
-                  std::size_t positions, std::size_t out_ch,
-                  std::size_t acc_stride, const reads::hls::detail::Accum& ac,
-                  std::size_t& overflows, std::size_t& saturations);
+/// A producer layer's write-out: stages [0, common) apply to every sink,
+/// then each sink applies its own and stores. Accumulator wraps and the
+/// accumulator's own saturations count towards entry `layer`.
+struct Epilogue {
+  std::uint32_t layer = 0;
+  std::uint32_t common = 0;
+  std::vector<Stage> stages;
+  std::vector<Sink> sinks;
+  /// Certificate from the range prover's bounds: every source value,
+  /// every value a requant reads plus its rounding half (or shifted left,
+  /// when it widens), and every clamp bound fits int32; |shift| < 32 for
+  /// the accumulator's and every stage's requant; and every sink is
+  /// int16. Only then may the AVX-512 body run it, in 16 int32 lanes.
+  bool narrow = false;
+};
+
+/// The rows a write-out reads: `positions` output rows of `ch` values,
+/// `stride` elements apart. With `pool` > 1 output row p is the elementwise
+/// max of source rows p * pool ... p * pool + pool - 1 (MaxPool). With
+/// `accum` each value is a MAC accumulator and goes through
+/// Accum::finalize (wrap, then the layer's requant) first.
+template <typename T>
+struct Rows {
+  const T* data = nullptr;
+  std::size_t positions = 0;
+  std::size_t ch = 0;
+  std::size_t stride = 0;
+  std::size_t pool = 1;
+  const reads::hls::detail::Accum* accum = nullptr;
+};
+
+/// Write `src` out through `ep` into the slabs of the activation block at
+/// `block`: per value, finalize (with `accum`), the common stages, then per
+/// sink its stages, the store, and the nonzero list. Counts go to
+/// ovf[layer] / sat[layer], exactly as the reference's per-element
+/// Accum::finalize and Requant::apply loops count them; pad lanes of an
+/// accumulator row (past `ch`) are neither read nor counted. int16 sinks
+/// narrow by truncation: the values they receive are proven to fit.
+/// A `narrow` write-out runs the AVX-512 body where the host has it: 16
+/// int32 lanes per step from source to store, in registers, each row's
+/// last ch % 16 under a mask. Every other write-out (formats wider than 16
+/// bits, int64 accumulators) runs the portable int64 body.
+void write_out(const Rows<std::int16_t>& src, const Epilogue& ep,
+               std::byte* block, std::size_t* sat, std::size_t* ovf);
+void write_out(const Rows<std::int32_t>& src, const Epilogue& ep,
+               std::byte* block, std::size_t* sat, std::size_t* ovf);
+void write_out(const Rows<std::int64_t>& src, const Epilogue& ep,
+               std::byte* block, std::size_t* sat, std::size_t* ovf);
 
 /// Name of the int64 kernel variant selected at runtime ("avx512"/"scalar").
 const char* variant() noexcept;
@@ -141,12 +189,22 @@ const char* narrow_variant() noexcept;
 const char* narrow_dp_variant() noexcept;
 
 namespace detail {
-/// The portable bodies of pack_i16 and conv1d_acc_i16, whatever the host
+/// Most stages the AVX-512 write-out applies per group (the common ones, or
+/// one sink's), most sinks, and most replicas per sink; more take the
+/// portable body, as do two sinks appending to the same slab's lists.
+inline constexpr std::size_t kVectorStages = 4;
+inline constexpr std::size_t kVectorSinks = 4;
+inline constexpr std::size_t kVectorReplicas = 4;
+
+/// The portable bodies of write_out and conv1d_acc_i16, whatever the host
 /// supports, so tests on AVX-512 hosts still check the path every other
 /// host runs.
-void pack_i16_scalar(const std::int64_t* in, std::size_t positions,
-                     std::size_t in_ch, std::int16_t* x16, std::uint16_t* nz,
-                     std::uint16_t* nnz);
+void write_out_scalar(const Rows<std::int16_t>& src, const Epilogue& ep,
+                      std::byte* block, std::size_t* sat, std::size_t* ovf);
+void write_out_scalar(const Rows<std::int32_t>& src, const Epilogue& ep,
+                      std::byte* block, std::size_t* sat, std::size_t* ovf);
+void write_out_scalar(const Rows<std::int64_t>& src, const Epilogue& ep,
+                      std::byte* block, std::size_t* sat, std::size_t* ovf);
 void conv1d_acc_i16_scalar(const std::int16_t* x, const std::uint16_t* nz,
                            const std::uint16_t* nnz, const std::int16_t* wtr,
                            const std::int32_t* bias_acc, std::int32_t* acc,

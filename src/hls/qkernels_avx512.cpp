@@ -1,13 +1,15 @@
 // AVX-512 variants of the quantized executor's kernels: the wide and narrow
-// Conv1D/Dense accumulators, pack_i16, MaxPool and the requant/finalize
-// write-outs. This translation unit is compiled with -mavx512f -mavx512dq
+// Conv1D/Dense accumulators and the write-out every producer layer ends
+// in. This translation unit is compiled with -mavx512f -mavx512dq
 // -mavx512vl -mavx512bw (see src/hls/CMakeLists.txt) and is only ever
 // called after a runtime __builtin_cpu_supports check in qkernels.cpp.
 //
-// All lane arithmetic is exact int64 (vpmullq products fit comfortably:
+// The wide accumulator is exact int64 (vpmullq products fit comfortably:
 // |w|, |x| < 2^24, so |w*x| < 2^48; vpsraq is the same floor shift as the
-// scalar `>>`), so the per-output sums — and therefore the finalize-stage
-// overflow/saturation counts — are bit-identical to the scalar kernel.
+// scalar `>>`). The narrow accumulator and the write-out run int32 lanes
+// only where the range prover's bounds make int32 exact, so every sum,
+// every requant and every overflow/saturation count is bit-identical to
+// the scalar code.
 #if defined(READS_QKERNELS_AVX512)
 
 #include <immintrin.h>
@@ -18,6 +20,7 @@
 #include <type_traits>
 
 #include "hls/accum.hpp"
+#include "hls/qkernels.hpp"
 
 namespace reads::hls::kernels::detail {
 
@@ -68,146 +71,6 @@ void conv1d_acc_avx512(const std::int64_t* x, const std::int64_t* wtr,
       }
     }
   }
-}
-
-namespace {
-
-// Precomputed 8-lane constants for one Requant. The widening thresholds
-// mirror Requant::apply exactly: v << k saturates iff v lies outside
-// [ceil(lo / 2^k), hi >> k], evaluated BEFORE the shift so no lane ever
-// overflows int64. Built once per call, reused for every vector.
-struct RQ8 {
-  int shift;
-  __m128i cnt;                // |shift| as a shift count
-  __m512i vhalf;              // rounding bias, shift > 0 only
-  __m512i vlo, vhi;           // destination clamp range
-  __m512i vlo_thr, vhi_thr;   // pre-shift thresholds, shift < 0 only
-
-  explicit RQ8(const hd::Requant& rq)
-      : shift(rq.shift),
-        cnt(_mm_cvtsi32_si128(rq.shift >= 0 ? rq.shift : -rq.shift)),
-        vhalf(_mm512_set1_epi64(
-            rq.shift > 0 ? std::int64_t{1} << (rq.shift - 1) : 0)),
-        vlo(_mm512_set1_epi64(rq.lo)),
-        vhi(_mm512_set1_epi64(rq.hi)),
-        vlo_thr(_mm512_setzero_si512()),
-        vhi_thr(_mm512_setzero_si512()) {
-    if (shift < 0) {
-      const int k = -shift;  // < 63: the wrapper routes k >= 63 to scalar
-      const std::int64_t hi_thr = rq.hi >> k;
-      const std::int64_t lo_floor = rq.lo >> k;
-      const std::int64_t lo_thr =
-          lo_floor * (std::int64_t{1} << k) == rq.lo ? lo_floor
-                                                     : lo_floor + 1;
-      vlo_thr = _mm512_set1_epi64(lo_thr);
-      vhi_thr = _mm512_set1_epi64(hi_thr);
-    }
-  }
-};
-
-// 8-lane Requant::apply. shift > 0: round-to-nearest half-away-from-zero
-// via |v| (exactly the scalar's two-branch rounding), then clamp. shift < 0
-// (widening): saturate against the pre-shift thresholds and left-shift the
-// in-range lanes — in-range results land inside [lo, hi] by construction,
-// so the final clamp is skipped just like the scalar early returns. Either
-// way `sat` reports the would-saturate lanes; popcounting it gives the same
-// saturation total as the scalar per-element counter.
-inline __m512i requant8(__m512i v, const RQ8& rq, __mmask8& sat) {
-  if (rq.shift < 0) {
-    const auto hi_m = _mm512_cmplt_epi64_mask(rq.vhi_thr, v);
-    const auto lo_m = _mm512_cmplt_epi64_mask(v, rq.vlo_thr);
-    sat = static_cast<__mmask8>(hi_m | lo_m);
-    v = _mm512_sll_epi64(v, rq.cnt);
-    v = _mm512_mask_mov_epi64(v, hi_m, rq.vhi);
-    v = _mm512_mask_mov_epi64(v, lo_m, rq.vlo);
-    return v;
-  }
-  if (rq.shift > 0) {
-    const __m512i a = _mm512_abs_epi64(v);
-    // a + half >= 0, so the logical shift is the arithmetic one.
-    const __m512i t = _mm512_srl_epi64(_mm512_add_epi64(a, rq.vhalf), rq.cnt);
-    const __mmask8 neg =
-        _mm512_cmplt_epi64_mask(v, _mm512_setzero_si512());
-    v = _mm512_mask_sub_epi64(t, neg, _mm512_setzero_si512(), t);
-  }
-  sat = static_cast<__mmask8>(_mm512_cmplt_epi64_mask(v, rq.vlo) |
-                              _mm512_cmplt_epi64_mask(rq.vhi, v));
-  v = _mm512_max_epi64(_mm512_min_epi64(v, rq.vhi), rq.vlo);
-  return v;
-}
-
-}  // namespace
-
-void requant_i64_avx512(const std::int64_t* in, std::int64_t* out,
-                        std::size_t n, const hd::Requant& rq, bool relu,
-                        std::size_t& saturations) {
-  const RQ8 r8(rq);  // |shift| < 63 (the wrapper routes shift <= -63 away)
-  const __m512i zero = _mm512_setzero_si512();
-  std::size_t sat = 0;
-  // `live` masks the last n % 8 lanes: lanes past n load as zero and are
-  // neither stored nor counted.
-  const auto step = [&](std::size_t i, __mmask8 live)
-                        __attribute__((always_inline)) {
-    __m512i v = _mm512_maskz_loadu_epi64(live, in + i);
-    if (relu) v = _mm512_max_epi64(v, zero);
-    __mmask8 m;
-    v = requant8(v, r8, m);
-    sat += static_cast<std::size_t>(__builtin_popcount(m & live));
-    _mm512_mask_storeu_epi64(out + i, live, v);
-  };
-  const std::size_t main = n & ~std::size_t{7};
-  for (std::size_t i = 0; i < main; i += 8) step(i, 0xFF);
-  if (n > main) step(main, static_cast<__mmask8>((1u << (n - main)) - 1u));
-  saturations += sat;
-}
-
-void finalize_i32_avx512(const std::int32_t* acc, std::int64_t* out,
-                         std::size_t positions, std::size_t out_ch,
-                         std::size_t acc_stride, const hd::Accum& ac,
-                         std::size_t& overflows, std::size_t& saturations) {
-  const int rb = ac.ring_bits;
-  const bool can_wrap = rb < 64;
-  const __m128i wrap_cnt = _mm_cvtsi32_si128(can_wrap ? 64 - rb : 0);
-  const __m512i ring_lo = _mm512_set1_epi64(ac.ring_lo);
-  const __m512i ring_hi = _mm512_set1_epi64(ac.ring_hi);
-  const RQ8 r8(ac.out);  // |shift| < 63 (wrapper routes shift <= -63 away)
-  std::size_t ovf = 0;
-  std::size_t sat = 0;
-  // One 8-lane step: `live` masks the row's last out_ch % 8 lanes, which
-  // load as zero and are neither stored nor counted (the pad lanes of the
-  // out_pad-stride accumulator rows hold whatever the kernel left there).
-  const auto step = [&](const std::int32_t* ap, std::int64_t* yp,
-                        __mmask8 live) __attribute__((always_inline)) {
-    __m512i v = _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(live, ap));
-    if (can_wrap) {
-      const auto w = static_cast<__mmask8>(
-          (_mm512_cmplt_epi64_mask(v, ring_lo) |
-           _mm512_cmplt_epi64_mask(ring_hi, v)) &
-          live);
-      if (w) {
-        // Sign-extend the low ring_bits: identical to the scalar
-        // mask-and-or wrap.
-        const __m512i wr =
-            _mm512_sra_epi64(_mm512_sll_epi64(v, wrap_cnt), wrap_cnt);
-        v = _mm512_mask_mov_epi64(v, w, wr);
-        ovf += static_cast<std::size_t>(__builtin_popcount(w));
-      }
-    }
-    __mmask8 m;
-    v = requant8(v, r8, m);
-    sat += static_cast<std::size_t>(__builtin_popcount(m & live));
-    _mm512_mask_storeu_epi64(yp, live, v);
-  };
-  const std::size_t o_main = out_ch & ~std::size_t{7};
-  const auto tail = static_cast<__mmask8>((1u << (out_ch - o_main)) - 1u);
-  for (std::size_t p = 0; p < positions; ++p) {
-    const std::int32_t* ap = acc + p * acc_stride;
-    std::int64_t* yp = out + p * out_ch;
-    for (std::size_t o = 0; o < o_main; o += 8) step(ap + o, yp + o, 0xFF);
-    if (tail) step(ap + o_main, yp + o_main, tail);
-  }
-  overflows += ovf;
-  saturations += sat;
 }
 
 namespace {
@@ -417,73 +280,301 @@ void conv1d_acc_i16_avx512(const std::int16_t* x, const std::uint16_t* nz,
   }
 }
 
-void pack_i16_avx512(const std::int64_t* in, std::size_t positions,
-                     std::size_t in_ch, std::int16_t* x16, std::uint16_t* nz,
-                     std::uint16_t* nnz) {
-  // Each step narrows 16 channels with two vpmovqw (the same truncation as
-  // static_cast<int16_t>; the prover guarantees it loses nothing), stores
-  // the live ones (lanes past in_ch are neither loaded nor stored), and
-  // appends the nonzero lanes' indices to the row's list with vpcompressd +
-  // a masked vpmovdw of popcount entries: nothing is written past the
-  // list's end.
-  const __m512i iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                         11, 12, 13, 14, 15);
-  for (std::size_t p = 0; p < positions; ++p) {
-    const std::int64_t* src = in + p * in_ch;
-    std::int16_t* dst = x16 + p * in_ch;
-    std::uint16_t* list = nz + p * in_ch;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < in_ch; i += 16) {
-      const std::size_t live = std::min<std::size_t>(16, in_ch - i);
-      const auto lo_m = static_cast<__mmask8>(
-          (1u << std::min<std::size_t>(live, 8)) - 1u);
-      const auto hi_m =
-          static_cast<__mmask8>((1u << (live > 8 ? live - 8 : 0)) - 1u);
-      const __m128i lo =
-          _mm512_cvtepi64_epi16(_mm512_maskz_loadu_epi64(lo_m, src + i));
-      const __m128i hi =
-          _mm512_cvtepi64_epi16(_mm512_maskz_loadu_epi64(hi_m, src + i + 8));
-      const __m256i v =
-          _mm256_inserti128_si256(_mm256_castsi128_si256(lo), hi, 1);
-      _mm256_mask_storeu_epi16(dst + i,
-                               static_cast<__mmask16>((1u << live) - 1u), v);
-      const __mmask16 m = _mm256_test_epi16_mask(v, v);
-      const __m512i idx = _mm512_maskz_compress_epi32(
-          m, _mm512_add_epi32(iota, _mm512_set1_epi32(static_cast<int>(i))));
-      const auto cnt = static_cast<unsigned>(__builtin_popcount(m));
-      _mm512_mask_cvtepi32_storeu_epi16(
-          list + n, static_cast<__mmask16>((1u << cnt) - 1u), idx);
-      n += cnt;
+namespace {
+
+// Precomputed 16-lane int32 constants for one Requant (Epilogue::narrow
+// certifies |shift| < 32 and lo/hi inside int32).
+struct RQ16 {
+  int shift = 0;
+  __m128i cnt;     // |shift| as a shift count
+  __m512i vhalf;   // rounding bias, shift > 0 only
+  __m512i vlo, vhi;
+
+  RQ16() = default;
+  explicit RQ16(const hd::Requant& rq)
+      : shift(rq.shift),
+        cnt(_mm_cvtsi32_si128(rq.shift >= 0 ? rq.shift : -rq.shift)),
+        vhalf(_mm512_set1_epi32(rq.shift > 0 ? 1 << (rq.shift - 1) : 0)),
+        vlo(_mm512_set1_epi32(static_cast<int>(rq.lo))),
+        vhi(_mm512_set1_epi32(static_cast<int>(rq.hi))) {}
+};
+
+// 16-lane Requant::apply, exact because Epilogue::narrow certifies that
+// neither v + half nor v << k leaves int32 on any lane it meets. shift > 0
+// rounds half away from zero as (v + half - [v < 0]) >> shift, an
+// arithmetic floor shift: for v < 0 that is -((|v| + half) >> shift),
+// the scalar's magnitude rounding. shift < 0 shifts left. Then clamp; a
+// live lane saturated iff the clamp moved it, which counts exactly the
+// scalar's events.
+inline __m512i requant16(__m512i v, const RQ16& rq, __mmask16 live,
+                         std::size_t& events) {
+  __m512i t = v;
+  if (rq.shift > 0) {
+    t = _mm512_sra_epi32(
+        _mm512_add_epi32(_mm512_add_epi32(v, rq.vhalf),
+                         _mm512_srai_epi32(v, 31)),
+        rq.cnt);
+  } else if (rq.shift < 0) {
+    t = _mm512_sll_epi32(v, rq.cnt);
+  }
+  const __m512i c = _mm512_max_epi32(_mm512_min_epi32(t, rq.vhi), rq.vlo);
+  events += static_cast<std::size_t>(
+      __builtin_popcount(_mm512_mask_cmpneq_epi32_mask(live, c, t)));
+  return c;
+}
+
+inline __mmask16 live16(std::size_t left) {
+  return left >= 16 ? __mmask16{0xFFFF}
+                    : static_cast<__mmask16>((1u << left) - 1u);
+}
+
+inline std::size_t popcount16(__mmask16 m) {
+  return static_cast<std::size_t>(__builtin_popcount(m));
+}
+
+// 16 source values as int32 lanes; lanes outside `live` load as zero.
+// int64 sources narrow with two vpmovqd: Epilogue::narrow certifies that
+// every source value fits int32.
+inline __m512i load16(const std::int16_t* p, __mmask16 live) {
+  return _mm512_cvtepi16_epi32(_mm256_maskz_loadu_epi16(live, p));
+}
+inline __m512i load16(const std::int32_t* p, __mmask16 live) {
+  return _mm512_maskz_loadu_epi32(live, p);
+}
+inline __m512i load16(const std::int64_t* p, __mmask16 live) {
+  const __m256i lo = _mm512_cvtepi64_epi32(
+      _mm512_maskz_loadu_epi64(static_cast<__mmask8>(live), p));
+  const __m256i hi = _mm512_cvtepi64_epi32(
+      _mm512_maskz_loadu_epi64(static_cast<__mmask8>(live >> 8), p + 8));
+  return _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1);
+}
+
+// A group of stages (the common ones, or one sink's): vector constants and
+// per-stage event counts, added to ForwardStats by flush().
+struct StageGroup {
+  RQ16 rq[kVectorStages];
+  bool relu[kVectorStages] = {};
+  std::size_t events[kVectorStages] = {};
+  const Stage* first = nullptr;
+  std::size_t n = 0;
+
+  StageGroup() = default;
+  StageGroup(const Stage* b, const Stage* e)
+      : first(b), n(static_cast<std::size_t>(e - b)) {
+    for (std::size_t i = 0; i < n; ++i) {
+      rq[i] = RQ16(b[i].rq);
+      relu[i] = b[i].relu;
     }
-    nnz[p] = static_cast<std::uint16_t>(n);
+  }
+
+  __m512i apply(__m512i v, __mmask16 live) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (relu[i]) v = _mm512_max_epi32(v, _mm512_setzero_si512());
+      v = requant16(v, rq[i], live, events[i]);
+    }
+    return v;
+  }
+
+  void flush(std::size_t* sat) const {
+    for (std::size_t i = 0; i < n; ++i) {
+      sat[first[i].layer] += events[i] * first[i].mult;
+    }
+  }
+};
+
+// One int16 slab row a sink writes, 16 values per put(): narrowed with
+// vpmovdw, the nonzero ones' channels appended to the row's list by
+// vpcompressd and a masked vpmovdw of popcount entries, so nothing is
+// written past the list's end. Values past `left` are neither stored nor
+// listed.
+struct RowOut {
+  std::int16_t* values = nullptr;
+  std::uint16_t* list = nullptr;
+  std::uint16_t* nnz = nullptr;
+  std::size_t k = 0;
+  __m512i idx = _mm512_setzero_si512();
+
+  RowOut() = default;
+  RowOut(std::byte* block, const Sink& s, std::size_t r)
+      : values(reinterpret_cast<std::int16_t*>(block + s.values) +
+               r * s.stride + s.channel) {
+    if (!s.lists) return;
+    nnz = reinterpret_cast<std::uint16_t*>(block + s.nnz) + r;
+    list = reinterpret_cast<std::uint16_t*>(block + s.nz) + r * s.stride;
+    k = s.reset ? 0 : *nnz;
+    idx = _mm512_add_epi32(
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                          15),
+        _mm512_set1_epi32(static_cast<int>(s.channel)));
+  }
+
+  void put(std::size_t c, __m512i v, __mmask16 live) {
+    const __m256i x = _mm512_cvtepi32_epi16(v);
+    _mm256_mask_storeu_epi16(values + c, live, x);
+    if (list == nullptr) return;
+    const __mmask16 m = _mm256_test_epi16_mask(x, x) & live;
+    const auto cnt = static_cast<unsigned>(__builtin_popcount(m));
+    _mm512_mask_cvtepi32_storeu_epi16(list + k,
+                                      static_cast<__mmask16>((1u << cnt) - 1u),
+                                      _mm512_maskz_compress_epi32(m, idx));
+    k += cnt;
+    idx = _mm512_add_epi32(idx, _mm512_set1_epi32(16));
+  }
+
+  void close() const {
+    if (list != nullptr) *nnz = static_cast<std::uint16_t>(k);
+  }
+};
+
+// 16 values of output row `row` at column c: the max over `pool` source
+// rows, finalized (wrap, then the accumulator's requant) and through the
+// common stages. NC is 1 when there is exactly one common stage (a fused
+// ReLU, or a MaxPool's requant), whose constants then stay in registers;
+// -1 takes any number up to kVectorStages.
+// Wrap is the scalar mask-and-or sign extension of the low ring_bits, done
+// as a shift-left/arithmetic-shift-right pair, which leaves lanes inside
+// the ring as they are: the lanes it moved are the overflows. A ring of 32
+// bits or more holds every int32 and never wraps.
+template <typename T, int NC>
+struct Front {
+  std::size_t stride;
+  std::size_t pool;
+  const hd::Accum* ac;
+  bool can_wrap;
+  __m128i wrap_cnt;
+  RQ16 out;
+  RQ16 c16;
+  bool c_relu = false;
+  StageGroup group;
+  std::size_t ovf = 0;
+  std::size_t sat = 0;
+  std::size_t c_events = 0;
+
+  Front(const Rows<T>& src, const Epilogue& ep)
+      : stride(src.stride),
+        pool(src.pool),
+        ac(src.accum),
+        can_wrap(ac != nullptr && ac->ring_bits < 32),
+        wrap_cnt(_mm_cvtsi32_si128(can_wrap ? 32 - ac->ring_bits : 0)),
+        out(ac ? ac->out : hd::Requant{}),
+        group(ep.stages.data(), ep.stages.data() + (NC < 0 ? ep.common : 0)) {
+    if constexpr (NC == 1) {
+      c16 = RQ16(ep.stages[0].rq);
+      c_relu = ep.stages[0].relu;
+    }
+  }
+
+  __m512i operator()(const T* row, std::size_t c, __mmask16 live) {
+    __m512i x = load16(row + c, live);
+    for (std::size_t d = 1; d < pool; ++d) {
+      x = _mm512_max_epi32(x, load16(row + d * stride + c, live));
+    }
+    if (ac != nullptr) {
+      if (can_wrap) {
+        const __m512i wr =
+            _mm512_sra_epi32(_mm512_sll_epi32(x, wrap_cnt), wrap_cnt);
+        ovf += popcount16(_mm512_mask_cmpneq_epi32_mask(live, wr, x));
+        x = wr;
+      }
+      x = requant16(x, out, live, sat);
+    }
+    if constexpr (NC == 1) {
+      if (c_relu) x = _mm512_max_epi32(x, _mm512_setzero_si512());
+      x = requant16(x, c16, live, c_events);
+    } else if constexpr (NC < 0) {
+      x = group.apply(x, live);
+    }
+    return x;
+  }
+
+  void flush(const Epilogue& ep, std::size_t* sat_out, std::size_t* ovf_out) {
+    ovf_out[ep.layer] += ovf;
+    sat_out[ep.layer] += sat;
+    if constexpr (NC == 1) {
+      sat_out[ep.stages[0].layer] += c_events * ep.stages[0].mult;
+    }
+    group.flush(sat_out);
+  }
+};
+
+// Per output row: open every (sink, replica) row, then per 16 values the
+// front, and per sink its own stages and the stores. With one sink that
+// has no stages or replicas of its own (most producers), the row's list
+// state stays in registers instead of in the rows array.
+template <typename T, int NC>
+void write_out_body(const Rows<T>& src, const Epilogue& ep, std::byte* block,
+                    std::size_t* sat, std::size_t* ovf) {
+  Front<T, NC> front(src, ep);
+  const std::size_t sinks = ep.sinks.size();
+  StageGroup own[kVectorSinks];
+  for (std::size_t j = 0; j < sinks; ++j) {
+    const Sink& s = ep.sinks[j];
+    own[j] = StageGroup(ep.stages.data() + s.stage_begin,
+                        ep.stages.data() + s.stage_end);
+  }
+  if (sinks == 1 && own[0].n == 0 && ep.sinks[0].rep == 1) {
+    for (std::size_t p = 0; p < src.positions; ++p) {
+      const T* row = src.data + p * src.pool * src.stride;
+      RowOut out(block, ep.sinks[0], p);
+      for (std::size_t c = 0; c < src.ch; c += 16) {
+        const __mmask16 live = live16(src.ch - c);
+        out.put(c, front(row, c, live), live);
+      }
+      out.close();
+    }
+    front.flush(ep, sat, ovf);
+    return;
+  }
+  RowOut rows[kVectorSinks][kVectorReplicas];
+  for (std::size_t p = 0; p < src.positions; ++p) {
+    const T* row = src.data + p * src.pool * src.stride;
+    for (std::size_t j = 0; j < sinks; ++j) {
+      const Sink& s = ep.sinks[j];
+      for (std::size_t d = 0; d < s.rep; ++d) {
+        rows[j][d] = RowOut(block, s, p * s.rep + d);
+      }
+    }
+    for (std::size_t c = 0; c < src.ch; c += 16) {
+      const __mmask16 live = live16(src.ch - c);
+      const __m512i v = front(row, c, live);
+      for (std::size_t j = 0; j < sinks; ++j) {
+        const __m512i w = own[j].n == 0 ? v : own[j].apply(v, live);
+        for (std::size_t d = 0; d < ep.sinks[j].rep; ++d) {
+          rows[j][d].put(c, w, live);
+        }
+      }
+    }
+    for (std::size_t j = 0; j < sinks; ++j) {
+      for (std::size_t d = 0; d < ep.sinks[j].rep; ++d) rows[j][d].close();
+    }
+  }
+  front.flush(ep, sat, ovf);
+  for (std::size_t j = 0; j < sinks; ++j) own[j].flush(sat);
+}
+
+template <typename T>
+void write_out_nc(const Rows<T>& src, const Epilogue& ep, std::byte* block,
+                  std::size_t* sat, std::size_t* ovf) {
+  if (ep.common == 1) {
+    write_out_body<T, 1>(src, ep, block, sat, ovf);
+  } else {
+    write_out_body<T, -1>(src, ep, block, sat, ovf);
   }
 }
 
-void maxpool_i64_avx512(const std::int64_t* in, std::int64_t* out,
-                        std::size_t positions, std::size_t ch,
-                        std::size_t factor, const hd::Requant& rq,
-                        std::size_t& saturations) {
-  const RQ8 r8(rq);  // |shift| < 63 (the wrapper routes shift <= -63 away)
-  std::size_t sat = 0;
-  for (std::size_t p = 0; p < positions; ++p) {
-    const std::int64_t* rows = in + p * factor * ch;
-    std::int64_t* yp = out + p * ch;
-    for (std::size_t c = 0; c < ch; c += 8) {
-      // Lanes past ch load as zero and are neither stored nor counted.
-      const auto live = static_cast<__mmask8>(
-          (1u << std::min<std::size_t>(8, ch - c)) - 1u);
-      __m512i v = _mm512_maskz_loadu_epi64(live, rows + c);
-      for (std::size_t d = 1; d < factor; ++d) {
-        v = _mm512_max_epi64(
-            v, _mm512_maskz_loadu_epi64(live, rows + d * ch + c));
-      }
-      __mmask8 m;
-      v = requant8(v, r8, m);
-      sat += static_cast<std::size_t>(__builtin_popcount(m & live));
-      _mm512_mask_storeu_epi64(yp + c, live, v);
-    }
-  }
-  saturations += sat;
+}  // namespace
+
+void write_out_avx512(const Rows<std::int16_t>& src, const Epilogue& ep,
+                      std::byte* block, std::size_t* sat, std::size_t* ovf) {
+  write_out_nc(src, ep, block, sat, ovf);
+}
+void write_out_avx512(const Rows<std::int32_t>& src, const Epilogue& ep,
+                      std::byte* block, std::size_t* sat, std::size_t* ovf) {
+  write_out_nc(src, ep, block, sat, ovf);
+}
+void write_out_avx512(const Rows<std::int64_t>& src, const Epilogue& ep,
+                      std::byte* block, std::size_t* sat, std::size_t* ovf) {
+  write_out_nc(src, ep, block, sat, ovf);
 }
 
 }  // namespace reads::hls::kernels::detail

@@ -7,13 +7,19 @@
 // activation spec (round-to-nearest, saturating), which is where the
 // paper's quantization error and overflow outliers come from.
 //
-// Hot path: forward_raw() runs all layers over a per-thread scratch arena
-// (one flat int64 block, each layer's slab placed at construction so slabs
-// whose lifetimes do not overlap share words — zero allocations per frame)
-// and dispatches Dense/Conv1D through blocked transposed-weight kernels (see
-// qkernels.hpp). forward_raw_reference() keeps the original
-// per-layer-vector implementation; the two are bit-identical (outputs and
-// ForwardStats counters), which tests assert and bench_kernels times.
+// Hot path: forward_raw() runs the layers over a per-thread scratch arena
+// (one flat block, each slab placed at construction so slabs whose
+// lifetimes do not overlap share bytes — zero allocations per frame) and
+// dispatches Dense/Conv1D through blocked transposed-weight kernels (see
+// qkernels.hpp). Activations pass between layers as int16 wherever the
+// range prover bounds them to int16, which covers every 16-bit format, and
+// as int64 otherwise. Each producer layer ends in one write-out that also
+// does the work of the layers fused into it: a ReLU that is its only
+// reader, UpSamplings (row replication) and Concatenates (placement at the
+// input's channel offset), so those layers run no pass of their own.
+// forward_raw_reference() keeps the original per-layer-vector
+// implementation; the two are bit-identical (outputs and ForwardStats
+// counters), which tests assert and bench_kernels times.
 //
 // Sigmoid is evaluated through a 1024-entry lookup table over [-8, 8),
 // matching the hls4ml implementation of activation tables.
@@ -25,7 +31,9 @@
 
 #include "hls/firmware.hpp"
 #include "hls/lanes.hpp"
+#include "hls/qkernels.hpp"
 #include "tensor/tensor.hpp"
+#include "util/arena.hpp"
 
 namespace reads::hls {
 
@@ -88,8 +96,9 @@ class QuantizedModel {
                                     ForwardStats* stats = nullptr) const;
 
   /// Raw 16-bit-style interface used by the SoC simulation: input words are
-  /// already quantized at the input spec; outputs come back raw at the
-  /// output spec.
+  /// already quantized at the input spec, inside its saturation range (the
+  /// range prover, and so the slab types, assume it); outputs come back raw
+  /// at the output spec.
   std::vector<std::int64_t> forward_raw(
       const std::vector<std::int64_t>& input_raw,
       ForwardStats* stats = nullptr) const;
@@ -118,17 +127,31 @@ class QuantizedModel {
   /// Dequantize raw output words (what the HPS does after reading back).
   Tensor dequantize_output(const std::vector<std::int64_t>& raw) const;
 
-  /// The per-thread arena a frame borrows, in 8-byte words: each firmware
-  /// layer's int64 slab offset (a slab holds positions x out_channels words)
-  /// in the planned activation block, the block's size, and the narrow-lane
-  /// scratch carved after it.
+  /// One firmware layer's slab in the activation block a frame borrows.
+  /// A layer computed inside its producer's write-out that nothing reads
+  /// directly (a fused ReLU, an UpSampling or Concatenate feeding another
+  /// placement) has none: `bytes` is 0. A slab holds positions x channels
+  /// values, then, when a narrow MAC layer reads it, each row's nonzero
+  /// list (uint16 per channel) and the list lengths (uint16 per row); each
+  /// part starts on a 64-byte boundary.
+  struct SlabPlan {
+    std::size_t offset = 0;  ///< bytes into the activation block
+    std::size_t bytes = 0;
+    std::size_t elem_bytes = 0;  ///< 2 (int16) or 8 (int64)
+    bool lists = false;
+    std::size_t first = 0;  ///< layer whose step writes it first
+    std::size_t last = 0;   ///< last layer that reads it; SIZE_MAX: output
+  };
+  /// The per-thread arena a frame borrows, in bytes: each layer's slab,
+  /// the planned activation block's size, and the per-step scratch carved
+  /// after it (MAC accumulators, the quantized input, Sigmoid values).
   struct ArenaFootprint {
-    std::span<const std::size_t> act_offsets;
-    std::size_t act_words = 0;
-    std::size_t narrow_words = 0;
+    std::span<const SlabPlan> slabs;
+    std::size_t act_bytes = 0;
+    std::size_t scratch_bytes = 0;
   };
   ArenaFootprint arena_footprint() const noexcept {
-    return {act_offset_, act_words_, narrow_words_};
+    return {slabs_, act_bytes_, scratch_bytes_};
   }
 
  private:
@@ -149,30 +172,42 @@ class QuantizedModel {
     std::size_t out_pad = 0;
   };
 
+  /// One frame's carve-up of the arena: the activation block and the
+  /// per-layer saturation/overflow counters the write-outs add to.
+  struct Frame {
+    std::byte* block = nullptr;
+    std::size_t* sat = nullptr;
+    std::size_t* ovf = nullptr;
+  };
+
   void prepare_stats(ForwardStats* stats) const;
-  /// Run layer `idx` on the flat activation block (fast path).
-  void run_layer_fast(std::size_t idx, std::int64_t* acts,
-                      ForwardStats* stats) const;
+  Frame start_frame(util::ScratchArena& arena) const;
+  /// Write raw input words through the input layer's write-out.
+  void write_input(const std::int64_t* raw, const Frame& frame) const;
+  /// Run layer `idx`'s step: read its source slab, write out (fast path).
+  void run_step(std::size_t idx, const Frame& frame) const;
+  /// Run every step; add the frame's counters to `stats` if given.
+  void execute(const Frame& frame, ForwardStats* stats) const;
+  /// Raw output word i, read from the output layer's slab.
+  std::int64_t output_word(const Frame& frame, std::size_t i) const;
   /// Seed implementation on per-layer vectors (reference path).
   void run_layer_reference(std::size_t idx,
                            const std::vector<std::vector<std::int64_t>>& acts,
                            std::vector<std::int64_t>& out,
                            ForwardStats* stats) const;
-  /// Execute the pipeline over a flat activation block whose input slot is
-  /// already populated; returns a pointer to the output slot.
-  const std::int64_t* execute(std::int64_t* acts, ForwardStats* stats) const;
 
   FirmwareModel fw_;
-  /// Per-layer slab offset in the activation block, planned by liveness
-  /// (greedy by size): a slab shares words only with slabs whose lifetimes,
-  /// from the layer's step to its last reader's, do not overlap its own.
-  /// The input slab sits at act_offset_[0], not necessarily at 0.
-  std::vector<std::size_t> act_offset_;
-  std::size_t act_words_ = 0;  ///< activation block words: the plan's peak
-  /// Extra arena words for the widest narrow layer's int16 activation copy,
-  /// its per-row nonzero lists and list lengths, and int32 accumulator
-  /// scratch (allocated per layer, nested scope).
-  std::size_t narrow_words_ = 0;
+  /// Per-layer slab, planned by liveness (greedy by size): a slab shares
+  /// bytes only with slabs whose lifetimes, from its first writer's step to
+  /// its last reader's, do not overlap its own.
+  std::vector<SlabPlan> slabs_;
+  std::size_t act_bytes_ = 0;      ///< activation block: the plan's peak
+  std::size_t scratch_bytes_ = 0;  ///< the largest step's scratch
+  /// Per layer: does it run a step of its own (else it is the input, or is
+  /// computed inside a producer's write-out)?
+  std::vector<bool> step_;
+  /// Per producer layer (the input and every step): its write-out.
+  std::vector<kernels::Epilogue> epilogues_;
   LaneReport lanes_;
   std::vector<KernelPlan> plans_;
   /// Sigmoid table: raw output-spec words, one per bucket over [-8, 8).

@@ -21,7 +21,11 @@
 #include "nn/init.hpp"
 #include "nn/layers/activations.hpp"
 #include "nn/layers/batchnorm.hpp"
+#include "nn/layers/concat.hpp"
+#include "nn/layers/conv1d.hpp"
 #include "nn/layers/dense.hpp"
+#include "nn/layers/pool.hpp"
+#include "nn/layers/upsample.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
 
@@ -544,6 +548,34 @@ hls::QuantizedModel small_unet_model() {
   return hls::QuantizedModel(hls::compile(model, cfg));
 }
 
+// The small U-Net with one activation widened past 16 bits: its slab, and
+// the MaxPool and Concatenate input reading it, stay int64 while the rest
+// of the frame passes int16.
+hls::QuantizedModel mixed_width_unet_model() {
+  auto model = nn::build_unet({.monitors = 16, .c1 = 3, .c2 = 4, .c3 = 5});
+  nn::init_he_uniform(model, 47);
+  std::vector<Tensor> calib;
+  for (int i = 0; i < 4; ++i) {
+    calib.push_back(random_frame({16, 1}, 600u + static_cast<unsigned>(i)));
+  }
+  hls::HlsConfig cfg;
+  cfg.quant = hls::layer_based_config(model, hls::profile_model(model, calib),
+                                      16);
+  auto wide = cfg.quant.layer("enc2b_relu");
+  wide.activation = {24, wide.activation.int_bits};
+  cfg.quant.per_layer["enc2b_relu"] = wide;
+  return hls::QuantizedModel(hls::compile(model, cfg));
+}
+
+// Every format 24 bits wide: every slab is int64 and every MAC layer wide.
+hls::QuantizedModel wide_unet_model() {
+  auto model = nn::build_unet({.monitors = 16, .c1 = 3, .c2 = 4, .c3 = 5});
+  nn::init_he_uniform(model, 43);
+  hls::HlsConfig cfg;
+  cfg.quant = hls::QuantConfig::uniform({24, 9});
+  return hls::QuantizedModel(hls::compile(model, cfg));
+}
+
 hls::QuantizedModel overflowing_mlp_model() {
   auto model = nn::build_mlp({.inputs = 6, .hidden = 5, .outputs = 3});
   nn::init_he_uniform(model, 53);
@@ -615,34 +647,50 @@ TEST(QuantizedModel, FastPathBitIdenticalOnOverflowingMlp) {
 // identical values.
 void poison_arena(const hls::QuantizedModel& qm, std::uint64_t seed) {
   const auto fp = qm.arena_footprint();
+  const std::size_t words = (fp.act_bytes + fp.scratch_bytes) / 8;
   auto& arena = util::ScratchArena::local();
   util::ArenaScope scope(arena);
-  arena.require<std::int64_t>(fp.act_words + fp.narrow_words);
+  arena.require<std::int64_t>(words);
   util::Xoshiro256 rng(seed);
-  for (auto& w : arena.alloc<std::int64_t>(fp.act_words + fp.narrow_words)) {
+  for (auto& w : arena.alloc<std::int64_t>(words)) {
     w = static_cast<std::int64_t>(rng() % 2000) - 1000;
     if (w == 0) w = 1;
   }
 }
 
-// Layers' slabs share arena words, and the arena keeps whatever the last
+// Layers' slabs share arena bytes, and the arena keeps whatever the last
 // frame left there: with it poisoned before every frame and models with
 // different plans alternating on one thread, the fast path must still match
-// the reference executor in raw words and ForwardStats.
+// the reference executor in raw words and ForwardStats. The models cover
+// int16 slabs with nonzero lists, int64 slabs next to int16 ones, and a
+// frame of int64 slabs only.
 TEST(QuantizedModel, FastPathPoisonedArenaMatchesReference) {
   const hls::QuantizedModel small = small_unet_model();
   const hls::QuantizedModel mlp = overflowing_mlp_model();
   const hls::QuantizedModel deployed = deployed_shape_unet_model();
-  const hls::QuantizedModel* models[] = {&small, &mlp, &deployed};
-  // The narrow lanes' int16 scratch sits past the slabs; exercise it too.
+  const hls::QuantizedModel mixed = mixed_width_unet_model();
+  const hls::QuantizedModel wide = wide_unet_model();
+  const hls::QuantizedModel* models[] = {&small, &mlp, &deployed, &mixed,
+                                         &wide};
   EXPECT_GT(deployed.lanes().narrow_layers, 0u);
   EXPECT_GT(small.lanes().narrow_layers, 0u);
+  const auto elem_bytes = [](const hls::QuantizedModel& qm, std::size_t e) {
+    std::size_t n = 0;
+    for (const auto& s : qm.arena_footprint().slabs) {
+      n += static_cast<std::size_t>(s.bytes > 0 && s.elem_bytes == e);
+    }
+    return n;
+  };
+  EXPECT_GT(elem_bytes(mixed, 8), 0u);
+  EXPECT_GT(elem_bytes(mixed, 2), 0u);
+  EXPECT_EQ(elem_bytes(wide, 2), 0u);
+  EXPECT_EQ(elem_bytes(deployed, 8), 0u);
   std::size_t total_overflows = 0;
   std::size_t total_saturations = 0;
-  for (unsigned f = 0; f < 12; ++f) {
-    const auto& qm = *models[f % 3];
+  for (unsigned f = 0; f < 20; ++f) {
+    const auto& qm = *models[f % std::size(models)];
     const auto& shape = qm.firmware().layers.front();
-    const double scale = f < 6 ? 1.0 : 25.0;
+    const double scale = f < 10 ? 1.0 : 25.0;
     const auto in =
         random_frame({shape.positions, shape.out_channels}, 1000u + f, scale);
     const auto raw = qm.quantize_input(in);
@@ -666,12 +714,17 @@ TEST(QuantizedModel, FastPathPoisonedArenaMatchesReference) {
   EXPECT_GT(total_saturations, 0u);
 }
 
-// Lifetime of each layer's slab as the plan defines it: from the layer's own
-// step to its last reader's; the output's runs to the end of the frame.
+// Last reader of each layer's value in the firmware graph; the output's
+// runs to the end of the frame. UpSampling and Concatenate layers read no
+// slab: their inputs' producers write their values, so they do not count.
 std::vector<std::size_t> slab_last_step(const hls::FirmwareModel& fw) {
   std::vector<std::size_t> last(fw.layers.size());
   for (std::size_t i = 0; i < fw.layers.size(); ++i) {
     last[i] = i;
+    const auto kind = fw.layers[i].kind;
+    if (kind == hls::LayerKind::kUpSample || kind == hls::LayerKind::kConcat) {
+      continue;
+    }
     for (const std::size_t j : fw.layers[i].inputs) {
       last[j] = std::max(last[j], i);
     }
@@ -683,41 +736,84 @@ std::vector<std::size_t> slab_last_step(const hls::FirmwareModel& fw) {
 TEST(QuantizedModel, ArenaPlanKeepsLiveSlabsApart) {
   const hls::QuantizedModel unet = deployed_shape_unet_model();
   const hls::QuantizedModel mlp = overflowing_mlp_model();
-  for (const auto* qm : {&unet, &mlp}) {
+  const hls::QuantizedModel mixed = mixed_width_unet_model();
+  const hls::QuantizedModel wide = wide_unet_model();
+  const auto round64 = [](std::size_t b) { return (b + 63) / 64 * 64; };
+  for (const auto* qm : {&unet, &mlp, &mixed, &wide}) {
     const auto& layers = qm->firmware().layers;
+    const auto& ranges = qm->lanes().ranges;
     const auto fp = qm->arena_footprint();
-    ASSERT_EQ(fp.act_offsets.size(), layers.size());
+    ASSERT_EQ(fp.slabs.size(), layers.size());
     const auto last = slab_last_step(qm->firmware());
-    auto words = [&](std::size_t i) {
-      return layers[i].positions * layers[i].out_channels;
+    const auto live_at = [&](std::size_t i, std::size_t t) {
+      return fp.slabs[i].bytes > 0 && fp.slabs[i].first <= t &&
+             t <= fp.slabs[i].last;
     };
-    // The bound counts slabs in the plan's unit: rounded up to 8 words.
-    auto slab = [&](std::size_t i) { return (words(i) + 7) / 8 * 8; };
-    std::size_t unplanned = 0;
+    ASSERT_GT(fp.slabs.back().bytes, 0u);
+    EXPECT_EQ(fp.slabs.back().last, std::numeric_limits<std::size_t>::max());
     std::size_t max_live = 0;
     for (std::size_t i = 0; i < layers.size(); ++i) {
-      unplanned += words(i);
-      EXPECT_LE(fp.act_offsets[i] + words(i), fp.act_words) << layers[i].name;
+      const auto& s = fp.slabs[i];
+      const auto& l = layers[i];
+      if (l.kind == hls::LayerKind::kDense ||
+          l.kind == hls::LayerKind::kConv1D) {
+        // A MAC layer reads its source's slab, with nonzero lists when it
+        // runs the narrow lane.
+        const auto& src = fp.slabs[l.inputs[0]];
+        EXPECT_GT(src.bytes, 0u) << l.name;
+        if (qm->lanes().decisions[i].lane == hls::Lane::kNarrow32) {
+          EXPECT_TRUE(src.lists) << l.name;
+        }
+      }
       std::size_t live = 0;
       for (std::size_t j = 0; j < layers.size(); ++j) {
-        if (j <= i && i <= last[j]) live += slab(j);
-        if (j == i || !(j <= last[i] && i <= last[j])) continue;
-        // Overlapping lifetimes, which include every slab still live when
-        // the output is written, since the output's never ends: no shared
-        // word, so the output slab is never reused.
-        const bool disjoint =
-            fp.act_offsets[i] + words(i) <= fp.act_offsets[j] ||
-            fp.act_offsets[j] + words(j) <= fp.act_offsets[i];
-        EXPECT_TRUE(disjoint) << layers[i].name << " / " << layers[j].name;
+        if (live_at(j, i)) live += fp.slabs[j].bytes;
       }
       max_live = std::max(max_live, live);
+      if (s.bytes == 0) continue;
+      // Element type by the proven range; size in bytes by element type:
+      // values, then lists and list lengths, each part 64-byte rounded.
+      const bool i16 = ranges[i].lo >= std::numeric_limits<std::int16_t>::min() &&
+                       ranges[i].hi <= std::numeric_limits<std::int16_t>::max();
+      EXPECT_EQ(s.elem_bytes, i16 ? 2u : 8u) << l.name;
+      EXPECT_TRUE(!s.lists || s.elem_bytes == 2u) << l.name;
+      const std::size_t n = l.positions * l.out_channels;
+      EXPECT_EQ(s.bytes, round64(n * s.elem_bytes) +
+                             (s.lists ? round64(2 * n) + round64(2 * l.positions)
+                                      : 0))
+          << l.name;
+      EXPECT_LE(s.offset + s.bytes, fp.act_bytes) << l.name;
+      // Live from a step no later than the layer's own to its last reader.
+      EXPECT_LE(s.first, i) << l.name;
+      EXPECT_GE(s.last, last[i]) << l.name;
+      for (std::size_t j = 0; j < layers.size(); ++j) {
+        const auto& o = fp.slabs[j];
+        if (j == i || o.bytes == 0 || o.last < s.first || s.last < o.first) {
+          continue;
+        }
+        // Overlapping lifetimes, which include every slab still live when
+        // the output is written, since the output's never ends: no shared
+        // byte, so the output slab is never reused.
+        const bool disjoint = s.offset + s.bytes <= o.offset ||
+                              o.offset + o.bytes <= s.offset;
+        EXPECT_TRUE(disjoint) << l.name << " / " << layers[j].name;
+      }
     }
-    EXPECT_GE(fp.act_words, max_live);
-    EXPECT_LT(fp.act_words, unplanned);
+    EXPECT_GE(fp.act_bytes, max_live);
     if (qm == &unet) {
-      EXPECT_EQ(unplanned, 231400u);
-      EXPECT_EQ(max_live, 56432u);
-      EXPECT_EQ(fp.act_words, max_live);
+      // The deployed graph: every format is 16 bits, so every slab is
+      // int16; fused ReLUs' producers, the UpSamplings and the
+      // Concatenates' inputs that only feed placement keep no slab.
+      for (const char* fused : {"enc1a", "bot_b", "up1", "up2", "dec2b_relu"}) {
+        const auto at = static_cast<std::size_t>(
+            std::find_if(layers.begin(), layers.end(),
+                         [&](const auto& l) { return l.name == fused; }) -
+            layers.begin());
+        ASSERT_LT(at, layers.size()) << fused;
+        EXPECT_EQ(fp.slabs[at].bytes, 0u) << fused;
+      }
+      EXPECT_EQ(fp.act_bytes, max_live);
+      EXPECT_EQ(fp.act_bytes, 226688u);  // 28,336 words
     }
   }
 }
@@ -771,6 +867,119 @@ TEST(QuantizedModel, ProfiledForwardCountsMacInputsBeforeEachLayer) {
   EXPECT_EQ(layers[1].inputs, std::vector<std::size_t>{0});
   EXPECT_EQ(mac[1].nonzero_inputs, input_nonzero);
   EXPECT_EQ(ns[0], 0.0);
+}
+
+// dec2b's ReLU runs in dec2b's write-out, and dec2b_relu -> up1 -> cat1
+// is placed by that write-out too. The ReLU keeps one int bit fewer than
+// dec2b and cat1 two fewer than up1, so both requants widen and saturate
+// on hot frames. Each
+// count must land on its own layer index: dec2b's wraps and saturations,
+// then the ReLU's, then the UpSampling's and the Concatenate's, each as
+// the reference executor counts it (pinned from it).
+TEST(QuantizedModel, FusedWriteOutCountsEachLayerAtItsIndex) {
+  auto model = nn::build_unet({.monitors = 16, .c1 = 3, .c2 = 4, .c3 = 5});
+  nn::init_he_uniform(model, 47);
+  std::vector<Tensor> calib;
+  for (int i = 0; i < 4; ++i) {
+    calib.push_back(random_frame({16, 1}, 600u + static_cast<unsigned>(i)));
+  }
+  hls::HlsConfig cfg;
+  cfg.quant = hls::layer_based_config(model, hls::profile_model(model, calib),
+                                      16);
+  auto cat = cfg.quant.layer("cat1");
+  cat.activation.int_bits = cfg.quant.layer("up1").activation.int_bits - 2;
+  cfg.quant.per_layer["cat1"] = cat;
+  auto act = cfg.quant.layer("dec2b_relu");
+  act.activation.int_bits = cfg.quant.layer("dec2b").activation.int_bits - 1;
+  cfg.quant.per_layer["dec2b_relu"] = act;
+  const hls::QuantizedModel qm(hls::compile(model, cfg));
+  const auto& layers = qm.firmware().layers;
+  const auto at = [&](const char* name) {
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      if (layers[i].name == name) return i;
+    }
+    ADD_FAILURE() << name;
+    return std::size_t{0};
+  };
+  const std::size_t mac = at("dec2b");
+  const std::size_t relu = at("dec2b_relu");
+  const std::size_t up = at("up1");
+  const std::size_t concat = at("cat1");
+  const auto& slabs = qm.arena_footprint().slabs;
+  EXPECT_EQ(slabs[mac].bytes, 0u);
+  EXPECT_EQ(slabs[relu].bytes, 0u);
+  EXPECT_EQ(slabs[up].bytes, 0u);
+  EXPECT_GT(slabs[concat].bytes, 0u);
+  hls::ForwardStats fast;
+  hls::ForwardStats ref;
+  for (unsigned f = 0; f < 6; ++f) {
+    const auto raw = qm.quantize_input(random_frame({16, 1}, 1200u + f, 25.0));
+    EXPECT_EQ(qm.forward_raw(raw, &fast), qm.forward_raw_reference(raw, &ref))
+        << "frame " << f;
+  }
+  EXPECT_EQ(fast.saturations, ref.saturations);
+  EXPECT_EQ(fast.overflows, ref.overflows);
+  EXPECT_EQ(ref.overflows[mac], 12u);
+  EXPECT_EQ(ref.saturations[mac], 0u);
+  EXPECT_EQ(ref.saturations[relu], 32u);
+  EXPECT_EQ(ref.saturations[up], 0u);
+  EXPECT_EQ(ref.saturations[concat], 233u);
+}
+
+// A graph the U-Net does not have, for the write-out planner's other
+// cases: an UpSampling read by a Concatenate (twice: two sinks appending
+// to one slab's lists, which takes the portable write-out) and by a ReLU
+// step, so its requant is one stage that two sinks share and must count
+// once; a Concatenate feeding another UpSampling; a MaxPool nothing reads;
+// and requants that saturate on hot frames.
+TEST(QuantizedModel, FastPathMatchesReferenceOnFusionEdgeCases) {
+  nn::Model model("in", {8, 2});
+  model.add("c1", std::make_unique<nn::Conv1D>(2, 5, 3), {"in"});
+  model.add("c1_relu", std::make_unique<nn::ReLU>());
+  model.add("up", std::make_unique<nn::UpSampling1D>(2), {"c1_relu"});
+  model.add("cat", std::make_unique<nn::Concatenate>(), {"up", "up"});
+  model.add("up_relu", std::make_unique<nn::ReLU>(), {"up"});
+  model.add("dead", std::make_unique<nn::MaxPool1D>(2), {"up_relu"});
+  model.add("c2", std::make_unique<nn::Conv1D>(10, 3, 3), {"cat"});
+  model.add("cat2", std::make_unique<nn::Concatenate>(), {"c2", "up_relu"});
+  model.add("up2", std::make_unique<nn::UpSampling1D>(2), {"cat2"});
+  model.add("c3", std::make_unique<nn::Conv1D>(8, 2, 1), {"up2"});
+  nn::init_he_uniform(model, 71);
+  hls::HlsConfig cfg;
+  cfg.quant = hls::QuantConfig::uniform({16, 6});
+  // The UpSampling keeps two int bits fewer than c1_relu and cat one more
+  // than up: `up`'s requant widens and saturates, and cat's rounds.
+  cfg.quant.per_layer["up"] = {{16, 6}, {16, 6}, {16, 4}};
+  cfg.quant.per_layer["cat"] = {{16, 6}, {16, 6}, {16, 5}};
+  cfg.quant.per_layer["up2"] = {{16, 6}, {16, 6}, {16, 3}};
+  const hls::QuantizedModel qm(hls::compile(model, cfg));
+  const auto& layers = qm.firmware().layers;
+  const auto& slabs = qm.arena_footprint().slabs;
+  const auto at = [&](const char* name) {
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      if (layers[i].name == name) return i;
+    }
+    ADD_FAILURE() << name;
+    return std::size_t{0};
+  };
+  EXPECT_EQ(slabs[at("c1")].bytes, 0u);  // its ReLU is fused
+  EXPECT_EQ(qm.lanes().decisions[at("c2")].lane, hls::Lane::kNarrow32);
+  EXPECT_TRUE(slabs[at("cat")].lists);
+  EXPECT_GT(slabs[at("up")].bytes, 0u);  // up_relu reads it
+  EXPECT_GT(slabs[at("dead")].bytes, 0u);
+  EXPECT_GT(slabs[at("up2")].bytes, 0u);  // c3 reads it
+  hls::ForwardStats fast;
+  hls::ForwardStats ref;
+  for (unsigned f = 0; f < 8; ++f) {
+    const auto raw = qm.quantize_input(
+        random_frame({8, 2}, 1300u + f, f < 4 ? 1.0 : 25.0));
+    EXPECT_EQ(qm.forward_raw(raw, &fast), qm.forward_raw_reference(raw, &ref))
+        << "frame " << f;
+  }
+  EXPECT_EQ(fast.saturations, ref.saturations);
+  EXPECT_EQ(fast.overflows, ref.overflows);
+  EXPECT_GT(ref.saturations[at("up")], 0u);
+  EXPECT_GT(ref.saturations[at("up2")], 0u);
 }
 
 TEST(QuantizedModel, ForwardBatchMatchesPerFrameForward) {

@@ -1,20 +1,22 @@
 // Property and regression tests for the quantized kernel engine's
-// fixed-point arithmetic (hls/accum.hpp), the SIMD requant/finalize
-// write-out kernels (hls/qkernels.hpp), and the narrow-lane range prover
-// (hls/lanes.hpp).
+// fixed-point arithmetic (hls/accum.hpp), the write-out every producer
+// layer ends in and the MAC kernels (hls/qkernels.hpp), and the
+// narrow-lane range prover (hls/lanes.hpp).
 //
 // The arithmetic tests are phrased against *independent* wide references:
 // Requant is checked against a 128-bit shift-then-clamp (the semantics the
 // pre-bugfix code wanted but could not express without signed-overflow UB),
 // and Accum against a wrap-after-every-add ring accumulator (the HLS
 // AC_WRAP register the wrap-once-at-finalize optimization must be
-// congruent to). The SIMD kernels are checked lane-for-lane against the
+// congruent to). The write-out is checked lane-for-lane against the
 // scalar apply/finalize, including the event counts that feed ForwardStats,
 // and the narrow MAC kernels against a naive int64 convolution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "hls/accum.hpp"
@@ -236,12 +238,44 @@ TEST(AccumProperty, RingBits64PlusNeverWrapsAndHasNoUB) {
 
 // ------------------------------------------------- SIMD vs scalar kernels
 
+namespace hk = hls::kernels;
+
+// An activation block for write_out tests, in 8-byte words, every byte
+// set to a sentinel pattern so an unwritten or stray word shows.
+std::vector<std::int64_t> sentinel_block(std::size_t bytes) {
+  return std::vector<std::int64_t>((bytes + 7) / 8,
+                                   static_cast<std::int64_t>(0x5A5A5A5A5A5A5A5A));
+}
+
+std::byte* bytes_of(std::vector<std::int64_t>& block) {
+  return reinterpret_cast<std::byte*>(block.data());
+}
+
+// One sink over a whole (rows, stride) slab at byte 0 of the block; int16
+// slabs carry lists after the values when `lists` is set.
+hk::Sink slab_sink(std::size_t rows, std::size_t stride, bool i16,
+                   bool lists) {
+  hk::Sink s;
+  s.stride = stride;
+  s.rows = rows;
+  s.i16 = i16;
+  s.lists = lists;
+  s.reset = lists;
+  s.nz = (rows * stride * 2 + 63) / 64 * 64;
+  s.nnz = s.nz + (rows * stride * 2 + 63) / 64 * 64;
+  return s;
+}
+
+std::size_t slab_bytes(const hk::Sink& s) {
+  return s.i16 ? s.nnz + s.rows * 2 : s.rows * s.stride * 8;
+}
+
 TEST(KernelEquivalence, RequantI64MatchesScalarApply) {
-  // The vectorized write-out (8 int64 lanes, mask-popcount saturation
-  // counting) must match a plain rq.apply loop — values AND counts — for
-  // narrowing, identity, and widening shifts, with and without ReLU, at
-  // every n % 8 (the masked tail). Words past n are sentinels the kernel
-  // must not touch.
+  // A write-out whose one common stage is a requant (with or without
+  // ReLU), from int64 values into an int64 slab (the portable int64 body),
+  // must match a plain rq.apply loop — values AND counts — for narrowing,
+  // identity, and widening shifts, with and without ReLU, at every n % 8.
+  // Words past n are sentinels the kernel must not touch.
   util::Xoshiro256 rng(7);
   constexpr std::size_t kGuard = 8;
   constexpr std::int64_t kSentinel = -77;
@@ -257,10 +291,15 @@ TEST(KernelEquivalence, RequantI64MatchesScalarApply) {
           const auto u = rng();
           v = static_cast<std::int64_t>(u) >> (u % 48);
         }
+        hk::Epilogue ep;
+        ep.stages.push_back({rq, relu, 0, 1});
+        ep.common = 1;
+        ep.sinks.push_back(slab_sink(1, n, false, false));
         std::vector<std::int64_t> out(n + kGuard, kSentinel);
         std::size_t sat_kernel = 0;
-        hls::kernels::requant_i64(in.data(), out.data(), n, rq, relu,
-                                  sat_kernel);
+        std::size_t ovf_kernel = 0;
+        hk::write_out(hk::Rows<std::int64_t>{in.data(), 1, n, n}, ep,
+                      bytes_of(out), &sat_kernel, &ovf_kernel);
         std::size_t sat_scalar = 0;
         for (std::size_t i = 0; i < n; ++i) {
           std::int64_t v = in[i];
@@ -274,27 +313,28 @@ TEST(KernelEquivalence, RequantI64MatchesScalarApply) {
         }
         EXPECT_EQ(sat_kernel, sat_scalar)
             << "n=" << n << " shift=" << rq.shift << " relu=" << relu;
+        EXPECT_EQ(ovf_kernel, 0u);
       }
     }
   }
 }
 
 TEST(KernelEquivalence, FinalizeI32MatchesScalarFinalize) {
-  // finalize_i32 turns a narrow int32 accumulator block into activations
-  // with wrap + requant; overflow and saturation totals must equal the
-  // scalar Accum::finalize element loop, including widening out-shifts.
-  // out_ch sweeps every tail length 0-7 and the deployed widths; the pad
-  // lanes of each out_pad-stride row hold random garbage, so a tail that
-  // counts a pad lane moves the totals, and words past the output are
-  // sentinels, so a tail that stores one fails.
+  // write_out turns a narrow int32 accumulator block into activations with
+  // wrap + requant; values, overflow and saturation totals must equal the
+  // scalar Accum::finalize element loop. Twice: into an int64 slab (the
+  // portable int64 body) and, certified narrow, into an int16 slab (the
+  // AVX-512 int32 body where the host has it; |acc| < 2^30 keeps the
+  // certificate true). out_ch sweeps every tail length and the deployed
+  // widths; the pad lanes of each out_pad-stride row hold random garbage,
+  // so a tail that counts a pad lane moves the totals, and words past the
+  // output are sentinels, so a tail that stores one fails.
   util::Xoshiro256 rng(11);
   struct Case {
     hls::FixedSpec act;
     int product_frac;
     int guard;
   };
-  constexpr std::size_t kGuard = 8;
-  constexpr std::int64_t kSentinel = -9;
   for (const auto& c : {Case{{16, 7}, 18, 2}, Case{{16, 3}, 26, 8},
                         Case{{12, 10}, 4, 0}, Case{{16, 14}, 2, 6}}) {
     const Accum ac(c.act, c.product_frac, c.product_frac, c.guard);
@@ -306,30 +346,76 @@ TEST(KernelEquivalence, FinalizeI32MatchesScalarFinalize) {
       std::vector<std::int32_t> acc(positions * stride);
       for (auto& v : acc) {
         v = static_cast<std::int32_t>(rng());
-        v >>= rng() % 24;
+        v >>= 2 + rng() % 24;
       }
-      std::vector<std::int64_t> fast(positions * out_ch + kGuard, kSentinel);
-      std::size_t ovf_fast = 0;
-      std::size_t sat_fast = 0;
-      hls::kernels::finalize_i32(acc.data(), fast.data(), positions, out_ch,
-                                 stride, ac, ovf_fast, sat_fast);
       std::size_t ovf_ref = 0;
       std::size_t sat_ref = 0;
+      std::vector<std::int64_t> want(positions * out_ch);
       for (std::size_t p = 0; p < positions; ++p) {
         for (std::size_t o = 0; o < out_ch; ++o) {
-          const auto want =
+          want[p * out_ch + o] =
               ac.finalize(acc[p * stride + o], ovf_ref, sat_ref);
-          ASSERT_EQ(fast[p * out_ch + o], want)
-              << "out_ch=" << out_ch << " p=" << p << " o=" << o;
         }
       }
-      for (std::size_t i = positions * out_ch; i < fast.size(); ++i) {
-        ASSERT_EQ(fast[i], kSentinel) << "out_ch=" << out_ch << " i=" << i;
+      for (bool i16 : {false, true}) {
+        hk::Epilogue ep;
+        ep.narrow = i16;
+        ep.sinks.push_back(slab_sink(positions, out_ch, i16, false));
+        auto block = sentinel_block(slab_bytes(ep.sinks[0]) + 64);
+        const auto before = block;
+        std::size_t ovf_fast = 0;
+        std::size_t sat_fast = 0;
+        hk::write_out(hk::Rows<std::int32_t>{acc.data(), positions, out_ch,
+                                             stride, 1, &ac},
+                      ep, bytes_of(block), &sat_fast, &ovf_fast);
+        const auto* i16s = reinterpret_cast<const std::int16_t*>(block.data());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(i16 ? std::int64_t{i16s[i]} : block[i], want[i])
+              << "out_ch=" << out_ch << " i16=" << i16 << " i=" << i;
+        }
+        const std::size_t end = want.size() * (i16 ? 2 : 8);
+        const auto* b = reinterpret_cast<const unsigned char*>(block.data());
+        const auto* b0 = reinterpret_cast<const unsigned char*>(before.data());
+        for (std::size_t i = end; i < block.size() * 8; ++i) {
+          ASSERT_EQ(b[i], b0[i]) << "out_ch=" << out_ch << " byte " << i;
+        }
+        EXPECT_EQ(ovf_fast, ovf_ref) << "out_ch=" << out_ch << " i16=" << i16;
+        EXPECT_EQ(sat_fast, sat_ref) << "out_ch=" << out_ch << " i16=" << i16;
       }
-      EXPECT_EQ(ovf_fast, ovf_ref) << "out_ch=" << out_ch;
-      EXPECT_EQ(sat_fast, sat_ref) << "out_ch=" << out_ch;
     }
   }
+}
+
+// int16 rows and their nonzero lists for a narrow MAC layer, written the
+// way every producer writes them: through write_out into an int16 slab
+// with lists. `scalar` runs the portable body.
+struct Packed {
+  std::vector<std::int16_t> x16;
+  std::vector<std::uint16_t> nz;
+  std::vector<std::uint16_t> nnz;
+};
+Packed pack(const std::vector<std::int64_t>& x, std::size_t positions,
+            std::size_t in_ch, bool scalar = false) {
+  hk::Epilogue ep;
+  ep.narrow = true;  // every value fits int16
+  ep.sinks.push_back(slab_sink(positions, in_ch, true, true));
+  const hk::Sink& s = ep.sinks[0];
+  auto block = sentinel_block(slab_bytes(s));
+  std::size_t sat = 0;
+  std::size_t ovf = 0;
+  const hk::Rows<std::int64_t> rows{x.data(), positions, in_ch, in_ch};
+  if (scalar) {
+    hk::detail::write_out_scalar(rows, ep, bytes_of(block), &sat, &ovf);
+  } else {
+    hk::write_out(rows, ep, bytes_of(block), &sat, &ovf);
+  }
+  const auto* base = reinterpret_cast<const unsigned char*>(block.data());
+  const auto* x16 = reinterpret_cast<const std::int16_t*>(base);
+  const auto* nz = reinterpret_cast<const std::uint16_t*>(base + s.nz);
+  const auto* nnz = reinterpret_cast<const std::uint16_t*>(base + s.nnz);
+  return {{x16, x16 + positions * in_ch},
+          {nz, nz + positions * in_ch},
+          {nnz, nnz + positions}};
 }
 
 // Naive int64 'same' convolution: the exact sum the narrow kernels must
@@ -416,8 +502,8 @@ constexpr std::size_t kOutChannels[] = {2,  16,  31,  32, 46,
                                         48, 140, 144, 160};
 
 TEST(KernelEquivalence, NarrowConvMatchesInt64OnSparsityGrid) {
-  // pack_i16 + the dispatched narrow kernels against a naive int64 'same'
-  // convolution, across input sparsity (the nonzero lists are the only
+  // write_out's int16 rows and lists + the dispatched narrow kernels
+  // against a naive int64 'same' convolution, across input sparsity (the nonzero lists are the only
   // thing deciding which terms are summed), all-zero rows and rows whose
   // only nonzero is the first or last channel, positions 1-7 (below k and
   // every positions % 3, which the input-stationary k == 3 pass unrolls
@@ -446,11 +532,7 @@ TEST(KernelEquivalence, NarrowConvMatchesInt64OnSparsityGrid) {
             for (bool edge_rows : {false, true}) {
               const auto x = activations(positions, in_ch, zero_frac,
                                          edge_rows, rng, draw);
-              std::vector<std::int16_t> x16(positions * in_ch, -1);
-              std::vector<std::uint16_t> nz(positions * in_ch);
-              std::vector<std::uint16_t> nnz(positions);
-              hls::kernels::pack_i16(x.data(), positions, in_ch, x16.data(),
-                                     nz.data(), nnz.data());
+              const auto [x16, nz, nnz] = pack(x, positions, in_ch);
               for (int shift : {0, 3}) {
                 const auto want =
                     conv_ref(x, w, bias, positions, in_ch, out_ch, k, shift);
@@ -507,11 +589,7 @@ TEST(KernelEquivalence, NarrowConvMatchesInt64OnSparsityGrid) {
           std::vector<std::int64_t> x(positions * in_ch);
           for (auto& v : x) v = rng.uniform() < zero_frac ? 0 : extreme();
           const auto wtr = narrow_weights(w, in_ch, out_ch, k);
-          std::vector<std::int16_t> x16(positions * in_ch);
-          std::vector<std::uint16_t> nz(positions * in_ch);
-          std::vector<std::uint16_t> nnz(positions);
-          hls::kernels::pack_i16(x.data(), positions, in_ch, x16.data(),
-                                 nz.data(), nnz.data());
+          const auto [x16, nz, nnz] = pack(x, positions, in_ch);
           const auto want =
               conv_ref(x, w, bias, positions, in_ch, out_ch, k, shift);
           for (bool scalar : {false, true}) {
@@ -537,14 +615,16 @@ TEST(KernelEquivalence, NarrowConvMatchesInt64OnSparsityGrid) {
 }
 
 TEST(KernelEquivalence, ScalarHooksMatchDispatchedPackAndNarrowConv) {
-  // The dispatched pack_i16 / conv1d_acc_i16 (AVX-512 here when the host
+  // The dispatched write_out / conv1d_acc_i16 (AVX-512 here when the host
   // has it) against the portable bodies every other host runs, on channel
   // counts around the 16-lane step, positions 1-7, all-zero rows and rows
-  // whose only nonzero is the first or last channel. pack's int16 rows,
-  // list lengths and listed indices must agree, and match x; conv's first
-  // out_ch accumulators per row must agree, over the same narrow_weights
-  // buffer, for k in {1, 3, 5} and output widths with and without a
-  // trailing 16-block, in one pass and several.
+  // whose only nonzero is the first or last channel. The int16 rows, list
+  // lengths and listed indices the write-out stores must agree, and match
+  // x; conv's first out_ch accumulators per row must agree, over the same
+  // narrow_weights buffer, for k in {1, 3, 5} and output widths with and
+  // without a trailing 16-block, in one pass and several. The fused
+  // epilogue's portable body is checked in
+  // FusedWriteOutMatchesFinalizeThenRequant.
   util::Xoshiro256 rng(29);
   const auto draw = [&rng] {
     const auto v = static_cast<std::int64_t>(rng.uniform_int(65536)) - 32768;
@@ -553,19 +633,10 @@ TEST(KernelEquivalence, ScalarHooksMatchDispatchedPackAndNarrowConv) {
   for (std::size_t in_ch : {1u, 15u, 16u, 17u, 31u, 77u, 186u}) {
     for (std::size_t positions = 1; positions <= 7; ++positions) {
       const auto x = activations(positions, in_ch, 0.5, true, rng, draw);
-      std::vector<std::int16_t> x16(positions * in_ch, 99);
-      std::vector<std::int16_t> x16_s(positions * in_ch, -99);
-      std::vector<std::uint16_t> nz(positions * in_ch);
-      std::vector<std::uint16_t> nz_s(positions * in_ch);
-      std::vector<std::uint16_t> nnz(positions);
-      std::vector<std::uint16_t> nnz_s(positions);
-      hls::kernels::pack_i16(x.data(), positions, in_ch, x16.data(),
-                             nz.data(), nnz.data());
-      hls::kernels::detail::pack_i16_scalar(x.data(), positions, in_ch,
-                                            x16_s.data(), nz_s.data(),
-                                            nnz_s.data());
-      ASSERT_EQ(x16, x16_s) << "in_ch=" << in_ch;
-      ASSERT_EQ(nnz, nnz_s) << "in_ch=" << in_ch;
+      const auto [x16, nz, nnz] = pack(x, positions, in_ch);
+      const auto scalar = pack(x, positions, in_ch, true);
+      ASSERT_EQ(x16, scalar.x16) << "in_ch=" << in_ch;
+      ASSERT_EQ(nnz, scalar.nnz) << "in_ch=" << in_ch;
       // Absolute output too, so a bug both bodies share still fails: each
       // row is x narrowed, and its list holds exactly the nonzero channels
       // in ascending order.
@@ -581,7 +652,7 @@ TEST(KernelEquivalence, ScalarHooksMatchDispatchedPackAndNarrowConv) {
         for (std::size_t j = 0; j < nnz[p]; ++j) {
           ASSERT_EQ(nz[p * in_ch + j], want_nz[j])
               << "in_ch=" << in_ch << " p=" << p << " j=" << j;
-          ASSERT_EQ(nz_s[p * in_ch + j], want_nz[j])
+          ASSERT_EQ(scalar.nz[p * in_ch + j], want_nz[j])
               << "in_ch=" << in_ch << " p=" << p << " j=" << j;
         }
       }
@@ -625,17 +696,23 @@ TEST(KernelEquivalence, ScalarHooksMatchDispatchedPackAndNarrowConv) {
 }
 
 TEST(KernelEquivalence, MaxPoolMatchesReferenceWithSaturation) {
-  // maxpool_i64 against the reference executor's MaxPool loop (max over
-  // `factor` rows, then Requant::apply per element): values AND saturation
-  // counts, for narrowing, identity and widening shifts and the degenerate
-  // bands the wrapper keeps scalar, on inputs large enough to saturate and
-  // channel counts around the 8-lane step.
+  // A MaxPool write-out (max over `factor` rows, then the pool's requant as
+  // its common stage) against the reference executor's MaxPool loop:
+  // values AND saturation counts, for narrowing, identity and widening
+  // shifts and the degenerate bands (<= -63, >= 64), on int64 inputs large
+  // enough to saturate (the portable int64 body), and where the shift is
+  // int32-exact, on int16 inputs certified narrow into an int16 slab with
+  // lists (the AVX-512 int32 body where the host has it), on channel counts
+  // around the 8- and 16-lane steps.
   util::Xoshiro256 rng(31);
   const std::size_t positions = 5;
   for (int from_frac : {30, 9, 2, -5, -70, 80}) {  // shift = from_frac - 9
     const Requant rq = make_requant(from_frac, 16, 7);
     for (std::size_t factor : {1u, 2u, 3u}) {
-      for (std::size_t ch : {1u, 7u, 8u, 9u, 21u}) {
+      for (std::size_t ch : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 21u}) {
+        hk::Epilogue ep;
+        ep.stages.push_back({rq, false, 0, 1});
+        ep.common = 1;
         std::vector<std::int64_t> in(positions * factor * ch);
         for (auto& v : in) {
           const auto u = rng();
@@ -643,26 +720,226 @@ TEST(KernelEquivalence, MaxPoolMatchesReferenceWithSaturation) {
         }
         in[0] = std::numeric_limits<std::int64_t>::max();
         in[in.size() - 1] = std::numeric_limits<std::int64_t>::min();
-        std::vector<std::int64_t> out(positions * ch, -77);
-        std::size_t sat = 0;
-        hls::kernels::maxpool_i64(in.data(), out.data(), positions, ch, factor,
-                                  rq, sat);
-        std::size_t sat_ref = 0;
-        for (std::size_t p = 0; p < positions; ++p) {
-          for (std::size_t c = 0; c < ch; ++c) {
-            std::int64_t m = in[(p * factor) * ch + c];
-            for (std::size_t d = 1; d < factor; ++d) {
-              m = std::max(m, in[(p * factor + d) * ch + c]);
+        const bool narrow = from_frac > -20 && from_frac < 40;
+        std::vector<std::int16_t> in16(in.size());
+        for (std::size_t i = 0; i < in.size(); ++i) {
+          in16[i] = static_cast<std::int16_t>(in[i]);
+        }
+        for (bool i16 : {false, true}) {
+          if (i16 && !narrow) continue;
+          ep.narrow = i16;
+          ep.sinks.assign(1, slab_sink(positions, ch, i16, i16));
+          auto block = sentinel_block(slab_bytes(ep.sinks[0]));
+          std::size_t sat = 0;
+          std::size_t ovf = 0;
+          if (i16) {
+            hk::write_out(hk::Rows<std::int16_t>{in16.data(), positions, ch,
+                                                 ch, factor},
+                          ep, bytes_of(block), &sat, &ovf);
+          } else {
+            hk::write_out(
+                hk::Rows<std::int64_t>{in.data(), positions, ch, ch, factor},
+                ep, bytes_of(block), &sat, &ovf);
+          }
+          const auto* base = reinterpret_cast<const unsigned char*>(block.data());
+          const auto* nnz =
+              reinterpret_cast<const std::uint16_t*>(base + ep.sinks[0].nnz);
+          std::size_t sat_ref = 0;
+          for (std::size_t p = 0; p < positions; ++p) {
+            std::size_t nonzero = 0;
+            for (std::size_t c = 0; c < ch; ++c) {
+              const auto at = [&](std::size_t d) {
+                const std::size_t j = (p * factor + d) * ch + c;
+                return i16 ? std::int64_t{in16[j]} : in[j];
+              };
+              std::int64_t m = at(0);
+              for (std::size_t d = 1; d < factor; ++d) m = std::max(m, at(d));
+              const std::int64_t want = rq.apply(m, sat_ref);
+              const std::int64_t got =
+                  i16 ? std::int64_t{reinterpret_cast<const std::int16_t*>(
+                            base)[p * ch + c]}
+                      : block[p * ch + c];
+              ASSERT_EQ(got, want) << "shift=" << rq.shift << " factor="
+                                   << factor << " ch=" << ch << " i16=" << i16
+                                   << " p=" << p << " c=" << c;
+              nonzero += static_cast<std::size_t>(want != 0);
             }
-            ASSERT_EQ(out[p * ch + c], rq.apply(m, sat_ref))
-                << "shift=" << rq.shift << " factor=" << factor
-                << " ch=" << ch << " p=" << p << " c=" << c;
+            if (i16) {
+              ASSERT_EQ(nnz[p], nonzero) << "p=" << p;
+            }
+          }
+          EXPECT_EQ(sat, sat_ref) << "shift=" << rq.shift << " factor="
+                                  << factor << " ch=" << ch << " i16=" << i16;
+          EXPECT_EQ(ovf, 0u);
+          if (!i16 && rq.shift < 0 && rq.shift > -63) {
+            EXPECT_GT(sat_ref, 0u) << "widening inputs must saturate";
           }
         }
-        EXPECT_EQ(sat, sat_ref) << "shift=" << rq.shift << " factor=" << factor
-                                << " ch=" << ch;
-        if (rq.shift < 0 && rq.shift > -63) {
-          EXPECT_GT(sat_ref, 0u) << "widening inputs must saturate";
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, FusedWriteOutMatchesFinalizeThenRequant) {
+  // A MAC layer's write-out with its fused ReLU and two sinks, against the
+  // scalar composition Accum::finalize -> Requant::apply (ReLU) ->
+  // Requant::apply (Concatenate input), through the dispatched write_out
+  // (certified narrow: the AVX-512 body where the host has it) and the
+  // portable body:
+  //  - sink 0: the ReLU's own int16 slab with lists, first writer;
+  //  - sink 1: a Concatenate slab, rows replicated twice (an UpSampling),
+  //    at channel offset 5 of a wider row whose first 5 channels and list
+  //    another input already wrote, so its lists append.
+  // Common stage: none, or ReLU at shift 0 or -1; the Concatenate's
+  // requant shifts by 2, 3 or -2. Accumulators reach past the ring (wraps);
+  // without a ReLU the -2 widening saturates at both int16 ends. Pad lanes
+  // of each out_pad row hold values that would wrap and saturate if they
+  // were counted. The whole block is compared byte for byte against the
+  // expected image, lists absolutely: exactly the nonzero channels, in
+  // ascending order, after the other input's.
+  util::Xoshiro256 rng(37);
+  const hls::FixedSpec act{16, 5};
+  const Accum ac(act, 22, 22, 6);  // acc_frac 17: out shift 6, ring 22 bits
+  constexpr std::size_t kOther = 5;
+  for (int relu_shift : {1, 0, -1}) {  // 1: no ReLU stage
+    for (int cat_shift : {2, 3, -2}) {
+      for (std::size_t out_ch : {1u, 15u, 16u, 17u, 31u, 46u}) {
+        for (std::size_t positions : {1u, 2u, 5u}) {
+          const std::size_t pad = hk::narrow_out_pad(out_ch);
+          std::vector<std::int32_t> acc(positions * pad);
+          for (std::size_t i = 0; i < acc.size(); ++i) {
+            const auto u = rng();
+            acc[i] = i % pad < out_ch
+                         ? static_cast<std::int32_t>(u % (1u << 23)) - (1 << 22)
+                         : static_cast<std::int32_t>(u >> 34) - (1 << 29);
+          }
+          hk::Epilogue ep;
+          ep.narrow = true;
+          const bool relu = relu_shift != 1;
+          hls::FixedSpec mid = act;
+          if (relu) {
+            mid = {16, act.int_bits + relu_shift};
+            ep.stages.push_back({Requant(act.width - act.int_bits, mid), true,
+                                 1, 1});
+            ASSERT_EQ(ep.stages.back().rq.shift, relu_shift);
+            ep.common = 1;
+          }
+          const Requant cat_rq(mid.width - mid.int_bits,
+                               hls::FixedSpec{16, mid.int_bits + cat_shift});
+          ASSERT_EQ(cat_rq.shift, cat_shift);
+          ep.stages.push_back({cat_rq, false, 2, 2});
+          hk::Sink own = slab_sink(positions, out_ch, true, true);
+          hk::Sink cat = slab_sink(2 * positions, kOther + out_ch, true, true);
+          const std::size_t cat_at = (slab_bytes(own) + 63) / 64 * 64;
+          cat.values += cat_at;
+          cat.nz += cat_at;
+          cat.nnz += cat_at;
+          cat.channel = kOther;
+          cat.rep = 2;
+          cat.reset = false;
+          cat.stage_begin = ep.common;
+          cat.stage_end = ep.common + 1;
+          ep.sinks = {own, cat};
+          auto block = sentinel_block(cat_at + slab_bytes(cat) + 64);
+          // The other Concatenate input's channels and lists.
+          auto* bytes = reinterpret_cast<unsigned char*>(block.data());
+          auto* cat16 = reinterpret_cast<std::int16_t*>(bytes + cat.values);
+          auto* cat_nz = reinterpret_cast<std::uint16_t*>(bytes + cat.nz);
+          auto* cat_nnz = reinterpret_cast<std::uint16_t*>(bytes + cat.nnz);
+          for (std::size_t r = 0; r < cat.rows; ++r) {
+            std::uint16_t n = 0;
+            for (std::size_t c = 0; c < kOther; ++c) {
+              const auto v =
+                  static_cast<std::int16_t>(static_cast<int>(rng.uniform_int(3)) - 1);
+              cat16[r * cat.stride + c] = v;
+              if (v != 0) cat_nz[r * cat.stride + n++] = static_cast<std::uint16_t>(c);
+            }
+            cat_nnz[r] = n;
+          }
+          // Expected image and counts.
+          auto want = block;
+          auto* wb = reinterpret_cast<unsigned char*>(want.data());
+          auto* w_own = reinterpret_cast<std::int16_t*>(wb + own.values);
+          auto* w_own_nz = reinterpret_cast<std::uint16_t*>(wb + own.nz);
+          auto* w_own_nnz = reinterpret_cast<std::uint16_t*>(wb + own.nnz);
+          auto* w_cat = reinterpret_cast<std::int16_t*>(wb + cat.values);
+          auto* w_cat_nz = reinterpret_cast<std::uint16_t*>(wb + cat.nz);
+          auto* w_cat_nnz = reinterpret_cast<std::uint16_t*>(wb + cat.nnz);
+          std::size_t want_sat[3] = {};
+          std::size_t want_ovf = 0;
+          for (std::size_t p = 0; p < positions; ++p) {
+            std::uint16_t n_own = 0;
+            std::vector<std::int16_t> row(out_ch);
+            for (std::size_t o = 0; o < out_ch; ++o) {
+              std::int64_t v = ac.finalize(acc[p * pad + o], want_ovf,
+                                           want_sat[0]);
+              if (relu) {
+                v = ep.stages[0].rq.apply(std::max<std::int64_t>(0, v),
+                                          want_sat[1]);
+              }
+              w_own[p * out_ch + o] = static_cast<std::int16_t>(v);
+              if (v != 0) {
+                w_own_nz[p * out_ch + n_own++] = static_cast<std::uint16_t>(o);
+              }
+              std::size_t cat_events = 0;
+              row[o] = static_cast<std::int16_t>(cat_rq.apply(v, cat_events));
+              want_sat[2] += 2 * cat_events;
+            }
+            w_own_nnz[p] = n_own;
+            for (std::size_t r = 2 * p; r < 2 * p + 2; ++r) {
+              std::uint16_t n = w_cat_nnz[r];
+              for (std::size_t o = 0; o < out_ch; ++o) {
+                w_cat[r * cat.stride + kOther + o] = row[o];
+                if (row[o] != 0) {
+                  w_cat_nz[r * cat.stride + n++] =
+                      static_cast<std::uint16_t>(kOther + o);
+                }
+              }
+              w_cat_nnz[r] = n;
+            }
+          }
+          const std::string label =
+              "relu_shift=" + std::to_string(relu_shift) +
+              " cat_shift=" + std::to_string(cat_shift) +
+              " out_ch=" + std::to_string(out_ch) +
+              " positions=" + std::to_string(positions);
+          if (relu_shift == 1 && cat_shift == -2 && out_ch >= 15 &&
+              positions == 5) {
+            // Both int16 ends are reached.
+            EXPECT_GT(std::count(w_cat, w_cat + cat.rows * cat.stride,
+                                 std::int16_t{32767}), 0) << label;
+            EXPECT_GT(std::count(w_cat, w_cat + cat.rows * cat.stride,
+                                 std::int16_t{-32768}), 0) << label;
+          }
+          for (bool scalar : {false, true}) {
+            auto got = block;
+            std::size_t sat[3] = {};
+            std::size_t ovf[3] = {};
+            const hk::Rows<std::int32_t> rows{acc.data(), positions, out_ch,
+                                              pad, 1, &ac};
+            if (scalar) {
+              hk::detail::write_out_scalar(rows, ep, bytes_of(got), sat, ovf);
+            } else {
+              hk::write_out(rows, ep, bytes_of(got), sat, ovf);
+            }
+            // List slots past a row's length are unspecified (the portable
+            // body writes a row's slots branch-free): take them from `want`.
+            auto* gb = reinterpret_cast<unsigned char*>(got.data());
+            for (const hk::Sink& k : ep.sinks) {
+              const auto* len = reinterpret_cast<const std::uint16_t*>(wb + k.nnz);
+              for (std::size_t r = 0; r < k.rows; ++r) {
+                const std::size_t from = (r * k.stride + len[r]) * 2;
+                const std::size_t to = (r + 1) * k.stride * 2;
+                std::copy(wb + k.nz + from, wb + k.nz + to, gb + k.nz + from);
+              }
+            }
+            ASSERT_EQ(got, want) << label << " scalar=" << scalar;
+            for (int i = 0; i < 3; ++i) {
+              EXPECT_EQ(sat[i], want_sat[i])
+                  << label << " scalar=" << scalar << " layer " << i;
+            }
+            EXPECT_EQ(ovf[0], want_ovf) << label << " scalar=" << scalar;
+          }
         }
       }
     }
