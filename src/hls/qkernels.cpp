@@ -189,39 +189,17 @@ void write_out_scalar_body(const Rows<T>& src, const Epilogue& ep,
   }
 }
 
-// Rows past positions * rep of each sink: zeros, and (first writer) empty
-// lists. Only an UpSampling whose factor does not divide its positions
-// leaves any.
-void zero_tail_rows(std::size_t positions, std::size_t ch, const Epilogue& ep,
-                    std::byte* block) {
-  const std::int64_t zeros[kWriteOutChunk] = {};
-  for (const Sink& s : ep.sinks) {
-    for (std::size_t r = positions * s.rep; r < s.rows; ++r) {
-      for (std::size_t c0 = 0; c0 < ch; c0 += kWriteOutChunk) {
-        store_scalar(block, s, r, c0, zeros, std::min(kWriteOutChunk, ch - c0));
-      }
-    }
-  }
-}
-
-template <typename T>
-void write_out_scalar_t(const Rows<T>& src, const Epilogue& ep,
-                        std::byte* block, std::size_t* sat, std::size_t* ovf) {
-  write_out_scalar_body(src, ep, block, sat, ovf);
-  zero_tail_rows(src.positions, src.ch, ep, block);
-}
-
 void write_out_scalar(const Rows<std::int16_t>& src, const Epilogue& ep,
                       std::byte* block, std::size_t* sat, std::size_t* ovf) {
-  write_out_scalar_t(src, ep, block, sat, ovf);
+  write_out_scalar_body(src, ep, block, sat, ovf);
 }
 void write_out_scalar(const Rows<std::int32_t>& src, const Epilogue& ep,
                       std::byte* block, std::size_t* sat, std::size_t* ovf) {
-  write_out_scalar_t(src, ep, block, sat, ovf);
+  write_out_scalar_body(src, ep, block, sat, ovf);
 }
 void write_out_scalar(const Rows<std::int64_t>& src, const Epilogue& ep,
                       std::byte* block, std::size_t* sat, std::size_t* ovf) {
-  write_out_scalar_t(src, ep, block, sat, ovf);
+  write_out_scalar_body(src, ep, block, sat, ovf);
 }
 
 #if defined(READS_QKERNELS_AVX512)
@@ -344,57 +322,30 @@ void conv1d_acc_i16(const std::int16_t* x, const std::uint16_t* nz,
 
 namespace {
 
-bool vectorizable(const Epilogue& ep) {
-  if (!ep.narrow || ep.common > detail::kVectorStages ||
+template <typename T>
+bool vectorizable(const Rows<T>& src, const Epilogue& ep) {
+  if (!ep.narrow || src.ch == 0 || src.ch > detail::kVectorRow ||
+      ep.common > detail::kVectorStages ||
       ep.sinks.size() > detail::kVectorSinks) {
     return false;
   }
-  for (std::size_t i = 0; i < ep.sinks.size(); ++i) {
-    const Sink& s = ep.sinks[i];
-    if (!s.i16 || s.rep > detail::kVectorReplicas ||
-        s.stage_end - s.stage_begin > detail::kVectorStages) {
+  for (const Sink& s : ep.sinks) {
+    if (!s.i16 || s.stage_end - s.stage_begin > detail::kVectorStages) {
       return false;
-    }
-    // The vector body appends each sink's lists as it goes: two sinks
-    // appending to one slab's rows would interleave their counts.
-    for (std::size_t j = 0; j < i; ++j) {
-      if (s.lists && ep.sinks[j].lists && s.nnz == ep.sinks[j].nnz) {
-        return false;
-      }
     }
   }
   return true;
-}
-
-// Rows that lie back to back in the source and in every sink, with no
-// lists (they are per row), pooling or replication, are one long row: the
-// per-row work then runs once per write-out, not per position.
-template <typename T>
-Rows<T> flattened(const Rows<T>& src, const Epilogue& ep) {
-  if (src.pool != 1 || src.stride != src.ch) return src;
-  for (const Sink& s : ep.sinks) {
-    if (s.rep != 1 || s.channel != 0 || s.stride != src.ch || s.lists ||
-        s.rows != src.positions) {
-      return src;
-    }
-  }
-  Rows<T> one = src;
-  one.positions = 1;
-  one.ch = one.stride = src.positions * src.ch;
-  return one;
 }
 
 template <typename T>
 void write_out_t(const Rows<T>& src, const Epilogue& ep, std::byte* block,
                  std::size_t* sat, std::size_t* ovf,
                  detail::WriteOutFn<T> vector_body) {
-  const Rows<T> rows = flattened(src, ep);
-  if (vectorizable(ep)) {
-    vector_body(rows, ep, block, sat, ovf);
+  if (vectorizable(src, ep)) {
+    vector_body(src, ep, block, sat, ovf);
   } else {
-    detail::write_out_scalar_body(rows, ep, block, sat, ovf);
+    detail::write_out_scalar_body(src, ep, block, sat, ovf);
   }
-  detail::zero_tail_rows(src.positions, src.ch, ep, block);
 }
 
 }  // namespace

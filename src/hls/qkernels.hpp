@@ -109,8 +109,7 @@ struct Stage {
 /// One destination of a write-out: part of a slab in the activation block.
 /// Source row p lands on slab rows p * rep ... p * rep + rep - 1 (an
 /// UpSampling), at channels [channel, channel + source channels) (a
-/// Concatenate input's offset); slab rows from positions * rep up to `rows`
-/// get zeros (an UpSampling whose factor does not divide its positions).
+/// Concatenate input's offset).
 /// Slabs a narrow MAC layer reads are int16 and carry each row's nonzero
 /// list: channel indices in uint16 (row stride `stride`) and the list
 /// lengths. The first writer of such a slab starts every row's list empty
@@ -121,7 +120,6 @@ struct Sink {
   std::size_t values = 0;         ///< byte offset of slab row 0, channel 0
   std::size_t channel = 0;
   std::size_t stride = 0;  ///< slab channels: elements per row
-  std::size_t rows = 0;
   std::size_t rep = 1;
   bool i16 = true;  ///< int16 slab, else int64
   bool lists = false;
@@ -169,9 +167,10 @@ struct Rows {
 /// accumulator row (past `ch`) are neither read nor counted. int16 sinks
 /// narrow by truncation: the values they receive are proven to fit.
 /// A `narrow` write-out runs the AVX-512 body where the host has it: 16
-/// int32 lanes per step from source to store, in registers, each row's
-/// last ch % 16 under a mask. Every other write-out (formats wider than 16
-/// bits, int64 accumulators) runs the portable int64 body.
+/// int32 lanes per step, each row's last ch % 16 under a mask, through a
+/// buffer of whole rows that each stage passes over in turn. Every other
+/// write-out (formats wider than 16 bits, int64 accumulators, rows longer
+/// than detail::kVectorRow) runs the portable int64 body.
 void write_out(const Rows<std::int16_t>& src, const Epilogue& ep,
                std::byte* block, std::size_t* sat, std::size_t* ovf);
 void write_out(const Rows<std::int32_t>& src, const Epilogue& ep,
@@ -190,11 +189,11 @@ const char* narrow_dp_variant() noexcept;
 
 namespace detail {
 /// Most stages the AVX-512 write-out applies per group (the common ones, or
-/// one sink's), most sinks, and most replicas per sink; more take the
-/// portable body, as do two sinks appending to the same slab's lists.
+/// one sink's), most sinks, and most values per row (a multiple of 16);
+/// more, or empty rows, take the portable body.
 inline constexpr std::size_t kVectorStages = 4;
 inline constexpr std::size_t kVectorSinks = 4;
-inline constexpr std::size_t kVectorReplicas = 4;
+inline constexpr std::size_t kVectorRow = 256;
 
 /// The portable bodies of write_out and conv1d_acc_i16, whatever the host
 /// supports, so tests on AVX-512 hosts still check the path every other

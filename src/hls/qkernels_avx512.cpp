@@ -367,12 +367,24 @@ struct StageGroup {
     }
   }
 
-  __m512i apply(__m512i v, __mmask16 live) {
+  // Stage by stage over `rows` rows of `vecs` vectors each, in -> out for
+  // the first stage and then in place; vector k of a row has lanes
+  // live[k]. One stage's constants and count stay in registers.
+  void apply(const __m512i* in, __m512i* out, std::size_t rows,
+             std::size_t vecs, const __mmask16* live) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (relu[i]) v = _mm512_max_epi32(v, _mm512_setzero_si512());
-      v = requant16(v, rq[i], live, events[i]);
+      const __m512i* from = i == 0 ? in : out;
+      const RQ16 r = rq[i];
+      std::size_t ev = 0;
+      for (std::size_t q = 0; q < rows * vecs; q += vecs) {
+        for (std::size_t k = 0; k < vecs; ++k) {
+          __m512i v = from[q + k];
+          if (relu[i]) v = _mm512_max_epi32(v, _mm512_setzero_si512());
+          out[q + k] = requant16(v, r, live[k], ev);
+        }
+      }
+      events[i] += ev;
     }
-    return v;
   }
 
   void flush(std::size_t* sat) const {
@@ -394,7 +406,6 @@ struct RowOut {
   std::size_t k = 0;
   __m512i idx = _mm512_setzero_si512();
 
-  RowOut() = default;
   RowOut(std::byte* block, const Sink& s, std::size_t r)
       : values(reinterpret_cast<std::int16_t*>(block + s.values) +
                r * s.stride + s.channel) {
@@ -426,16 +437,14 @@ struct RowOut {
   }
 };
 
-// 16 values of output row `row` at column c: the max over `pool` source
-// rows, finalized (wrap, then the accumulator's requant) and through the
-// common stages. NC is 1 when there is exactly one common stage (a fused
-// ReLU, or a MaxPool's requant), whose constants then stay in registers;
-// -1 takes any number up to kVectorStages.
+// The `vecs` vectors of output row `row`, vector k with lanes live[k]: the
+// max over `pool` source rows, finalized (wrap, then the accumulator's
+// requant).
 // Wrap is the scalar mask-and-or sign extension of the low ring_bits, done
 // as a shift-left/arithmetic-shift-right pair, which leaves lanes inside
 // the ring as they are: the lanes it moved are the overflows. A ring of 32
 // bits or more holds every int32 and never wraps.
-template <typename T, int NC>
+template <typename T>
 struct Front {
   std::size_t stride;
   std::size_t pool;
@@ -443,68 +452,49 @@ struct Front {
   bool can_wrap;
   __m128i wrap_cnt;
   RQ16 out;
-  RQ16 c16;
-  bool c_relu = false;
-  StageGroup group;
   std::size_t ovf = 0;
   std::size_t sat = 0;
-  std::size_t c_events = 0;
 
-  Front(const Rows<T>& src, const Epilogue& ep)
+  explicit Front(const Rows<T>& src)
       : stride(src.stride),
         pool(src.pool),
         ac(src.accum),
         can_wrap(ac != nullptr && ac->ring_bits < 32),
         wrap_cnt(_mm_cvtsi32_si128(can_wrap ? 32 - ac->ring_bits : 0)),
-        out(ac ? ac->out : hd::Requant{}),
-        group(ep.stages.data(), ep.stages.data() + (NC < 0 ? ep.common : 0)) {
-    if constexpr (NC == 1) {
-      c16 = RQ16(ep.stages[0].rq);
-      c_relu = ep.stages[0].relu;
-    }
-  }
+        out(ac ? ac->out : hd::Requant{}) {}
 
-  __m512i operator()(const T* row, std::size_t c, __mmask16 live) {
-    __m512i x = load16(row + c, live);
-    for (std::size_t d = 1; d < pool; ++d) {
-      x = _mm512_max_epi32(x, load16(row + d * stride + c, live));
-    }
-    if (ac != nullptr) {
-      if (can_wrap) {
-        const __m512i wr =
-            _mm512_sra_epi32(_mm512_sll_epi32(x, wrap_cnt), wrap_cnt);
-        ovf += popcount16(_mm512_mask_cmpneq_epi32_mask(live, wr, x));
-        x = wr;
+  void load(const T* row, std::size_t vecs, const __mmask16* live,
+            __m512i* v) {
+    for (std::size_t k = 0; k < vecs; ++k) {
+      const T* at = row + 16 * k;
+      __m512i x = load16(at, live[k]);
+      for (std::size_t d = 1; d < pool; ++d) {
+        x = _mm512_max_epi32(x, load16(at + d * stride, live[k]));
       }
-      x = requant16(x, out, live, sat);
+      if (ac != nullptr) {
+        if (can_wrap) {
+          const __m512i wr =
+              _mm512_sra_epi32(_mm512_sll_epi32(x, wrap_cnt), wrap_cnt);
+          ovf += popcount16(_mm512_mask_cmpneq_epi32_mask(live[k], wr, x));
+          x = wr;
+        }
+        x = requant16(x, out, live[k], sat);
+      }
+      v[k] = x;
     }
-    if constexpr (NC == 1) {
-      if (c_relu) x = _mm512_max_epi32(x, _mm512_setzero_si512());
-      x = requant16(x, c16, live, c_events);
-    } else if constexpr (NC < 0) {
-      x = group.apply(x, live);
-    }
-    return x;
-  }
-
-  void flush(const Epilogue& ep, std::size_t* sat_out, std::size_t* ovf_out) {
-    ovf_out[ep.layer] += ovf;
-    sat_out[ep.layer] += sat;
-    if constexpr (NC == 1) {
-      sat_out[ep.stages[0].layer] += c_events * ep.stages[0].mult;
-    }
-    group.flush(sat_out);
   }
 };
 
-// Per output row: open every (sink, replica) row, then per 16 values the
-// front, and per sink its own stages and the stores. With one sink that
-// has no stages or replicas of its own (most producers), the row's list
-// state stays in registers instead of in the rows array.
-template <typename T, int NC>
+// As many whole output rows as fit a buffer of kRowVecs vectors at a time
+// (vectorizable() admits rows of up to kVectorRow values): the front and
+// the common stages into the buffer, then per sink its own stages and, per
+// row and replica, the stores.
+template <typename T>
 void write_out_body(const Rows<T>& src, const Epilogue& ep, std::byte* block,
                     std::size_t* sat, std::size_t* ovf) {
-  Front<T, NC> front(src, ep);
+  constexpr std::size_t kRowVecs = kVectorRow / 16;
+  Front<T> front(src);
+  StageGroup common(ep.stages.data(), ep.stages.data() + ep.common);
   const std::size_t sinks = ep.sinks.size();
   StageGroup own[kVectorSinks];
   for (std::size_t j = 0; j < sinks; ++j) {
@@ -512,69 +502,56 @@ void write_out_body(const Rows<T>& src, const Epilogue& ep, std::byte* block,
     own[j] = StageGroup(ep.stages.data() + s.stage_begin,
                         ep.stages.data() + s.stage_end);
   }
-  if (sinks == 1 && own[0].n == 0 && ep.sinks[0].rep == 1) {
-    for (std::size_t p = 0; p < src.positions; ++p) {
-      const T* row = src.data + p * src.pool * src.stride;
-      RowOut out(block, ep.sinks[0], p);
-      for (std::size_t c = 0; c < src.ch; c += 16) {
-        const __mmask16 live = live16(src.ch - c);
-        out.put(c, front(row, c, live), live);
-      }
-      out.close();
+  const std::size_t vecs = (src.ch + 15) / 16;
+  __mmask16 live[kRowVecs];
+  for (std::size_t k = 0; k < vecs; ++k) live[k] = live16(src.ch - 16 * k);
+  const std::size_t per_chunk = kRowVecs / vecs;
+  __m512i v[kRowVecs];
+  __m512i w[kRowVecs];
+  for (std::size_t p0 = 0; p0 < src.positions; p0 += per_chunk) {
+    const std::size_t rows = std::min(per_chunk, src.positions - p0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      front.load(src.data + (p0 + r) * src.pool * src.stride, vecs, live,
+                 v + r * vecs);
     }
-    front.flush(ep, sat, ovf);
-    return;
-  }
-  RowOut rows[kVectorSinks][kVectorReplicas];
-  for (std::size_t p = 0; p < src.positions; ++p) {
-    const T* row = src.data + p * src.pool * src.stride;
+    common.apply(v, v, rows, vecs, live);
     for (std::size_t j = 0; j < sinks; ++j) {
       const Sink& s = ep.sinks[j];
-      for (std::size_t d = 0; d < s.rep; ++d) {
-        rows[j][d] = RowOut(block, s, p * s.rep + d);
+      const __m512i* out = v;
+      if (own[j].n > 0) {
+        own[j].apply(v, w, rows, vecs, live);
+        out = w;
       }
-    }
-    for (std::size_t c = 0; c < src.ch; c += 16) {
-      const __mmask16 live = live16(src.ch - c);
-      const __m512i v = front(row, c, live);
-      for (std::size_t j = 0; j < sinks; ++j) {
-        const __m512i w = own[j].n == 0 ? v : own[j].apply(v, live);
-        for (std::size_t d = 0; d < ep.sinks[j].rep; ++d) {
-          rows[j][d].put(c, w, live);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t d = 0; d < s.rep; ++d) {
+          RowOut row(block, s, (p0 + r) * s.rep + d);
+          for (std::size_t k = 0; k < vecs; ++k) {
+            row.put(16 * k, out[r * vecs + k], live[k]);
+          }
+          row.close();
         }
       }
     }
-    for (std::size_t j = 0; j < sinks; ++j) {
-      for (std::size_t d = 0; d < ep.sinks[j].rep; ++d) rows[j][d].close();
-    }
   }
-  front.flush(ep, sat, ovf);
+  ovf[ep.layer] += front.ovf;
+  sat[ep.layer] += front.sat;
+  common.flush(sat);
   for (std::size_t j = 0; j < sinks; ++j) own[j].flush(sat);
-}
-
-template <typename T>
-void write_out_nc(const Rows<T>& src, const Epilogue& ep, std::byte* block,
-                  std::size_t* sat, std::size_t* ovf) {
-  if (ep.common == 1) {
-    write_out_body<T, 1>(src, ep, block, sat, ovf);
-  } else {
-    write_out_body<T, -1>(src, ep, block, sat, ovf);
-  }
 }
 
 }  // namespace
 
 void write_out_avx512(const Rows<std::int16_t>& src, const Epilogue& ep,
                       std::byte* block, std::size_t* sat, std::size_t* ovf) {
-  write_out_nc(src, ep, block, sat, ovf);
+  write_out_body(src, ep, block, sat, ovf);
 }
 void write_out_avx512(const Rows<std::int32_t>& src, const Epilogue& ep,
                       std::byte* block, std::size_t* sat, std::size_t* ovf) {
-  write_out_nc(src, ep, block, sat, ovf);
+  write_out_body(src, ep, block, sat, ovf);
 }
 void write_out_avx512(const Rows<std::int64_t>& src, const Epilogue& ep,
                       std::byte* block, std::size_t* sat, std::size_t* ovf) {
-  write_out_nc(src, ep, block, sat, ovf);
+  write_out_body(src, ep, block, sat, ovf);
 }
 
 }  // namespace reads::hls::kernels::detail

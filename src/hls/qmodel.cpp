@@ -267,9 +267,10 @@ struct WriteOutPlanner {
     for (const Reader& r : readers[x]) {
       const auto& y = fw.layers[r.layer];
       if (y.kind == LayerKind::kUpSample) {
-        if (fw.layers[x].positions * y.factor > y.positions) {
+        if (fw.layers[x].positions * y.factor != y.positions) {
           throw std::invalid_argument("QuantizedModel: UpSampling " + y.name +
-                                      " has fewer rows than its source");
+                                      " does not have factor times its "
+                                      "source's rows");
         }
         const bool pushed = push_stage(ep, path, x, r.layer, rep * y.factor);
         add_targets(ep, producer, r.layer, path, rep * y.factor, off);
@@ -294,7 +295,6 @@ struct WriteOutPlanner {
     for (auto& st : path) st.mult = 0;
     s.channel = off;
     s.stride = fw.layers[x].out_channels;
-    s.rows = fw.layers[x].positions;
     s.rep = rep;
     ep.sinks.push_back(s);
     ep.narrow = ep.narrow && fits_i16(lanes.ranges[x]);

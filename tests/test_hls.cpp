@@ -752,9 +752,13 @@ TEST(QuantizedModel, ArenaPlanKeepsLiveSlabsApart) {
     ASSERT_GT(fp.slabs.back().bytes, 0u);
     EXPECT_EQ(fp.slabs.back().last, std::numeric_limits<std::size_t>::max());
     std::size_t max_live = 0;
+    // Every slab appended after the last: what the block would take
+    // without the liveness plan.
+    std::size_t unplanned = 0;
     for (std::size_t i = 0; i < layers.size(); ++i) {
       const auto& s = fp.slabs[i];
       const auto& l = layers[i];
+      unplanned += s.bytes;
       if (l.kind == hls::LayerKind::kDense ||
           l.kind == hls::LayerKind::kConv1D) {
         // A MAC layer reads its source's slab, with nonzero lists when it
@@ -800,6 +804,7 @@ TEST(QuantizedModel, ArenaPlanKeepsLiveSlabsApart) {
       }
     }
     EXPECT_GE(fp.act_bytes, max_live);
+    EXPECT_LT(fp.act_bytes, unplanned);
     if (qm == &unet) {
       // The deployed graph: every format is 16 bits, so every slab is
       // int16; fused ReLUs' producers, the UpSamplings and the
@@ -980,6 +985,35 @@ TEST(QuantizedModel, FastPathMatchesReferenceOnFusionEdgeCases) {
   EXPECT_EQ(fast.overflows, ref.overflows);
   EXPECT_GT(ref.saturations[at("up")], 0u);
   EXPECT_GT(ref.saturations[at("up2")], 0u);
+}
+
+TEST(QuantizedModel, RejectsUpSamplingRowsOtherThanFactorTimesSource) {
+  // The write-out replicates each source row `factor` times and writes
+  // nothing else, so a firmware UpSampling with any other row count is
+  // refused at construction instead of leaving rows unwritten.
+  nn::Model model("in", {8, 2});
+  model.add("c1", std::make_unique<nn::Conv1D>(2, 5, 3), {"in"});
+  model.add("up", std::make_unique<nn::UpSampling1D>(2), {"c1"});
+  model.add("c2", std::make_unique<nn::Conv1D>(5, 2, 1), {"up"});
+  nn::init_he_uniform(model, 73);
+  hls::HlsConfig cfg;
+  cfg.quant = hls::QuantConfig::uniform({16, 6});
+  const hls::FirmwareModel fw = hls::compile(model, cfg);
+  EXPECT_NO_THROW(hls::QuantizedModel{fw});
+  for (const std::size_t extra : {std::size_t{1}, std::size_t{2}}) {
+    hls::FirmwareModel bad = fw;
+    for (auto& l : bad.layers) {
+      if (l.kind == hls::LayerKind::kUpSample) l.positions += extra;
+    }
+    try {
+      const hls::QuantizedModel qm(std::move(bad));
+      ADD_FAILURE() << "accepted " << extra << " extra rows";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("UpSampling up"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(QuantizedModel, ForwardBatchMatchesPerFrameForward) {

@@ -257,7 +257,6 @@ hk::Sink slab_sink(std::size_t rows, std::size_t stride, bool i16,
                    bool lists) {
   hk::Sink s;
   s.stride = stride;
-  s.rows = rows;
   s.i16 = i16;
   s.lists = lists;
   s.reset = lists;
@@ -266,8 +265,8 @@ hk::Sink slab_sink(std::size_t rows, std::size_t stride, bool i16,
   return s;
 }
 
-std::size_t slab_bytes(const hk::Sink& s) {
-  return s.i16 ? s.nnz + s.rows * 2 : s.rows * s.stride * 8;
+std::size_t slab_bytes(const hk::Sink& s, std::size_t rows) {
+  return s.i16 ? s.nnz + rows * 2 : rows * s.stride * 8;
 }
 
 TEST(KernelEquivalence, RequantI64MatchesScalarApply) {
@@ -322,46 +321,80 @@ TEST(KernelEquivalence, RequantI64MatchesScalarApply) {
 TEST(KernelEquivalence, FinalizeI32MatchesScalarFinalize) {
   // write_out turns a narrow int32 accumulator block into activations with
   // wrap + requant; values, overflow and saturation totals must equal the
-  // scalar Accum::finalize element loop. Twice: into an int64 slab (the
-  // portable int64 body) and, certified narrow, into an int16 slab (the
-  // AVX-512 int32 body where the host has it; |acc| < 2^30 keeps the
-  // certificate true). out_ch sweeps every tail length and the deployed
-  // widths; the pad lanes of each out_pad-stride row hold random garbage,
-  // so a tail that counts a pad lane moves the totals, and words past the
-  // output are sentinels, so a tail that stores one fails.
+  // scalar Accum::finalize element loop. Twice: the full int32 range into
+  // an int64 slab (the portable int64 body), and, certified narrow, into an
+  // int16 slab (the AVX-512 int32 body where the host has it) from a block
+  // whose values stay inside the certificate: after the wrap, |acc| plus
+  // the rounding half, or acc shifted left, fits int32. out_ch sweeps
+  // every tail length and the deployed widths; the pad lanes of each
+  // out_pad-stride row hold full-range garbage, so a tail that counts a
+  // pad lane moves the totals, and words past the output are sentinels,
+  // so a tail that stores one fails. 257 values per row are more than the
+  // AVX-512 body takes: that row runs the portable body.
   util::Xoshiro256 rng(11);
   struct Case {
     hls::FixedSpec act;
     int product_frac;
     int guard;
   };
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  // Rings of 18, 24, 12 and 16 bits, and one of 32 that never wraps, where
+  // the certificate caps |acc| at 2^31 - 1 - 2^15 (out shift 16).
   for (const auto& c : {Case{{16, 7}, 18, 2}, Case{{16, 3}, 26, 8},
-                        Case{{12, 10}, 4, 0}, Case{{16, 14}, 2, 6}}) {
+                        Case{{12, 10}, 4, 0}, Case{{16, 14}, 2, 6},
+                        Case{{16, 7}, 30, 16}}) {
     const Accum ac(c.act, c.product_frac, c.product_frac, c.guard);
+    // The largest |acc| the narrow certificate admits; a ring under 32
+    // bits wraps any int32 first, to at most 2^(ring_bits - 1).
+    const int sh = ac.out.shift;
+    const std::int64_t read_max =
+        sh > 0 ? kMax - (std::int64_t{1} << (sh - 1))
+               : (sh < 0 ? kMax >> -sh : kMax);
+    ASSERT_TRUE(sh > -32 && sh < 32) << "case not certifiable";
+    const std::int64_t narrow_max =
+        ac.ring_bits < 32 ? kMax : read_max;
+    if (ac.ring_bits < 32) {
+      ASSERT_LE(std::int64_t{1} << (ac.ring_bits - 1), read_max)
+          << "case not certifiable";
+    }
     for (std::size_t out_ch : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u,
                                12u, 13u, 14u, 15u, 16u, 17u, 31u, 46u,
-                               140u}) {
+                               140u, 256u, 257u}) {
       const std::size_t positions = 9;
       const std::size_t stride = hls::kernels::narrow_out_pad(out_ch);
-      std::vector<std::int32_t> acc(positions * stride);
-      for (auto& v : acc) {
+      std::vector<std::int32_t> full(positions * stride);
+      for (auto& v : full) {
         v = static_cast<std::int32_t>(rng());
-        v >>= 2 + rng() % 24;
+        v >>= rng() % 24;
       }
-      std::size_t ovf_ref = 0;
-      std::size_t sat_ref = 0;
-      std::vector<std::int64_t> want(positions * out_ch);
+      full[0] = std::numeric_limits<std::int32_t>::max();
+      full[stride] = std::numeric_limits<std::int32_t>::min();
+      // The same draw scaled into [-narrow_max, narrow_max] on the value
+      // lanes, its ends included.
+      std::vector<std::int32_t> certified = full;
       for (std::size_t p = 0; p < positions; ++p) {
         for (std::size_t o = 0; o < out_ch; ++o) {
-          want[p * out_ch + o] =
-              ac.finalize(acc[p * stride + o], ovf_ref, sat_ref);
+          auto& v = certified[p * stride + o];
+          v = static_cast<std::int32_t>(std::int64_t{v} * narrow_max >> 31);
         }
       }
+      certified[0] = static_cast<std::int32_t>(narrow_max);
+      certified[stride] = static_cast<std::int32_t>(-narrow_max);
       for (bool i16 : {false, true}) {
+        const std::vector<std::int32_t>& acc = i16 ? certified : full;
+        std::size_t ovf_ref = 0;
+        std::size_t sat_ref = 0;
+        std::vector<std::int64_t> want(positions * out_ch);
+        for (std::size_t p = 0; p < positions; ++p) {
+          for (std::size_t o = 0; o < out_ch; ++o) {
+            want[p * out_ch + o] =
+                ac.finalize(acc[p * stride + o], ovf_ref, sat_ref);
+          }
+        }
         hk::Epilogue ep;
         ep.narrow = i16;
         ep.sinks.push_back(slab_sink(positions, out_ch, i16, false));
-        auto block = sentinel_block(slab_bytes(ep.sinks[0]) + 64);
+        auto block = sentinel_block(slab_bytes(ep.sinks[0], positions) + 64);
         const auto before = block;
         std::size_t ovf_fast = 0;
         std::size_t sat_fast = 0;
@@ -400,7 +433,7 @@ Packed pack(const std::vector<std::int64_t>& x, std::size_t positions,
   ep.narrow = true;  // every value fits int16
   ep.sinks.push_back(slab_sink(positions, in_ch, true, true));
   const hk::Sink& s = ep.sinks[0];
-  auto block = sentinel_block(slab_bytes(s));
+  auto block = sentinel_block(slab_bytes(s, positions));
   std::size_t sat = 0;
   std::size_t ovf = 0;
   const hk::Rows<std::int64_t> rows{x.data(), positions, in_ch, in_ch};
@@ -729,7 +762,7 @@ TEST(KernelEquivalence, MaxPoolMatchesReferenceWithSaturation) {
           if (i16 && !narrow) continue;
           ep.narrow = i16;
           ep.sinks.assign(1, slab_sink(positions, ch, i16, i16));
-          auto block = sentinel_block(slab_bytes(ep.sinks[0]));
+          auto block = sentinel_block(slab_bytes(ep.sinks[0], positions));
           std::size_t sat = 0;
           std::size_t ovf = 0;
           if (i16) {
@@ -804,7 +837,7 @@ TEST(KernelEquivalence, FusedWriteOutMatchesFinalizeThenRequant) {
   for (int relu_shift : {1, 0, -1}) {  // 1: no ReLU stage
     for (int cat_shift : {2, 3, -2}) {
       for (std::size_t out_ch : {1u, 15u, 16u, 17u, 31u, 46u}) {
-        for (std::size_t positions : {1u, 2u, 5u}) {
+        for (std::size_t positions : {1u, 2u, 5u, 7u}) {
           const std::size_t pad = hk::narrow_out_pad(out_ch);
           std::vector<std::int32_t> acc(positions * pad);
           for (std::size_t i = 0; i < acc.size(); ++i) {
@@ -829,8 +862,10 @@ TEST(KernelEquivalence, FusedWriteOutMatchesFinalizeThenRequant) {
           ASSERT_EQ(cat_rq.shift, cat_shift);
           ep.stages.push_back({cat_rq, false, 2, 2});
           hk::Sink own = slab_sink(positions, out_ch, true, true);
-          hk::Sink cat = slab_sink(2 * positions, kOther + out_ch, true, true);
-          const std::size_t cat_at = (slab_bytes(own) + 63) / 64 * 64;
+          const std::size_t cat_rows = 2 * positions;
+          hk::Sink cat = slab_sink(cat_rows, kOther + out_ch, true, true);
+          const std::size_t cat_at =
+              (slab_bytes(own, positions) + 63) / 64 * 64;
           cat.values += cat_at;
           cat.nz += cat_at;
           cat.nnz += cat_at;
@@ -840,13 +875,13 @@ TEST(KernelEquivalence, FusedWriteOutMatchesFinalizeThenRequant) {
           cat.stage_begin = ep.common;
           cat.stage_end = ep.common + 1;
           ep.sinks = {own, cat};
-          auto block = sentinel_block(cat_at + slab_bytes(cat) + 64);
+          auto block = sentinel_block(cat_at + slab_bytes(cat, cat_rows) + 64);
           // The other Concatenate input's channels and lists.
           auto* bytes = reinterpret_cast<unsigned char*>(block.data());
           auto* cat16 = reinterpret_cast<std::int16_t*>(bytes + cat.values);
           auto* cat_nz = reinterpret_cast<std::uint16_t*>(bytes + cat.nz);
           auto* cat_nnz = reinterpret_cast<std::uint16_t*>(bytes + cat.nnz);
-          for (std::size_t r = 0; r < cat.rows; ++r) {
+          for (std::size_t r = 0; r < cat_rows; ++r) {
             std::uint16_t n = 0;
             for (std::size_t c = 0; c < kOther; ++c) {
               const auto v =
@@ -906,9 +941,9 @@ TEST(KernelEquivalence, FusedWriteOutMatchesFinalizeThenRequant) {
           if (relu_shift == 1 && cat_shift == -2 && out_ch >= 15 &&
               positions == 5) {
             // Both int16 ends are reached.
-            EXPECT_GT(std::count(w_cat, w_cat + cat.rows * cat.stride,
+            EXPECT_GT(std::count(w_cat, w_cat + cat_rows * cat.stride,
                                  std::int16_t{32767}), 0) << label;
-            EXPECT_GT(std::count(w_cat, w_cat + cat.rows * cat.stride,
+            EXPECT_GT(std::count(w_cat, w_cat + cat_rows * cat.stride,
                                  std::int16_t{-32768}), 0) << label;
           }
           for (bool scalar : {false, true}) {
@@ -927,7 +962,7 @@ TEST(KernelEquivalence, FusedWriteOutMatchesFinalizeThenRequant) {
             auto* gb = reinterpret_cast<unsigned char*>(got.data());
             for (const hk::Sink& k : ep.sinks) {
               const auto* len = reinterpret_cast<const std::uint16_t*>(wb + k.nnz);
-              for (std::size_t r = 0; r < k.rows; ++r) {
+              for (std::size_t r = 0; r < positions * k.rep; ++r) {
                 const std::size_t from = (r * k.stride + len[r]) * 2;
                 const std::size_t to = (r + 1) * k.stride * 2;
                 std::copy(wb + k.nz + from, wb + k.nz + to, gb + k.nz + from);

@@ -47,10 +47,10 @@ echo "== autotune campaign (Pareto front / dominance / surrogate gates) =="
 
 echo "== kernel engine gates (bit-identity / speedup / narrow lanes) =="
 # Fast path must stay bit-identical to the reference executor, beat it by
-# >= 8x (committed artifact: 0.261 ms per frame, ~40.0x; the lower bar
+# >= 8x (committed artifact: 0.265 ms per frame, ~44.2x; the lower bar
 # absorbs CI host noise), prove >= half the MAC layers onto narrow int16
 # lanes, and split the frame into per-layer rows that sum to within 5% of
-# it (0.260 of 0.263 ms in the artifact, 98% in the MAC layers; the fused
+# it (0.258 of 0.261 ms in the artifact, 97% in the MAC layers; the fused
 # ReLU, UpSampling and Concatenate rows read 0).
 (cd build && ./bench/bench_kernels --min_speedup=8 --min_narrow_fraction=0.5 \
   --out=BENCH_kernels.json && python3 -m json.tool BENCH_kernels.json >/dev/null)
